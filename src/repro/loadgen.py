@@ -1,12 +1,13 @@
-"""Open-loop multi-tenant load generator for overload drills.
+"""Closed-loop multi-tenant load generator for overload drills.
 
 ROADMAP item 1 asks whether the control plane survives *fleet-scale*
 load, not whether it schedules one workflow.  This module answers it
 executably: ``run_loadtest`` builds a deliberately small Nautilus
 testbed, registers tens of simulated tenants with the admission
 gateway, and has every tenant submit CONNECT-derived workflows
-(download → train → inference fan-out → optional viz) open-loop on the
-sim clock while a :class:`~repro.chaos.ChaosMonkey` degrades links and
+(download → train → inference fan-out → optional viz) closed-loop on
+the sim clock (a tenant submits its next workflow only after the
+previous one ends, plus an exponential think time) while a :class:`~repro.chaos.ChaosMonkey` degrades links and
 kills nodes underneath.
 
 The invariant under test: **no workflow is ever lost**.  Every one of
@@ -247,7 +248,7 @@ class _PodWaiter:
 
 
 class _TenantRunner:
-    """Drives one tenant's open-loop workflow stream."""
+    """Drives one tenant's closed-loop workflow stream."""
 
     #: CONNECT-derived stages: (kind, cpu, memory, gpu, mean seconds).
     #: Durations are drawn lognormally around the mean per workflow.

@@ -13,11 +13,17 @@ applied to NASA data using 50 NVIDIA 1080ti GPUs based on Tensorflow"
   residual conv stack over a two-channel (image, current-mask) input,
   logit-delta output, and the moving field-of-view (FOV) inference loop
   of Januszewski et al. [20].
-- :mod:`repro.ml.training` — patch-sampling SGD trainer.
+- :mod:`repro.ml.training` — patch-sampling minibatch SGD trainer; its
+  one batched step also runs data-parallel training, where the workers
+  are the shards of the batch.
 - :mod:`repro.ml.inference` — whole-volume segmentation by seeded flood
-  filling (wavefront-batched: one stacked FFN forward per BFS frontier,
-  with a bit-identical serial reference engine), plus the shard splitter
+  filling (one wavefront loop, ``flood_fill_multi``: one stacked FFN
+  forward per merged BFS wave, with a bit-identical serial reference
+  engine; ``flood_fill`` is its one-seed case), plus the shard splitter
   used by the 50-GPU fan-out.
+- :mod:`repro.ml.distributed_inference` / :mod:`repro.ml.shm_pool` —
+  the halo-sharded fan-out with label stitching; shards run in-process
+  or on the zero-copy shared-memory worker pool.
 - :mod:`repro.ml.connect` — the CONNECT baseline: threshold + union-find
   connected-component labelling in time and space, with object life-cycle
   statistics [21][22].
@@ -41,7 +47,6 @@ from repro.ml.inference import (
     flood_fill_multi,
     segment_volume,
     split_shards,
-    ShardResult,
 )
 from repro.ml.distributed_inference import (
     distributed_segment,
@@ -81,7 +86,6 @@ __all__ = [
     "flood_fill_multi",
     "segment_volume",
     "split_shards",
-    "ShardResult",
     "distributed_segment",
     "stitch_labels",
     "ShardSegmentation",

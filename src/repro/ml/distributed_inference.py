@@ -16,20 +16,18 @@ This module implements that algorithm for real (NumPy + the disjoint-set
 forest from :mod:`repro.ml.connect`) and is validated against the
 monolithic segmentation in the test suite.
 
-The fan-out itself runs either in-process (``max_workers=1``, the
-default) or on a pool of worker processes (``max_workers>1``).  The
-default pool is the zero-copy :class:`~repro.ml.shm_pool.
-SharedMemoryPool` — long-lived workers over shared numpy buffers, so
-per-task traffic is a handful of integers instead of pickled shard
-slices (``pool_mode="pickle"`` keeps the old ``concurrent.futures``
-path as the reference the shared-memory engine is benchmarked against).
-Results are stitched in shard order regardless of completion order, so
-the output is identical for every worker count and engine.
+Every shard runs one routine, :func:`~repro.ml.shm_pool.segment_shard`,
+either in-process (``max_workers=1``, the default and the reference:
+the caller's model on views of the caller's volume) or on the zero-copy
+:class:`~repro.ml.shm_pool.SharedMemoryPool` (``max_workers>1`` or a
+caller-owned ``pool``) — long-lived workers over shared numpy buffers,
+so per-task traffic is a handful of integers.  Results are stitched in
+shard order regardless of completion order, so the output is identical
+for every worker count and engine.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import typing as _t
 
@@ -38,8 +36,8 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.ml.connect import _DisjointSet
 from repro.ml.ffn import FFNModel
-from repro.ml.inference import segment_volume, split_shards
-from repro.ml.shm_pool import SharedMemoryPool, ShardSpec
+from repro.ml.inference import split_shards
+from repro.ml.shm_pool import SharedMemoryPool, ShardSpec, segment_shard
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.tracing.span import Span, Tracer
@@ -73,49 +71,6 @@ def _halo_bounds(
         lo = max(0, lo - 1)
         hi = min(n_timesteps, hi + 1)
     return lo, hi
-
-
-def _compact_labels(owned: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber a label slab so its nonzero ids run 1..n (vectorized)."""
-    ids = np.unique(owned)
-    ids = ids[ids != 0]
-    if len(ids) == 0:
-        return np.zeros(owned.shape, dtype=np.int32), 0
-    compact = (np.searchsorted(ids, owned) + 1).astype(np.int32)
-    compact[owned == 0] = 0
-    return compact, len(ids)
-
-
-def _segment_shard_task(
-    payload: tuple,
-) -> ShardSegmentation:
-    """Process-pool task: segment one shard slice.
-
-    Module-level (picklable) and self-contained: it rebuilds the model
-    from its pickled config + state, so it runs identically in-process
-    and in a forked/spawned worker.
-    """
-    (config, state, sub, lo, t0, t1, shard_index, max_objects,
-     seed_percentile, engine, seed_batch) = payload
-    model = FFNModel(config)
-    model.load_state_dict(state)
-    local = segment_volume(
-        model,
-        sub,
-        max_objects=max_objects,
-        seed_percentile=seed_percentile,
-        engine=engine,
-        seed_batch=seed_batch,
-    )
-    owned = local[t0 - lo : t1 - lo]
-    compact, n_objects = _compact_labels(owned)
-    return ShardSegmentation(
-        shard_index=shard_index,
-        t0=t0,
-        t1=t1,
-        labels=compact,
-        n_objects=n_objects,
-    )
 
 
 def stitch_labels(shards: _t.Sequence[ShardSegmentation]) -> np.ndarray:
@@ -192,7 +147,6 @@ def distributed_segment(
     engine: str = "batched",
     seed_batch: int = 1,
     pool: SharedMemoryPool | None = None,
-    pool_mode: str = "shm",
     tracer: "Tracer | None" = None,
     span_parent: "Span | None" = None,
 ) -> tuple[np.ndarray, list[ShardSegmentation]]:
@@ -205,7 +159,8 @@ def distributed_segment(
         Number of logical shards (the paper's "50 GPUs").
     max_workers:
         Degree of *actual* parallelism: ``None`` or ``1`` segments the
-        shards in-process; ``>1`` fans them out across worker processes.
+        shards in-process; ``>1`` fans them out across the processes of
+        a :class:`~repro.ml.shm_pool.SharedMemoryPool`.
         Results are gathered in shard order, so the stitched output is
         identical for every ``max_workers`` value.
     engine:
@@ -219,17 +174,12 @@ def distributed_segment(
         inference amortizes worker spawn to zero).  When ``None`` and
         ``max_workers > 1``, an ephemeral pool is spun up and torn down
         inside the call.
-    pool_mode:
-        ``"shm"`` (default) fans out on the zero-copy shared-memory
-        pool; ``"pickle"`` keeps the legacy ``concurrent.futures`` path
-        that pickles each shard slice per task — the baseline the pool
-        is benchmarked against.
     tracer, span_parent:
         Optional :class:`~repro.tracing.span.Tracer` (+ parent span):
         one ``compute`` span per shard plus a ``stitch`` span.  Spans are
         always emitted in the **parent** process in shard order (a tracer
         does not cross the process boundary), so the trace is identical
-        for every ``max_workers`` value and pool mode.
+        for every ``max_workers`` value.
 
     Returns ``(global_labels, shard_outputs)``.
     """
@@ -239,113 +189,59 @@ def distributed_segment(
         raise ShapeError("halo must be >= 0")
     if max_workers is not None and max_workers < 1:
         raise ShapeError("max_workers must be >= 1")
-    if pool_mode not in ("shm", "pickle"):
-        raise ShapeError(f"unknown pool_mode {pool_mode!r}; use 'shm'/'pickle'")
-    bounds = split_shards(volume.shape[0], n_workers)
     fov_t = model.config.fov[0]
-    shard_geometry = []
-    for i, (t0, t1) in enumerate(bounds):
-        lo, hi = _halo_bounds(volume.shape[0], t0, t1, halo, fov_t)
-        shard_geometry.append((i, lo, hi, t0, t1))
+    specs = [
+        ShardSpec(i, *_halo_bounds(volume.shape[0], t0, t1, halo, fov_t), t0, t1)
+        for i, (t0, t1) in enumerate(split_shards(volume.shape[0], n_workers))
+    ]
+    options = {
+        "max_objects": max_objects_per_shard,
+        "seed_percentile": seed_percentile,
+        "engine": engine,
+        "seed_batch": seed_batch,
+    }
     fanout_span = None
     if tracer is not None:
         fanout_span = tracer.start(
             "distributed_segment",
             "compute",
             parent=span_parent,
-            attributes={"shards": len(shard_geometry), "engine": engine},
+            attributes={"shards": len(specs), "engine": engine},
         )
-
-    def _shard_span(index: int, t0: int, t1: int) -> "Span | None":
-        if tracer is None:
-            return None
-        return tracer.start(
-            f"shard:{index}",
-            "compute",
-            parent=fanout_span,
-            attributes={"t0": t0, "t1": t1},
+    pooled = None
+    if pool is not None or (
+        max_workers is not None and max_workers > 1 and len(specs) > 1
+    ):
+        owned_pool = pool if pool is not None else SharedMemoryPool(
+            model, n_workers=min(max_workers, len(specs))
         )
-
-    use_pool = pool is not None or (
-        max_workers is not None and max_workers > 1 and len(shard_geometry) > 1
-    )
-    # A caller-supplied pool always wins; pool_mode only picks the
-    # engine for ephemeral fan-outs.
-    use_pickle = use_pool and pool_mode == "pickle" and pool is None
-    if not use_pool or use_pickle:
-        config = model.config
-        state = model.state_dict()
-        payloads = []
-        for i, lo, hi, t0, t1 in shard_geometry:
-            # Ship a contiguous copy of just this shard's slice (what a
-            # real worker would receive over the wire).
-            sub = np.ascontiguousarray(volume[lo:hi])
-            payloads.append(
-                (config, state, sub, lo, t0, t1, i,
-                 max_objects_per_shard, seed_percentile, engine, seed_batch)
-            )
-    if not use_pool:
-        shard_outputs = []
-        for p in payloads:
-            span = _shard_span(p[6], p[4], p[5])
-            result = _segment_shard_task(p)
-            if tracer is not None and span is not None:
-                tracer.finish(span, attributes={"objects": result.n_objects})
-            shard_outputs.append(result)
-    elif use_pickle:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(max_workers, len(payloads))
-        ) as executor:
-            futures = [
-                executor.submit(_segment_shard_task, p) for p in payloads
-            ]
-            # Gather in submission (= shard) order: completion order is
-            # nondeterministic, the stitch input must not be.
-            shard_outputs = []
-            for p, f in zip(payloads, futures):
-                span = _shard_span(p[6], p[4], p[5])
-                result = f.result()
-                if tracer is not None and span is not None:
-                    tracer.finish(span, attributes={"objects": result.n_objects})
-                shard_outputs.append(result)
-    else:
-        specs = [
-            ShardSpec(shard_index=i, lo=lo, hi=hi, t0=t0, t1=t1)
-            for i, lo, hi, t0, t1 in shard_geometry
-        ]
-        owned_pool = pool
-        if owned_pool is None:
-            owned_pool = SharedMemoryPool(
-                model, n_workers=min(max_workers, len(specs))
-            )
         try:
-            slabs, receipts = owned_pool.segment_shards(
-                volume,
-                specs,
-                max_objects=max_objects_per_shard,
-                seed_percentile=seed_percentile,
-                engine=engine,
-                seed_batch=seed_batch,
-            )
+            slabs, receipts = owned_pool.segment_shards(volume, specs, **options)
         finally:
             if pool is None:
                 owned_pool.close()
-        # Results are complete; emit shard spans in shard order with the
-        # exact start/finish interleaving of the in-process path, so the
-        # span sequence stays identical across engines and worker counts.
-        shard_outputs = []
-        for spec, slab, receipt in zip(specs, slabs, receipts):
-            span = _shard_span(spec.shard_index, spec.t0, spec.t1)
-            result = ShardSegmentation(
-                shard_index=spec.shard_index,
-                t0=spec.t0,
-                t1=spec.t1,
-                labels=slab,
-                n_objects=receipt.n_objects,
+        pooled = iter(zip(slabs, [r.n_objects for r in receipts]))
+    # Shard spans are emitted in the parent, in shard order, with the
+    # same start/finish interleaving however the shards ran.
+    shard_outputs = []
+    for spec in specs:
+        span = None
+        if tracer is not None:
+            span = tracer.start(
+                f"shard:{spec.shard_index}",
+                "compute",
+                parent=fanout_span,
+                attributes={"t0": spec.t0, "t1": spec.t1},
             )
-            if tracer is not None and span is not None:
-                tracer.finish(span, attributes={"objects": result.n_objects})
-            shard_outputs.append(result)
+        labels, n_objects = (
+            next(pooled) if pooled is not None
+            else segment_shard(model, volume, spec, **options)
+        )
+        if span is not None:
+            tracer.finish(span, attributes={"objects": n_objects})
+        shard_outputs.append(
+            ShardSegmentation(spec.shard_index, spec.t0, spec.t1, labels, n_objects)
+        )
     if tracer is None:
         stitched = stitch_labels(shard_outputs)
     else:

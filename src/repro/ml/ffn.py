@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.ml.conv3d import Conv3D
 
-__all__ = ["FFNConfig", "FFNModel", "logit", "sigmoid"]
+__all__ = ["FFNConfig", "FFNModel", "logit", "sigmoid", "zscore"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -42,6 +42,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def zscore(volume: np.ndarray) -> np.ndarray:
+    """Z-score an image volume as float32 (the FFN sees standardized
+    inputs); a constant volume maps to zeros."""
+    v = volume.astype(np.float32)
+    std = v.std()
+    if std == 0:
+        return np.zeros_like(v)
+    return (v - v.mean()) / std
 
 
 def logit(p: float) -> float:

@@ -14,24 +14,25 @@ overlap).  That definition makes the loop batchable — the ``"batched"``
 engine stacks the frontier's patches and runs **one** batched FFN forward
 per frontier, while the ``"serial"`` engine runs the same frontier one
 patch at a time and exists as the reference implementation the batched
-path is tested against, bit for bit.
+path is tested against, bit for bit.  One loop does this for every
+caller: :func:`flood_fill_multi` merges several seeds' frontiers into
+each wave, and :func:`flood_fill` is its one-seed case.
 
 Also provides :func:`split_shards`, the exact sharding rule the paper's
 step 3 uses ("The entire 246GB ... is evenly distributed across the 50
 GPUs", §III-C), and :func:`segment_volume`, which seeds objects from IVT
-peaks and floods them one by one.
+peaks and floods them in candidate order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 from collections import deque
 
 import numpy as np
 
 from repro.errors import MLError, ShapeError
-from repro.ml.ffn import FFNModel, sigmoid
+from repro.ml.ffn import FFNModel, sigmoid, zscore
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.tracing.span import Span, Tracer
@@ -41,7 +42,6 @@ __all__ = [
     "flood_fill_multi",
     "segment_volume",
     "split_shards",
-    "ShardResult",
 ]
 
 #: Saturation range for mask logits during flood filling.
@@ -49,15 +49,6 @@ _LOGIT_CLIP = (-16.0, 16.0)
 
 #: Recognized flood-fill engines.
 _ENGINES = ("batched", "serial")
-
-
-def _normalize(volume: np.ndarray) -> np.ndarray:
-    """Z-score the image volume (the FFN sees standardized inputs)."""
-    v = volume.astype(np.float32)
-    std = v.std()
-    if std == 0:
-        return np.zeros_like(v)
-    return (v - v.mean()) / std
 
 
 def _eval_frontier(
@@ -143,149 +134,27 @@ def flood_fill(
 ) -> np.ndarray:
     """Flood one object from ``seed``; returns the probability volume.
 
-    Parameters
-    ----------
-    model:
-        A trained :class:`FFNModel`.
-    volume:
-        The image, shape ``(D, H, W)`` (e.g. an IVT time-stack).
-    seed:
-        Starting voxel (must be inside the volume).
-    max_steps:
-        Total FOV evaluation budget (a frontier that would exceed it is
-        truncated in order).
-    normalized:
-        Set when ``volume`` is already z-scored (avoids re-normalizing
-        per shard).
-    engine:
-        ``"batched"`` (default) evaluates each frontier as one stacked
-        FFN forward; ``"serial"`` evaluates the same frontier one FOV at
-        a time.  Both produce bit-identical output.
-    window_cache:
-        Optional dict mapping FOV center -> contiguous z-scored image
-        window.  Pass the same dict across :func:`flood_fill` calls on
-        the same (normalized) image — e.g. successive seeds in
-        :func:`segment_volume` — so revisited centers reuse their image
-        window and only the mask channel is re-read.
-    tracer, span_parent:
-        Optional :class:`~repro.tracing.span.Tracer` (+ parent span):
-        the flood emits one ``compute`` span for the whole fill and one
-        per frontier.  The span *sequence* (names, categories, frontier
-        sizes) is identical for both engines — only the flood span's
-        ``engine`` attribute differs.
+    A one-seed :func:`flood_fill_multi`: every parameter means the same
+    there.  ``seed`` must lie inside ``volume`` (shape ``(D, H, W)``);
+    ``max_steps`` is the FOV evaluation budget; ``normalized`` skips the
+    z-scoring when ``volume`` already is; ``engine`` is ``"batched"`` or
+    the bit-identical ``"serial"`` reference; ``window_cache`` shares
+    z-scored image windows across calls on the same image.
 
-    Returns
-    -------
-    A float32 array of object probabilities, same shape as ``volume``
-    (``init_prob`` everywhere the flood never looked).
+    Returns a float32 array of object probabilities, same shape as
+    ``volume`` (``init_prob`` everywhere the flood never looked).
     """
-    if engine not in _ENGINES:
-        raise MLError(f"unknown flood-fill engine {engine!r}; use {_ENGINES}")
-    cfg = model.config
-    fov = np.array(cfg.fov)
-    half = fov // 2
-    vol_shape = np.array(volume.shape)
-    if volume.ndim != 3:
-        raise ShapeError(f"volume must be 3-D, got {volume.shape}")
-    if np.any(vol_shape < fov):
-        raise ShapeError(f"volume {volume.shape} smaller than FOV {cfg.fov}")
-    seed_arr = np.array(seed)
-    if np.any(seed_arr < 0) or np.any(seed_arr >= vol_shape):
-        raise ShapeError(f"seed {seed} outside volume {volume.shape}")
-
-    image = volume if normalized else _normalize(volume)
-    mask = np.full(volume.shape, cfg.init_logit, dtype=np.float32)
-    mask[tuple(seed_arr)] = cfg.seed_logit
-    if window_cache is None:
-        window_cache = {}
-
-    lo_bound = half
-    hi_bound = vol_shape - half - 1
-
-    def clamp_center(center: np.ndarray) -> tuple:
-        return tuple(int(v) for v in np.clip(center, lo_bound, hi_bound))
-
-    def image_window(center: tuple, slices: tuple) -> np.ndarray:
-        win = window_cache.get(center)
-        if win is None:
-            win = np.ascontiguousarray(image[slices])
-            window_cache[center] = win
-        return win
-
-    flood_span = None
-    if tracer is not None:
-        flood_span = tracer.start(
-            "flood_fill",
-            "compute",
-            parent=span_parent,
-            attributes={
-                "seed": [int(v) for v in seed_arr],
-                "engine": engine,
-            },
-        )
-
-    visited: set[tuple] = set()
-    pending: deque[tuple] = deque([clamp_center(seed_arr)])
-    steps = 0
-    frontier_index = 0
-    while pending and steps < max_steps:
-        # Drain the whole frontier: ordered, deduplicated, unvisited.
-        frontier: list[tuple] = []
-        seen: set[tuple] = set()
-        while pending:
-            center = pending.popleft()
-            if center in visited or center in seen:
-                continue
-            seen.add(center)
-            frontier.append(center)
-        if steps + len(frontier) > max_steps:
-            frontier = frontier[: max_steps - steps]
-        if not frontier:
-            break
-        steps += len(frontier)
-        visited.update(frontier)
-        frontier_span = None
-        if tracer is not None:
-            frontier_span = tracer.start(
-                f"frontier:{frontier_index}",
-                "compute",
-                parent=flood_span,
-                attributes={"patches": len(frontier)},
-            )
-        frontier_index += 1
-
-        slices_list = [
-            tuple(slice(c - h, c + h + 1) for c, h in zip(center, half))
-            for center in frontier
-        ]
-        # Snapshot reads: every patch sees the mask as of frontier start.
-        img_patches = [
-            image_window(center, slc)
-            for center, slc in zip(frontier, slices_list)
-        ]
-        mask_patches = [mask[slc] for slc in slices_list]
-        outs, face_max = _eval_frontier(model, img_patches, mask_patches, engine)
-        # Deterministic last-writer-wins write-back in frontier order.
-        for slc, patch_logits in zip(slices_list, outs):
-            mask[slc] = patch_logits
-        # Each patch's own output decides its FOV moves; next-frontier
-        # order is frontier order x (axis, direction), so it is identical
-        # for both engines.
-        for i, center in enumerate(frontier):
-            for axis in range(3):
-                for direction in (-1, 1):
-                    side = 0 if direction == -1 else 1
-                    if face_max[i, axis, side] >= cfg.move_threshold:
-                        nxt = np.array(center)
-                        nxt[axis] += direction * half[axis]
-                        nxt_t = clamp_center(nxt)
-                        if nxt_t not in visited:
-                            pending.append(nxt_t)
-        if tracer is not None and frontier_span is not None:
-            tracer.finish(frontier_span)
-    if tracer is not None and flood_span is not None:
-        tracer.finish(flood_span, attributes={"steps": steps})
-    return sigmoid(mask)
+    return flood_fill_multi(
+        model,
+        volume,
+        [seed],
+        max_steps=max_steps,
+        normalized=normalized,
+        engine=engine,
+        window_cache=window_cache,
+        tracer=tracer,
+        span_parent=span_parent,
+    )[0]
 
 
 def flood_fill_multi(
@@ -310,13 +179,23 @@ def flood_fill_multi(
     is **bit-identical** to running :func:`flood_fill` on its seed alone
     — the parity suite asserts exactly that.
 
-    Span schema: one ``compute`` span named ``flood_fill_multi`` for the
-    batch, with one child ``compute`` span per merged wave
+    Each flood is wavefront-synchronous: its frontier (one BFS level of
+    FOV centers, ordered, deduplicated, unvisited and truncated to its
+    ``max_steps`` budget) reads the mask as it stood when the wave
+    started, and results are written back in frontier order.
+    ``normalized`` skips z-scoring an already z-scored ``volume``;
+    ``window_cache`` maps FOV center -> z-scored image window and may be
+    shared across calls on the same image (as :func:`segment_volume`
+    does), so revisited centers only re-read the mask channel.
+
+    Span schema (identical for both engines except the ``engine``
+    attribute): one ``compute`` span named ``flood_fill`` with
+    attributes ``seeds`` and ``engine`` (plus per-seed ``steps`` at
+    finish), and one child ``compute`` span per merged wave
     (``wave:{i}``, attributes ``patches`` = stacked batch size and
     ``floods`` = live flood count).
 
-    Returns a list of probability volumes in seed order (same contract
-    as :func:`flood_fill`).
+    Returns a list of float32 probability volumes in seed order.
     """
     if engine not in _ENGINES:
         raise MLError(f"unknown flood-fill engine {engine!r}; use {_ENGINES}")
@@ -335,7 +214,7 @@ def flood_fill_multi(
     if not seed_arrs:
         return []
 
-    image = volume if normalized else _normalize(volume)
+    image = volume if normalized else zscore(volume)
     if window_cache is None:
         window_cache = {}
     lo_bound = half
@@ -351,10 +230,10 @@ def flood_fill_multi(
             window_cache[center] = win
         return win
 
-    multi_span = None
+    flood_span = None
     if tracer is not None:
-        multi_span = tracer.start(
-            "flood_fill_multi",
+        flood_span = tracer.start(
+            "flood_fill",
             "compute",
             parent=span_parent,
             attributes={
@@ -376,8 +255,8 @@ def flood_fill_multi(
     steps = [0] * n
     wave_index = 0
     while True:
-        # Per flood: drain its whole frontier exactly as flood_fill does
-        # (ordered, deduplicated, unvisited, truncated to its budget).
+        # Per flood: drain its whole frontier (ordered, deduplicated,
+        # unvisited, truncated to its budget).
         waves: list[tuple[int, list[tuple], list[tuple]]] = []
         for fi in range(n):
             if not pending[fi] or steps[fi] >= max_steps:
@@ -415,13 +294,13 @@ def flood_fill_multi(
             wave_span = tracer.start(
                 f"wave:{wave_index}",
                 "compute",
-                parent=multi_span,
+                parent=flood_span,
                 attributes={"patches": len(img_patches), "floods": len(waves)},
             )
         wave_index += 1
         outs, face_max = _eval_frontier(model, img_patches, mask_patches, engine)
-        # Write back + expand per flood, each in its own frontier order —
-        # identical to what flood_fill would do with that flood alone.
+        # Write back + expand per flood, each in its own frontier order,
+        # so a flood's result never depends on what shared its wave.
         offset = 0
         for fi, frontier, slices_list in waves:
             for j, slc in enumerate(slices_list):
@@ -439,8 +318,8 @@ def flood_fill_multi(
             offset += len(frontier)
         if tracer is not None and wave_span is not None:
             tracer.finish(wave_span)
-    if tracer is not None and multi_span is not None:
-        tracer.finish(multi_span, attributes={"steps": steps})
+    if tracer is not None and flood_span is not None:
+        tracer.finish(flood_span, attributes={"steps": steps})
     return [sigmoid(mask) for mask in masks]
 
 
@@ -459,17 +338,18 @@ def segment_volume(
 
     Seeds are taken greedily from the highest-intensity voxels above
     ``seed_percentile`` that no earlier object claimed; each seed is
-    flooded with :func:`flood_fill` and thresholded at the model's
+    flooded with :func:`flood_fill_multi` and thresholded at the model's
     ``segment_threshold``.  A z-scored image-window cache is shared
     across floods, so centers revisited by later objects skip the window
     extraction.
 
     ``seed_batch > 1`` floods up to that many seeds **speculatively** in
-    one merged wavefront (:func:`flood_fill_multi`), keeping the FFN
-    batch dimension fat when individual frontiers are thin.  Speculation
-    is safe because a flood depends only on the image and its seed,
-    never on ``labels``: results are *committed* strictly in the serial
-    candidate order with the serial path's exact skip/reject rules, so a
+    one merged wavefront, keeping the FFN batch dimension fat when
+    individual frontiers are thin (``seed_batch=1`` is the same loop
+    with one seed per wave).  Speculation is safe because a flood
+    depends only on the image and its seed, never on ``labels``:
+    results are *committed* strictly in candidate order with the same
+    skip/reject rules for every batch width, so a
     batch member whose seed gets claimed by an earlier commit is simply
     discarded — wasted compute, never a changed output.  To keep that
     waste low, gathering prefers seeds at least one FOV apart (brightness
@@ -495,7 +375,7 @@ def segment_volume(
             parent=span_parent,
             attributes=attributes,
         )
-    image = _normalize(volume)
+    image = zscore(volume)
     threshold_value = np.percentile(volume, seed_percentile)
     candidates = np.argwhere(volume >= threshold_value)
     # Brightest first: flood the most confident objects before leftovers.
@@ -503,16 +383,43 @@ def segment_volume(
     candidates = candidates[order]
     next_id = 1
     window_cache: dict = {}
-    if seed_batch == 1:
-        for voxel in map(tuple, candidates):
-            if next_id > max_objects:
-                break
-            if labels[voxel] != 0:
-                continue
-            probs = flood_fill(
+    voxels = [tuple(v) for v in candidates]
+    n = len(voxels)
+    # Gather-time diversity: candidate brightness ranks cluster inside
+    # one object, and two seeds of the same object cost a whole wasted
+    # flood (the first commit claims the second seed).  Batch members
+    # are therefore kept at least a FOV apart; a skipped candidate stays
+    # in the queue and is usually claimed by the time the cursor
+    # reaches it.
+    min_sep = max(model.config.fov)
+    flooded: dict[int, np.ndarray] = {}
+    pos = 0
+    while pos < n and next_id <= max_objects:
+        if labels[voxels[pos]] != 0:  # claimed by an earlier commit
+            flooded.pop(pos, None)
+            pos += 1
+            continue
+        if pos not in flooded:
+            # Flood the cursor seed plus up to seed_batch-1 diverse,
+            # currently-unclaimed seeds ahead of it in one merged
+            # wavefront.
+            batch = [pos]
+            for j in range(pos + 1, n):
+                if len(batch) == seed_batch:
+                    break
+                if j in flooded or labels[voxels[j]] != 0:
+                    continue
+                if any(
+                    max(abs(a - b) for a, b in zip(voxels[j], voxels[k]))
+                    < min_sep
+                    for k in batch
+                ):
+                    continue
+                batch.append(j)
+            probs_list = flood_fill_multi(
                 model,
                 image,
-                voxel,
+                [voxels[j] for j in batch],
                 max_steps=max_steps_per_object,
                 normalized=True,
                 engine=engine,
@@ -520,82 +427,19 @@ def segment_volume(
                 tracer=tracer,
                 span_parent=segment_span,
             )
-            obj = (probs >= model.config.segment_threshold) & (labels == 0)
-            if obj.sum() < 2:  # reject degenerate single-voxel floods
-                continue
-            labels[obj] = next_id
-            next_id += 1
-    else:
-        voxels = [tuple(v) for v in candidates]
-        n = len(voxels)
-        # Gather-time diversity: candidate brightness ranks cluster
-        # inside one object, and two seeds of the same object cost a
-        # whole wasted flood (the first commit claims the second seed).
-        # Batch members are therefore kept at least a FOV apart; a
-        # skipped candidate stays in the queue and is usually claimed by
-        # the time the cursor reaches it.
-        min_sep = max(model.config.fov)
-        flooded: dict[int, np.ndarray] = {}
-        pos = 0
-        while pos < n and next_id <= max_objects:
-            if labels[voxels[pos]] != 0:  # claimed by an earlier commit
-                flooded.pop(pos, None)
-                pos += 1
-                continue
-            if pos not in flooded:
-                # Flood the cursor seed plus up to seed_batch-1 diverse,
-                # currently-unclaimed seeds ahead of it in one merged
-                # wavefront.
-                batch = [pos]
-                for j in range(pos + 1, n):
-                    if len(batch) == seed_batch:
-                        break
-                    if j in flooded or labels[voxels[j]] != 0:
-                        continue
-                    if any(
-                        max(
-                            abs(a - b)
-                            for a, b in zip(voxels[j], voxels[k])
-                        ) < min_sep
-                        for k in batch
-                    ):
-                        continue
-                    batch.append(j)
-                probs_list = flood_fill_multi(
-                    model,
-                    image,
-                    [voxels[j] for j in batch],
-                    max_steps=max_steps_per_object,
-                    normalized=True,
-                    engine=engine,
-                    window_cache=window_cache,
-                    tracer=tracer,
-                    span_parent=segment_span,
-                )
-                for j, probs in zip(batch, probs_list):
-                    flooded[j] = probs
-            # Commit the cursor's flood with the serial rules verbatim.
-            probs = flooded.pop(pos)
-            pos += 1
-            obj = (probs >= model.config.segment_threshold) & (labels == 0)
-            if obj.sum() < 2:  # reject degenerate single-voxel floods
-                continue
-            labels[obj] = next_id
-            next_id += 1
+            for j, probs in zip(batch, probs_list):
+                flooded[j] = probs
+        # Commit the cursor's flood in candidate order.
+        probs = flooded.pop(pos)
+        pos += 1
+        obj = (probs >= model.config.segment_threshold) & (labels == 0)
+        if obj.sum() < 2:  # reject degenerate single-voxel floods
+            continue
+        labels[obj] = next_id
+        next_id += 1
     if tracer is not None and segment_span is not None:
         tracer.finish(segment_span, attributes={"objects": next_id - 1})
     return labels
-
-
-@dataclasses.dataclass
-class ShardResult:
-    """One worker's output in the distributed-inference fan-out."""
-
-    shard_index: int
-    t_slice: tuple[int, int]
-    labels: np.ndarray
-    n_objects: int
-    voxels: int
 
 
 def split_shards(n_timesteps: int, n_workers: int) -> list[tuple[int, int]]:

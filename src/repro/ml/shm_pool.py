@@ -1,11 +1,13 @@
 """Persistent shared-memory worker pool for the shard fan-out.
 
-The first process-pool fan-out (``concurrent.futures``) *lost* to the
+An earlier ``concurrent.futures`` fan-out (since removed) *lost* to the
 in-process shard loop on the committed trajectory (BENCH_2026-08-06:
 0.86x) because every task pickled its whole shard slice out and its
 whole label slab back, plus the model state — per task, every time.
-This module is the standard fix from container-HPC practice: **spawn
-the workers once, move the data never.**
+This module is the standard fix from container-HPC practice, and the
+only process fan-out: **spawn the workers once, move the data never.**
+Workers and the in-process reference loop run the same
+:func:`segment_shard`.
 
 - The input volume lives in one ``multiprocessing.shared_memory``
   segment; workers map it and slice **zero-copy views** of their shard
@@ -48,11 +50,12 @@ import numpy as np
 
 from repro.errors import PoolError, ShapeError
 from repro.ml.ffn import FFNModel
+from repro.ml.inference import segment_volume
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.ml.ffn import FFNConfig
 
-__all__ = ["SharedMemoryPool", "ShardSpec", "ShardReceipt"]
+__all__ = ["SharedMemoryPool", "ShardSpec", "ShardReceipt", "segment_shard"]
 
 #: Dispatcher poll interval while waiting on the result queue (seconds).
 #: Only bounds crash-detection latency; results arrive event-driven.
@@ -131,8 +134,31 @@ def _attach(
     return ref.view(shm)
 
 
-def _compact_labels(owned: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber a label slab so its nonzero ids run 1..n (vectorized)."""
+def segment_shard(
+    model: FFNModel,
+    volume: np.ndarray,
+    spec: ShardSpec,
+    *,
+    max_objects: int,
+    seed_percentile: float,
+    engine: str,
+    seed_batch: int,
+) -> tuple[np.ndarray, int]:
+    """Segment one shard: ``volume[lo:hi]``, keep ``[t0, t1)``, compact.
+
+    The one shard routine of the fan-out, run in-process and by every
+    pool worker alike.  Returns the owned labels renumbered so their
+    nonzero ids run 1..n, and n.
+    """
+    local = segment_volume(
+        model,
+        volume[spec.lo : spec.hi],  # zero-copy view
+        max_objects=max_objects,
+        seed_percentile=seed_percentile,
+        engine=engine,
+        seed_batch=seed_batch,
+    )
+    owned = local[spec.t0 - spec.lo : spec.t1 - spec.lo]
     ids = np.unique(owned)
     ids = ids[ids != 0]
     if len(ids) == 0:
@@ -155,37 +181,28 @@ def _worker_main(
     rebuilt exactly once; shared segments are attached on first use and
     cached by name for the worker's lifetime.
     """
-    from repro.ml.inference import segment_volume  # local: import cycle
-
     model = FFNModel(config)
     model.load_state_dict(state)
     attached: dict[str, shared_memory.SharedMemory] = {}
     # Decided once, at startup: a worker that did NOT inherit the
     # parent's tracker will lazily start its own on first attach.
     own_tracker = not _tracker_running()
+    crash_armed = False
     try:
         while True:
             message = task_queue.get()
             if message is None:  # shutdown sentinel
                 break
-            kind = message[0]
-            if kind == "crash":  # test hook: simulate a hard worker death
+            if message[0] == "crash":  # test hook, see inject_crash
+                crash_armed = True
+                continue
+            if crash_armed:  # die hard with this shard in flight
                 os._exit(17)
             (_, generation, volume_ref, labels_ref, spec, options) = message
             try:
                 volume = _attach(attached, volume_ref, own_tracker)
                 labels_out = _attach(attached, labels_ref, own_tracker)
-                sub = volume[spec.lo : spec.hi]  # zero-copy view
-                local = segment_volume(
-                    model,
-                    sub,
-                    max_objects=options["max_objects"],
-                    seed_percentile=options["seed_percentile"],
-                    engine=options["engine"],
-                    seed_batch=options["seed_batch"],
-                )
-                owned = local[spec.t0 - spec.lo : spec.t1 - spec.lo]
-                compact, n_objects = _compact_labels(owned)
+                compact, n_objects = segment_shard(model, volume, spec, **options)
                 labels_out[spec.t0 : spec.t1] = compact  # in-place result
                 result_queue.put(
                     ("ok", generation, spec.shard_index, n_objects, worker_index)
@@ -303,7 +320,8 @@ class SharedMemoryPool:
         ]
 
     def inject_crash(self, worker_index: int) -> None:
-        """Test hook: make one worker die hard on its next dequeue."""
+        """Test hook: make one worker die hard on dequeuing its next
+        segment task, so that shard is always in flight when it dies."""
         self._task_queues[worker_index].put(("crash",))
 
     def segment_shards(

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import MLError, ShapeError
-from repro.ml.ffn import FFNModel
+from repro.ml.ffn import FFNModel, zscore
 
 __all__ = ["TrainingReport", "FFNTrainer"]
 
@@ -114,6 +114,60 @@ class FFNTrainer:
 
     # -- training -------------------------------------------------------------------
 
+    def _patches(
+        self, image: np.ndarray, labels: np.ndarray, centers: list
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked ``(images, label masks, seeded mask logits)`` for the
+        FOV patches centered at ``centers``."""
+        cfg = self.model.config
+        half = tuple(f // 2 for f in cfg.fov)
+        slices_list = [
+            tuple(slice(c - h, c + h + 1) for c, h in zip(center, half))
+            for center in centers
+        ]
+        img_patches = np.stack([image[s] for s in slices_list])
+        label_patches = np.stack(
+            [(labels[s] > 0).astype(np.float32) for s in slices_list]
+        )
+        masks = np.full(
+            (len(centers),) + cfg.fov, cfg.init_logit, dtype=np.float32
+        )
+        masks[(slice(None),) + half] = cfg.seed_logit  # every item's seed
+        return img_patches, label_patches, masks
+
+    def train_step(
+        self, image: np.ndarray, labels: np.ndarray, centers: list
+    ) -> tuple[float, float]:
+        """One minibatch SGD step on the FOV patches at ``centers``.
+
+        ``image`` is the z-scored volume (:func:`~repro.ml.ffn.zscore`).
+        The whole batch moves through the conv stack as one set of
+        batched kernels per FOV step (one GEMM per conv layer, instead
+        of one per patch); gradients are scaled by
+        ``1 / (len(centers) * fov_steps)`` and applied in one
+        ``sgd_step``.
+
+        Returns ``(batch_loss, first_loss)``: the mean item loss over
+        the batch and FOV steps, and item 0's loss on the first FOV step.
+        """
+        img_patches, label_patches, masks = self._patches(image, labels, centers)
+        grad_scale = 1.0 / (len(centers) * self.fov_steps)
+        batch_loss = 0.0
+        first_loss = None
+        for _ in range(self.fov_steps):
+            logits = self.model.forward_batch(img_patches, masks)
+            item_losses, grad = FFNModel.logistic_loss_batch(
+                logits, label_patches
+            )
+            if first_loss is None:
+                first_loss = float(item_losses[0])
+            batch_loss += float(item_losses.sum()) * grad_scale
+            self.model.backward_batch(grad * grad_scale)
+            # Next pass sees the (detached, saturated) updated masks.
+            masks = np.clip(logits, -16.0, 16.0).astype(np.float32)
+        self.model.sgd_step(self.lr, momentum=self.momentum)
+        return batch_loss, first_loss
+
     def train(
         self,
         volume: np.ndarray,
@@ -121,11 +175,8 @@ class FFNTrainer:
         steps: int = 200,
         log_every: int = 10,
     ) -> TrainingReport:
-        """Run ``steps`` minibatch SGD steps on (volume, labels).
-
-        Each step stacks ``batch_size`` FOV patches and drives them
-        through the batched FFN kernels together (one GEMM per conv
-        layer per FOV step, instead of ``batch_size`` of them).
+        """Run ``steps`` :meth:`train_step` calls of ``batch_size``
+        patches each on (volume, labels).
 
         ``labels`` is binary (object/background) with the same shape as
         ``volume`` — the paper's "576x361x240 data volume" at any scale.
@@ -134,48 +185,15 @@ class FFNTrainer:
             raise ShapeError(
                 f"volume {volume.shape} and labels {labels.shape} differ"
             )
-        image = volume.astype(np.float32)
-        std = image.std()
-        if std > 0:
-            image = (image - image.mean()) / std
-        cfg = self.model.config
-        half = tuple(f // 2 for f in cfg.fov)
+        image = zscore(volume)
         losses: list[float] = []
         initial_loss = None
         centers = self._patch_centers(labels, steps * self.batch_size)
-        grad_scale = 1.0 / (self.batch_size * self.fov_steps)
-        idx = 0
-        center_idx = (slice(None),) + half  # seed voxel of every batch item
         for step in range(steps):
-            batch = centers[idx : idx + self.batch_size]
-            idx += self.batch_size
-            slices_list = [
-                tuple(slice(c - h, c + h + 1) for c, h in zip(center, half))
-                for center in batch
-            ]
-            # Real minibatches: the whole batch moves through the conv
-            # stack as one set of batched kernels per FOV step.
-            img_patches = np.stack([image[s] for s in slices_list])
-            label_patches = np.stack(
-                [(labels[s] > 0).astype(np.float32) for s in slices_list]
-            )
-            masks = np.full(
-                (len(batch),) + cfg.fov, cfg.init_logit, dtype=np.float32
-            )
-            masks[center_idx] = cfg.seed_logit
-            batch_loss = 0.0
-            for _ in range(self.fov_steps):
-                logits = self.model.forward_batch(img_patches, masks)
-                item_losses, grad = FFNModel.logistic_loss_batch(
-                    logits, label_patches
-                )
-                if initial_loss is None:
-                    initial_loss = float(item_losses[0])
-                batch_loss += float(item_losses.sum()) * grad_scale
-                self.model.backward_batch(grad * grad_scale)
-                # Next pass sees the (detached, saturated) updated masks.
-                masks = np.clip(logits, -16.0, 16.0).astype(np.float32)
-            self.model.sgd_step(self.lr, momentum=self.momentum)
+            batch = centers[step * self.batch_size : (step + 1) * self.batch_size]
+            batch_loss, first_loss = self.train_step(image, labels, batch)
+            if initial_loss is None:
+                initial_loss = first_loss
             if step % log_every == 0 or step == steps - 1:
                 losses.append(batch_loss)
         return TrainingReport(
@@ -189,24 +207,9 @@ class FFNTrainer:
     def evaluate(self, volume: np.ndarray, labels: np.ndarray,
                  n_patches: int = 50) -> float:
         """Mean loss over freshly sampled patches (no updates)."""
-        image = volume.astype(np.float32)
-        std = image.std()
-        if std > 0:
-            image = (image - image.mean()) / std
-        cfg = self.model.config
-        half = tuple(f // 2 for f in cfg.fov)
-        slices_list = [
-            tuple(slice(c - h, c + h + 1) for c, h in zip(center, half))
-            for center in self._patch_centers(labels, n_patches)
-        ]
-        img_patches = np.stack([image[s] for s in slices_list])
-        label_patches = np.stack(
-            [(labels[s] > 0).astype(np.float32) for s in slices_list]
+        img_patches, label_patches, masks = self._patches(
+            zscore(volume), labels, self._patch_centers(labels, n_patches)
         )
-        masks = np.full(
-            (n_patches,) + cfg.fov, cfg.init_logit, dtype=np.float32
-        )
-        masks[(slice(None),) + half] = cfg.seed_logit
         logits = self.model.forward_batch(img_patches, masks)
         item_losses, _ = FFNModel.logistic_loss_batch(logits, label_patches)
         return float(item_losses.mean())

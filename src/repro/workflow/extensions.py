@@ -30,6 +30,7 @@ import numpy as np
 from repro.cluster import ContainerSpec, JobSpec, PodSpec, ReplicaSetSpec, ResourceRequirements
 from repro.errors import QueueEmptyError, ValidationError
 from repro.ml import FFNConfig, FFNModel, FFNTrainer
+from repro.ml.ffn import zscore
 from repro.transfer import RedisQueue
 from repro.workflow.step import StepContext, WorkflowStep
 
@@ -161,43 +162,28 @@ def data_parallel_train(
     seed: int = 0,
 ) -> tuple[FFNModel, float]:
     """Real data-parallel SGD: each of ``n_workers`` logical workers draws
-    its own mini-batch; gradients are averaged (allreduce) and applied
-    once per step — numerically the same scheme TensorFlow's distributed
-    training performs, in NumPy.
+    one patch per step from its own sample stream (seed ``seed + w``);
+    the workers are the shards of one :meth:`FFNTrainer.train_step`
+    batch, whose gradient scaling averages their gradients (the
+    allreduce) before a single update — numerically the scheme
+    TensorFlow's distributed training performs, in NumPy.
 
     Returns ``(model, final_loss)``.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
     model = FFNModel(config)
-    # One trainer per worker: independent patch streams, shared model.
-    trainers = [
-        FFNTrainer(model, lr=lr, seed=seed + worker, batch_size=1)
+    trainer = FFNTrainer(
+        model, lr=lr, batch_size=n_workers, fov_steps=1, seed=seed
+    )
+    streams = [
+        FFNTrainer(model, seed=seed + worker)._patch_centers(labels, steps)
         for worker in range(n_workers)
     ]
-    image = volume.astype(np.float32)
-    std = image.std()
-    if std > 0:
-        image = (image - image.mean()) / std
-    half = tuple(f // 2 for f in config.fov)
+    image = zscore(volume)
     final_loss = 0.0
-    streams = [t._patch_centers(labels, steps) for t in trainers]
-    for step in range(steps):
-        total_loss = 0.0
-        for worker in range(n_workers):
-            center = streams[worker][step]
-            slices = tuple(slice(c - h, c + h + 1) for c, h in zip(center, half))
-            mask = np.full(config.fov, config.init_logit, dtype=np.float32)
-            mask[half] = config.seed_logit
-            logits = model.forward(image[slices], mask)
-            loss, grad = FFNModel.logistic_loss(
-                logits, (labels[slices] > 0).astype(np.float32)
-            )
-            total_loss += loss
-            # Gradient contribution averaged across workers (allreduce).
-            model.backward(grad / n_workers)
-        model.sgd_step(lr)
-        final_loss = total_loss / n_workers
+    for batch in zip(*streams):
+        final_loss, _ = trainer.train_step(image, labels, list(batch))
     return model, final_loss
 
 

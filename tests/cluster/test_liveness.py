@@ -10,7 +10,7 @@ from repro.cluster import (
     PodSpec,
     ResourceRequirements,
 )
-from repro.monitoring import MetricRegistry
+from repro.monitoring.metrics import MetricRegistry
 from repro.testbed import build_nautilus_testbed
 
 from .conftest import sleeper_spec

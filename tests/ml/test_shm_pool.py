@@ -12,6 +12,7 @@ The pool's contract has three legs:
 """
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ class TestCrashRecovery:
             assert pool.live_workers() == [1]
             assert len(pool.retried) >= 1
             assert all(r.retried for r in pool.retried)
+
+    def test_crash_injected_while_idle_still_dies_mid_shard(self, trained_world):
+        """The worker may dequeue the crash message long before any
+        dispatch; it must still die holding a shard, which is retried."""
+        model, volume = trained_world
+        ref, _ = distributed_segment(
+            model, volume, n_workers=4, halo=2, max_workers=1
+        )
+        with SharedMemoryPool(model, n_workers=2) as pool:
+            pool.inject_crash(0)
+            time.sleep(0.3)
+            out, _ = distributed_segment(
+                model, volume, n_workers=4, halo=2, max_workers=2, pool=pool
+            )
+            assert np.array_equal(out, ref)
+            assert pool.dead_workers == [0]
+            assert len(pool.retried) >= 1
 
     def test_all_workers_dead_raises_pool_error(self, trained_world):
         model, volume = trained_world

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.merra import GridSpec, MerraGenerator
 from repro.errors import ShapeError, ValidationError
-from repro.ml.metrics import adapted_rand_error
+from repro.ml.segmetrics import adapted_rand_error
 from repro.ml.validation import (
     NAMED_REGIONS,
     Region,

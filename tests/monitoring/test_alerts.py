@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.monitoring import MetricRegistry
 from repro.monitoring.alerts import (
     AlertManager,
     AlertRule,
@@ -10,6 +9,7 @@ from repro.monitoring.alerts import (
     aggregate_above,
     gauge_above,
 )
+from repro.monitoring.metrics import MetricRegistry
 from repro.sim import Environment
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.monitoring import Dashboard, MetricRegistry, Panel, Sampler, promql
-from repro.monitoring.grafana import sparkline
+from repro.monitoring import promql
+from repro.monitoring.grafana import Dashboard, Panel, sparkline
+from repro.monitoring.metrics import MetricRegistry
+from repro.monitoring.sampler import Sampler
 from repro.sim import Environment
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.monitoring import MetricRegistry
+from repro.monitoring.metrics import MetricRegistry
 from repro.netsim import (
     FlowSimulator,
     NetworkFaultInjector,

@@ -74,6 +74,28 @@ def test_same_engine_trace_is_reproducible():
     assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
 
 
+@pytest.mark.parametrize("seed_batch", [1, 3])
+def test_one_flood_span_schema(seed_batch):
+    """Every flood, one seed or several, is a ``flood_fill`` span over
+    ``wave:*`` children."""
+    tracer = Tracer.counting(step=1.0)
+    root = tracer.start_root("seg", "workflow")
+    segment_volume(
+        _make_model(), _make_volume(), seed_batch=seed_batch,
+        tracer=tracer, span_parent=root,
+    )
+    tracer.finish_root(root)
+    spans = tracer.finished_spans()
+    by_id = {s.span_id: s for s in spans}
+    floods = [s for s in spans if s.name == "flood_fill"]
+    waves = [s for s in spans if s.name.startswith("wave:")]
+    assert floods and waves
+    assert all(set(s.attributes) == {"seeds", "engine", "steps"} for s in floods)
+    assert all(set(w.attributes) == {"patches", "floods"} for w in waves)
+    assert all(by_id[w.parent_id].name == "flood_fill" for w in waves)
+    assert not [s for s in spans if s.name.startswith("frontier:")]
+
+
 def test_counting_clock_orders_spans():
     _, spans = _traced_segment("serial")
     starts = [s.start for s in spans]

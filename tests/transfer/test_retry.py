@@ -171,7 +171,7 @@ class TestAria2UnderFaults:
 
     def test_metrics_exported(self):
         env = Environment()
-        from repro.monitoring import MetricRegistry
+        from repro.monitoring.metrics import MetricRegistry
 
         registry = MetricRegistry(env)
         net = Topology()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.merra import MerraGenerator
 from repro.errors import ValidationError
-from repro.ml import FFNConfig
+from repro.ml import FFNConfig, FFNModel, FFNTrainer
 from repro.testbed import build_nautilus_testbed
 from repro.workflow import (
     DistributedPreprocessing,
@@ -96,6 +96,40 @@ class TestDistributedTraining:
             config, volume, labels, n_workers=4, steps=30, seed=5
         )
         assert loss < 1.0
+
+    @pytest.mark.parametrize(
+        "seed, filters, timesteps, expected",
+        [
+            # Final losses of the per-patch (unbatched) data-parallel
+            # loop this trainer replaced, on the same fixtures.
+            (5, 4, 12, 0.17478158412935196),  # test_data_parallel_train_learns
+            (42, 6, 16, 0.19846886747454728),  # ablation A5
+        ],
+    )
+    def test_data_parallel_train_pinned_loss(self, seed, filters, timesteps,
+                                             expected):
+        gen = MerraGenerator(seed=seed)
+        config = FFNConfig(fov=(5, 5, 5), filters=filters, modules=1, seed=seed)
+        _, loss = data_parallel_train(
+            config, gen.ivt_volume(0, timesteps), gen.label_volume(0, timesteps),
+            n_workers=4, steps=30, seed=seed,
+        )
+        assert loss == pytest.approx(expected, abs=1e-3)
+
+    def test_one_worker_is_the_trainer_bit_for_bit(self):
+        gen = MerraGenerator(seed=5)
+        volume, labels = gen.ivt_volume(0, 12), gen.label_volume(0, 12)
+        config = FFNConfig(fov=(5, 5, 5), filters=4, modules=1, seed=5)
+        model, loss = data_parallel_train(
+            config, volume, labels, n_workers=1, steps=12, seed=5
+        )
+        reference = FFNModel(config)
+        report = FFNTrainer(
+            reference, batch_size=1, fov_steps=1, seed=5
+        ).train(volume, labels, steps=12)
+        assert loss == report.final_loss
+        for name, weights in reference.state_dict().items():
+            assert np.array_equal(model.state_dict()[name], weights), name
 
     def test_data_parallel_validates_workers(self):
         gen = MerraGenerator(seed=5)
