@@ -88,7 +88,9 @@ class Cluster:
         # and are tried once; failures park in the *unschedulable* list,
         # which is only re-activated when cluster state changes (node
         # joined/recovered/uncordoned, capacity freed) — so creating pod
-        # N+1 doesn't rescan N parked pods.
+        # N+1 doesn't rescan N parked pods.  Within one pass, a pod whose
+        # shape (request, priority, selector, tolerations) already failed
+        # parks without being tried (see _scheduling_pass).
         self._pending: list[Pod] = []
         self._unschedulable: list[Pod] = []
         self._requeue_pending = False
@@ -697,15 +699,36 @@ class Cluster:
             weights={name: ns.weight for name, ns in self.namespaces.items()},
         )
         self._pending = []
+        nodes = self.ready_nodes()
+        # Pod shapes that found neither a node nor a preemption plan in
+        # this pass.  select and preemption_plan read only the shape, a
+        # bind only shrinks free capacity, and the queue is priority-
+        # descending (so no new victims of a failed shape's priority bind
+        # behind it): a failed shape stays failed until the pass ends or a
+        # preemption frees capacity.
+        failed: set[tuple] = set()
         for pod in queue:
             if pod.is_terminal:  # deleted while queued
                 continue
-            node = self.scheduler.select(pod, self.ready_nodes())
+            spec = pod.spec
+            request = spec.total_request()
+            shape = (
+                request.cpu,
+                request.memory,
+                request.gpu,
+                request.ephemeral_storage,
+                spec.priority,
+                tuple(sorted(spec.node_selector.items())),
+                frozenset(spec.tolerations),
+            )
+            if shape in failed:
+                self._unschedulable.append(pod)
+                continue
+            node = self.scheduler.select(pod, nodes)
             if node is None:
-                if pod.spec.priority > 0:
-                    plan = self.scheduler.preemption_plan(
-                        pod, self.ready_nodes()
-                    )
+                plan = None
+                if spec.priority > 0:
+                    plan = self.scheduler.preemption_plan(pod, nodes)
                     if plan is not None:
                         target, victims = plan
                         for victim in victims:
@@ -725,6 +748,11 @@ class Cluster:
                             )
                         # The pod stays pending; victim teardown re-kicks
                         # the scheduler once their resources free up.
+                        # Teardown of an already-finished runner frees
+                        # capacity at once, so every shape is tried again.
+                        failed.clear()
+                if plan is None:
+                    failed.add(shape)
                 self._unschedulable.append(pod)
                 continue
             node.allocate(pod)

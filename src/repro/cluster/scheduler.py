@@ -83,6 +83,13 @@ class Scheduler:
 
     def filter_node(self, pod: Pod, node: Node) -> FilterResult:
         """Apply all predicates to one node."""
+        return self._filter(pod, node, pod.spec.total_request())
+
+    def _filter(
+        self, pod: Pod, node: Node, request: ResourceRequirements
+    ) -> FilterResult:
+        """:meth:`filter_node` with the pod's total request computed once
+        by the caller rather than once per node."""
         if not node.ready:
             return FilterResult(node, False, "node not ready")
         if node.unschedulable:
@@ -95,17 +102,19 @@ class Scheduler:
         untolerated = set(node.spec.taints) - pod.spec.tolerations
         if untolerated:
             return FilterResult(node, False, f"untolerated taints {untolerated}")
-        if not node.can_fit(pod.spec.total_request()):
+        if not node.can_fit(request):
             return FilterResult(node, False, "insufficient resources")
         return FilterResult(node, True)
 
     def feasible_nodes(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[Node]:
         """All nodes passing the filter phase."""
-        return [r.node for n in nodes if (r := self.filter_node(pod, n)).feasible]
+        request = pod.spec.total_request()
+        return [n for n in nodes if self._filter(pod, n, request).feasible]
 
     def explain(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[FilterResult]:
         """Filter results for every node — the 'why is my pod Pending' view."""
-        return [self.filter_node(pod, n) for n in nodes]
+        request = pod.spec.total_request()
+        return [self._filter(pod, n, request) for n in nodes]
 
     # -- score ----------------------------------------------------------------
 

@@ -136,6 +136,8 @@ class LoadTestReport:
     #: per-priority-class scheduling latency percentiles, e.g.
     #: ``{"high": {"p50": ..., "p99": ...}, "batch": {...}}``
     latency_by_class: dict[str, dict[str, float]]
+    #: peak of the gateway queue depth (``gateway_queue_depth``) and
+    #: of the scheduler's pending set (``scheduler_pending_pods``)
     peak_queue_depth: float
     preemptions: float
     chaos_failures: int
@@ -610,10 +612,13 @@ def run_loadtest(config: LoadgenConfig | None = None) -> LoadTestReport:
 
     registry = testbed.registry
     binds = registry.counter_sum("scheduler_binds_total")
+    # The gateway hands admitted pods straight to the cluster, so its own
+    # queue is usually empty; pods wait in the scheduler's pending set.
     depth_peak = 0.0
-    for series in registry.all_series("gateway_queue_depth"):
-        if series.values:
-            depth_peak = max(depth_peak, max(series.values))
+    for name in ("gateway_queue_depth", "scheduler_pending_pods"):
+        for series in registry.all_series(name):
+            if series.values:
+                depth_peak = max(depth_peak, max(series.values))
 
     return LoadTestReport(
         config=cfg,

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.cluster import (
+    Cluster,
     Node,
     ObjectMeta,
     Pod,
+    PodPhase,
     Scheduler,
     SchedulingStrategy,
     fiona8_node_spec,
     fiona_node_spec,
 )
+from repro.sim import Environment
 from tests.cluster.conftest import sleeper_spec
 
 
@@ -133,3 +136,127 @@ class TestPreemptionPlan:
         target, victims = plan
         assert target is node
         assert len(victims) == 2  # exactly enough to free 4 GPUs
+
+
+class CountingScheduler(Scheduler):
+    """Logs every select / preemption_plan call by pod name, with a
+    ``"pass"`` marker per scheduling pass (order_queue runs once a pass)."""
+
+    def __init__(self):
+        super().__init__(SchedulingStrategy.SPREAD)
+        self.log: list[tuple[str, str]] = []
+
+    def order_queue(self, pods, usage, capacity, weights):
+        self.log.append(("pass", ""))
+        return super().order_queue(pods, usage, capacity, weights)
+
+    def select(self, pod, nodes):
+        self.log.append(("select", pod.meta.name))
+        return super().select(pod, nodes)
+
+    def preemption_plan(self, pod, nodes):
+        self.log.append(("plan", pod.meta.name))
+        return super().preemption_plan(pod, nodes)
+
+    def passes(self) -> list[list[tuple[str, str]]]:
+        """The log split into one list of calls per pass."""
+        out: list[list[tuple[str, str]]] = []
+        for entry in self.log:
+            if entry[0] == "pass":
+                out.append([])
+            else:
+                out[-1].append(entry)
+        return out
+
+
+class TestFailedShapeMemo:
+    """Within one scheduling pass a pod shape that found neither a node
+    nor a preemption plan is not tried again."""
+
+    @pytest.fixture
+    def sched(self):
+        return CountingScheduler()
+
+    def _cluster(self, env, sched, *node_specs):
+        cluster = Cluster(env, scheduler=sched)
+        for spec in node_specs:
+            cluster.add_node(spec)
+        return cluster
+
+    def test_identical_unschedulable_pods_select_once(self, sched):
+        env = Environment()
+        cluster = self._cluster(env, sched, fiona_node_spec("n"))
+        pods = [
+            cluster.create_pod(f"big-{i}", sleeper_spec(cpu=999))
+            for i in range(6)
+        ]
+        env.run(until=1)
+        (first_pass,) = sched.passes()
+        assert first_pass == [("select", "big-0")]
+        assert all(p.phase is PodPhase.PENDING for p in pods)
+        assert len(cluster.pending_pods()) == 6
+
+    def test_identical_high_priority_pods_plan_once(self, sched):
+        env = Environment()
+        cluster = self._cluster(env, sched, fiona_node_spec("n"))
+        for i in range(4):
+            cluster.create_pod(f"urgent-{i}", sleeper_spec(cpu=999, priority=10))
+        env.run(until=1)
+        (first_pass,) = sched.passes()
+        assert first_pass == [("select", "urgent-0"), ("plan", "urgent-0")]
+
+    def test_other_shapes_are_still_tried(self, sched):
+        env = Environment()
+        node = fiona_node_spec("n", site="UCSD")
+        node.taints["dedicated"] = "true"
+        cluster = self._cluster(env, sched, node)
+        cluster.create_pod("base", sleeper_spec(cpu=999))
+        cluster.create_pod("same", sleeper_spec(cpu=999))
+        cluster.create_pod("cpu", sleeper_spec(cpu=998))
+        cluster.create_pod("memory", sleeper_spec(cpu=999, memory="2Gi"))
+        cluster.create_pod("gpu", sleeper_spec(cpu=999, gpu=1))
+        cluster.create_pod("priority", sleeper_spec(cpu=999, priority=5))
+        cluster.create_pod(
+            "selector", sleeper_spec(cpu=999, node_selector={"site": "UCSD"})
+        )
+        cluster.create_pod(
+            "toleration", sleeper_spec(cpu=999, tolerations={"dedicated"})
+        )
+        env.run(until=1)
+        (first_pass,) = sched.passes()
+        selected = [name for call, name in first_pass if call == "select"]
+        assert "same" not in selected
+        assert sorted(selected) == sorted(
+            ["base", "cpu", "memory", "gpu", "priority", "selector", "toleration"]
+        )
+
+    def test_preemption_clears_the_memo(self, sched):
+        env = Environment()
+        cluster = self._cluster(env, sched, fiona8_node_spec("gpu-a"))
+        low = [
+            cluster.create_pod(f"low-{i}", sleeper_spec(duration=1e6, gpu=2))
+            for i in range(4)
+        ]
+        env.run(until=30)
+        assert all(p.phase is PodPhase.RUNNING for p in low)
+        sched.log.clear()
+        # Same priority tier and namespace: tried in arrival order.
+        cluster.create_pod("a", sleeper_spec(cpu=999, priority=10))
+        cluster.create_pod("b", sleeper_spec(duration=10, gpu=8, priority=10))
+        cluster.create_pod("c", sleeper_spec(cpu=999, priority=10))
+        cluster.create_pod("d", sleeper_spec(cpu=999, priority=10))
+        env.run(until=31)
+        first_pass = sched.passes()[0]
+        # "a" fails with no plan; "b" preempts, which frees capacity, so
+        # "c" (a's shape) is tried again; "c" fails too, so "d" is not.
+        assert first_pass == [
+            ("select", "a"),
+            ("plan", "a"),
+            ("select", "b"),
+            ("plan", "b"),
+            ("select", "c"),
+            ("plan", "c"),
+        ]
+        assert any(
+            e.reason == "Preempted" for e in cluster.events_for("Pod")
+        )

@@ -89,3 +89,55 @@ def test_report_serializes(smoke_report):
     json.dumps(data)  # JSON-safe
     assert data["counts"]["completed"] == smoke_report.counts["completed"]
     assert data["lost"] == 0
+
+
+#: The default 50-tenant drill's outputs per seed, pinned so a change to
+#: the control plane that moves bind order (and with it the latency
+#: percentiles and the makespan) fails here even when every workflow
+#: outcome, and so ``checksum()``, stays the same.
+PINNED_DEFAULT_DRILL = {
+    7: {
+        "checksum": "6dfdb3f635fef0f1a6795f9e3e95aa29"
+        "50ca77b967773d6163b0c06717a7ee7c",
+        "makespan_s": 2582.3748677405842,
+        "latency_by_class": {
+            "batch": {
+                "p50": 14.405393077292274,
+                "p99": 438.2868452439846,
+                "count": 1031,
+            },
+            "high": {"p50": 0.0, "p99": 0.0, "count": 196},
+        },
+    },
+    42: {
+        "checksum": "020017892601c841bf3cda0cd514f1f2"
+        "bd550c40545063f8d54de41d5ac6d816",
+        "makespan_s": 2612.508582223288,
+        "latency_by_class": {
+            "batch": {
+                "p50": 21.879708558635002,
+                "p99": 591.2937563998933,
+                "count": 1061,
+            },
+            "high": {"p50": 0.0, "p99": 0.0, "count": 194},
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED_DEFAULT_DRILL))
+def default_report(request):
+    return run_loadtest(LoadgenConfig(seed=request.param))
+
+
+def test_default_drill_matches_pinned_outputs(default_report):
+    pinned = PINNED_DEFAULT_DRILL[default_report.config.seed]
+    assert default_report.checksum() == pinned["checksum"]
+    assert default_report.makespan_s == pinned["makespan_s"]
+    assert default_report.latency_by_class == pinned["latency_by_class"]
+
+
+def test_default_drill_reports_scheduler_queue_depth(default_report):
+    """The gateway hands pods straight to the cluster, so the peak depth
+    must include the scheduler's pending set to be nonzero."""
+    assert default_report.peak_queue_depth > 0
