@@ -3,7 +3,7 @@
 The paper's cluster stays operable because workloads are vetted
 *before* they run (admission control, manifest linting, namespace
 quotas — §IV/§V); this package is that pre-flight layer for the
-reproduction, exposed as ``python -m repro lint``.  Three rule packs:
+reproduction, exposed as ``python -m repro lint``.  Rule packs:
 
 - ``spec`` (:mod:`~repro.analysis.cluster_rules`) — admission lint for
   Pod/Job/Namespace/Service specs against the testbed's nodes:
@@ -14,23 +14,21 @@ reproduction, exposed as ``python -m repro lint``.  Three rule packs:
   orphans, network steps without timeout/retry budgets, checkpoint
   coverage gaps, aggregate GPU oversubscription across concurrent
   branches.
-- ``det`` (:mod:`~repro.analysis.determinism`) — the determinism
-  sanitizer, an AST pass flagging unseeded RNGs, stdlib ``random``,
-  wall-clock reads and module-level mutable state in simulation code.
-
-The *deep* pass (``repro lint --deep``) adds three whole-program
-engines on top of a module-level call graph
-(:mod:`~repro.analysis.callgraph`):
-
-- interprocedural determinism taint (:mod:`~repro.analysis.taint`,
-  DET010+) — nondeterminism sources reported with the full call path
-  from simulation entry points, replacing the shallow path heuristic;
-- concurrency hazards (:mod:`~repro.analysis.concurrency_rules`,
-  CONC001+) — stale guards across yields, callback/process shared
-  writes, module-level state mutated from sim code;
-- cross-layer deployment lint (:mod:`~repro.analysis.deployment_rules`,
-  DEPLOY001+) — retry storms, priority starvation, quota/burst
-  infeasibility over the joined gateway + cluster + workflow view.
+- ``det`` — the determinism lint.  Unseeded generators (DET001,
+  :mod:`~repro.analysis.determinism`) fail wherever they sit; wall-clock
+  reads, stdlib ``random``, environment reads and order-unstable
+  iteration (DET010+, :mod:`~repro.analysis.taint`) fail when a
+  module-level call graph (:mod:`~repro.analysis.callgraph`) shows them
+  reachable from a simulation entry point, quoting the call path, or
+  when they run at import time.
+- ``conc`` (:mod:`~repro.analysis.concurrency_rules`, CONC001+) —
+  concurrency hazards on the same call graph: stale guards across
+  yields, callback/process shared writes, module-level state mutated
+  from sim code.
+- ``deploy`` (:mod:`~repro.analysis.deployment_rules`, DEPLOY001+) —
+  cross-layer deployment lint: retry storms, priority starvation,
+  quota/burst infeasibility over the joined gateway + cluster +
+  workflow view.
 
 Findings carry a rule code, severity, location and suggestion;
 :class:`Baseline` files grandfather accepted findings so the linter can
@@ -43,7 +41,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.concurrency_rules import run_concurrency_rules
 from repro.analysis.deployment_rules import run_deployment_rules
-from repro.analysis.determinism import is_sim_path, lint_python_paths, lint_source
+from repro.analysis.determinism import lint_python_paths, lint_source
 from repro.analysis.engine import LintEngine, LintReport, lint_cluster, lint_workflow
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.graph import find_cycle, format_cycle
@@ -100,7 +98,6 @@ __all__ = [
     "deployment_view_from_dict",
     "find_cycle",
     "format_cycle",
-    "is_sim_path",
     "lint_cluster",
     "lint_python_paths",
     "lint_source",

@@ -1,7 +1,7 @@
 """Module-level call graph over a Python source tree.
 
-The deep lint pass (``repro lint --deep``) needs one whole-program
-fact the shallow AST rules cannot compute: *which functions can run
+The determinism taint and concurrency rules need one whole-program
+fact a per-file AST walk cannot compute: *which functions can run
 inside a simulation*.  A wall-clock read in a pretty-printer is noise;
 the same read three calls below ``WorkflowDriver.run`` corrupts
 virtual time.  This module builds that fact:

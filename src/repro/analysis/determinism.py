@@ -1,38 +1,25 @@
-"""Rule pack ``det``: the determinism sanitizer.
+"""Rule pack ``det``: the per-file half of the determinism lint.
 
 The reproduction's whole measurement methodology (EXPERIMENTS.md
 "Determinism", the PPoDS measure-learn loop) rests on one invariant:
 the same seed produces the same run.  Every stochastic component must
 draw from a generator derived via :func:`repro.sim.rng.derive_seed`,
 and simulation code must read the *virtual* clock, never the wall
-clock.  This pack is the static enforcement of that invariant — the
-repo's analog of a race/nondeterminism detector — implemented as a
-single AST walk per source file:
+clock.  One AST walk per source file feeds both halves of the lint:
 
-- ``DET001`` — unseeded ``np.random.default_rng()`` / ``RandomState()``.
-- ``DET002`` — stdlib ``random.*`` (process-global, unseedable per
-  stream) in simulation code paths.  Seeded helpers —
-  ``random.seed(...)`` and ``random.Random(seed)`` — are exempt.
-- ``DET003`` — wall-clock reads (``time.time``, ``datetime.now``...)
-  in simulation code paths.
-- ``DET004`` — module-level mutable state in simulation modules (shared
-  across testbeds built in one process, so run N can perturb run N+1).
-
-"Simulation code paths" are modules under ``sim/``, ``netsim/`` or
-named ``chaos``: the kernel, the network model, and the fault
-injectors, where a stray wall-clock read silently corrupts virtual
-time.  Outside those paths DET002/DET003 downgrade to warnings and
-DET004 stays quiet.  The *deep* pass (``repro lint --deep``,
-:mod:`repro.analysis.taint`) replaces this path heuristic with the real
-call graph: DET002/DET003 hits inside functions re-emerge as
-DET010+ findings with the full call path when they are reachable from
-a simulation entry point, and stay quiet when they are not.
-
-Besides the shallow findings, the analyzer records *taint sources* for
-the interprocedural pass: wall-clock reads, global-RNG draws,
-environment reads (``os.environ`` / ``os.getenv``) and order-sensitive
-iteration (``for x in set(...)``, unsorted ``os.listdir``) — see
-:func:`collect_taint_sources`.
+- ``DET000`` — the source does not parse.
+- ``DET001`` — unseeded ``np.random.default_rng()`` / ``RandomState()``
+  (no argument, or only a literal ``None``).  Constructing an unseeded
+  generator is a defect wherever it sits, so this rule needs no call
+  graph.
+- *Taint sources* for :mod:`repro.analysis.taint`: wall-clock reads
+  (``time.time``, ``time.perf_counter``, ``datetime.now``...),
+  process-global RNG draws (stdlib ``random.*``; ``random.seed(...)``
+  and ``random.Random(seed)`` are exempt), environment reads
+  (``os.environ`` / ``os.getenv``) and order-sensitive iteration
+  (``for x in set(...)``, unsorted ``os.listdir``) — see
+  :func:`collect_taint_sources`.  Whether a source matters is decided
+  by call-graph reachability from the simulation entry points, not here.
 """
 
 from __future__ import annotations
@@ -48,24 +35,17 @@ from repro.analysis.registry import rule
 __all__ = [
     "lint_source",
     "lint_python_paths",
-    "is_sim_path",
     "collect_taint_sources",
     "expand_python_paths",
     "SourceHit",
 ]
 
-#: path components that mark simulation-critical code
-_SIM_DIR_MARKERS = {"sim", "netsim"}
-_SIM_FILE_MARKERS = ("chaos",)
-
-#: wall-clock calls: (module, attribute) pairs the sanitizer flags
-_WALL_CLOCK_TIME_ATTRS = {"time", "time_ns"}
-_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
-
-#: builtin constructors whose module-level use creates shared mutable state
-_MUTABLE_CONSTRUCTORS = {
-    "list", "dict", "set", "defaultdict", "OrderedDict", "deque", "Counter",
+#: host-clock reads: ``time.<attr>()`` and ``datetime.<attr>()`` calls
+_WALL_CLOCK_TIME_ATTRS = {
+    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+    "monotonic_ns", "process_time",
 }
+_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
 
 #: stdlib ``random`` attributes that *seed* rather than draw — calling
 #: them is determinism hygiene, not a violation
@@ -78,19 +58,11 @@ _FS_ORDER_CALLS = {
 _FS_ORDER_METHODS = {"iterdir", "glob", "rglob"}
 
 
-def is_sim_path(path: "str | pathlib.Path") -> bool:
-    """True when the file lives on a simulation-critical code path."""
-    p = pathlib.Path(path)
-    if _SIM_DIR_MARKERS & {part.lower() for part in p.parts[:-1]}:
-        return True
-    return any(marker in p.stem.lower() for marker in _SIM_FILE_MARKERS)
-
-
 def expand_python_paths(
     paths: _t.Iterable["str | pathlib.Path"],
 ) -> "list[pathlib.Path]":
     """Expand files and directories into a sorted, de-duplicated list of
-    ``*.py`` files (the unit both the shallow and deep passes walk)."""
+    ``*.py`` files (the unit every source pass walks)."""
     files: list[pathlib.Path] = []
     seen: set[pathlib.Path] = set()
     for raw in paths:
@@ -105,9 +77,11 @@ def expand_python_paths(
 
 @dataclasses.dataclass(frozen=True)
 class SourceHit:
-    """One raw analyzer hit, before severity/reporting policy."""
+    """One raw analyzer hit, before reporting policy."""
 
-    code: str  # DET001..DET004, or taint-only ENV / ORDER
+    #: ``DET001``, or a taint-source kind (``wall-clock``, ``global-rng``,
+    #: ``env-read``, ``unordered-iter``)
+    kind: str
     line: int
     detail: str
     #: dotted in-module scope ("Cls.method"); "" at module level
@@ -115,7 +89,7 @@ class SourceHit:
 
 
 class _Analyzer(ast.NodeVisitor):
-    """One pass over a module, accumulating raw hits per rule code."""
+    """One pass over a module, accumulating raw hits."""
 
     def __init__(self) -> None:
         #: local alias -> canonical module ("numpy.random", "random", ...)
@@ -125,13 +99,9 @@ class _Analyzer(ast.NodeVisitor):
         self.hits: list[SourceHit] = []
         self._scope: list[str] = []
 
-    @property
-    def _depth(self) -> int:
-        return len(self._scope)
-
-    def _hit(self, code: str, line: int, detail: str) -> None:
+    def _hit(self, kind: str, line: int, detail: str) -> None:
         self.hits.append(
-            SourceHit(code=code, line=line, detail=detail,
+            SourceHit(kind=kind, line=line, detail=detail,
                       qualname=".".join(self._scope))
         )
 
@@ -190,8 +160,8 @@ class _Analyzer(ast.NodeVisitor):
             return
         if not (dotted.startswith("numpy.") or "random" in dotted):
             return
-        if node.args or node.keywords:
-            return  # seeded (or at least explicitly parameterized)
+        if _has_seed(node):
+            return
         self._hit("DET001", node.lineno, f"{leaf}() has no seed")
 
     def _check_stdlib_random(self, node: ast.Call, dotted: str) -> None:
@@ -200,17 +170,17 @@ class _Analyzer(ast.NodeVisitor):
         leaf = dotted.rsplit(".", 1)[-1]
         if leaf in _RANDOM_SEEDING_ATTRS:
             return  # random.seed(...) is determinism hygiene, not a draw
-        if leaf == "Random" and (node.args or node.keywords):
+        if leaf == "Random" and _has_seed(node):
             return  # random.Random(seed): a seeded private stream
-        self._hit("DET002", node.lineno, dotted)
+        self._hit("global-rng", node.lineno, dotted)
 
     def _check_wall_clock(self, node: ast.Call, dotted: str) -> None:
         parts = dotted.split(".")
         if parts[0] == "time" and parts[-1] in _WALL_CLOCK_TIME_ATTRS:
-            self._hit("DET003", node.lineno, dotted)
+            self._hit("wall-clock", node.lineno, dotted)
             return
         if parts[0] == "datetime" and parts[-1] in _WALL_CLOCK_DATETIME_ATTRS:
-            self._hit("DET003", node.lineno, dotted)
+            self._hit("wall-clock", node.lineno, dotted)
             return
         # `from datetime import datetime` -> datetime.now()
         origin = self.name_origins.get(parts[0], "")
@@ -219,17 +189,17 @@ class _Analyzer(ast.NodeVisitor):
             and len(parts) > 1
             and parts[-1] in _WALL_CLOCK_DATETIME_ATTRS
         ):
-            self._hit("DET003", node.lineno, f"{origin}.{parts[-1]}")
+            self._hit("wall-clock", node.lineno, f"{origin}.{parts[-1]}")
 
-    # -- taint-only sources ---------------------------------------------------
+    # -- environment and iteration order ---------------------------------------
 
     def _check_env_read(self, node: ast.Call, dotted: str) -> None:
         if dotted in ("os.getenv", "os.environ.get"):
-            self._hit("ENV", node.lineno, dotted)
+            self._hit("env-read", node.lineno, dotted)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if self._canonical(node.value) == "os.environ":
-            self._hit("ENV", node.lineno, "os.environ[...]")
+            self._hit("env-read", node.lineno, "os.environ[...]")
         self.generic_visit(node)
 
     def _iter_order_detail(self, expr: ast.expr) -> str:
@@ -252,7 +222,7 @@ class _Analyzer(ast.NodeVisitor):
     def _check_iteration(self, iter_expr: ast.expr, line: int) -> None:
         detail = self._iter_order_detail(iter_expr)
         if detail:
-            self._hit("ORDER", line, detail)
+            self._hit("unordered-iter", line, detail)
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter, node.lineno)
@@ -260,36 +230,6 @@ class _Analyzer(ast.NodeVisitor):
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
         self._check_iteration(node.iter, node.iter.lineno)
-        self.generic_visit(node)
-
-    # -- module-level state ----------------------------------------------------
-
-    def _flag_mutable(self, target: ast.expr, value: ast.expr) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        name = target.id
-        if name.startswith("__") and name.endswith("__"):
-            return  # __all__ and friends are convention, not state
-        mutable = isinstance(
-            value,
-            (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-             ast.SetComp),
-        )
-        if isinstance(value, ast.Call):
-            callee = self._canonical(value.func).rsplit(".", 1)[-1]
-            mutable = callee in _MUTABLE_CONSTRUCTORS
-        if mutable:
-            self._hit("DET004", target.lineno, name)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._depth == 0:
-            for target in node.targets:
-                self._flag_mutable(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if self._depth == 0 and node.value is not None:
-            self._flag_mutable(node.target, node.value)
         self.generic_visit(node)
 
     # -- scope tracking ----------------------------------------------------
@@ -305,41 +245,21 @@ class _Analyzer(ast.NodeVisitor):
     visit_Lambda = _scoped
 
 
-def _severity(code: str, sim: bool) -> "Severity | None":
-    """Map a raw hit to a severity given the file's code path (or drop it)."""
-    if code == "DET001":
-        return Severity.ERROR
-    if code in ("DET002", "DET003"):
-        return Severity.ERROR if sim else Severity.WARNING
-    if code == "DET004":
-        return Severity.WARNING if sim else None
-    if code in ("ENV", "ORDER"):
-        return None  # taint-only sources: reported by the deep pass
-    raise AssertionError(code)  # pragma: no cover
+def _has_seed(node: ast.Call) -> bool:
+    """True unless the call passes nothing, or only literal ``None``."""
+    values = list(node.args) + [kw.value for kw in node.keywords]
+    return any(
+        not (isinstance(v, ast.Constant) and v.value is None) for v in values
+    )
 
 
-_MESSAGES = {
-    "DET001": (
-        "unseeded random generator: {detail}; derive the seed via "
-        "repro.sim.rng.derive_seed so reruns reproduce",
-        "pass a seed: np.random.default_rng(derive_seed(root, \"stream\"))",
-    ),
-    "DET002": (
-        "stdlib {detail}() draws from process-global state; simulation "
-        "code must use a seeded numpy Generator",
-        "use SeededRNG.stream(...) / np.random.default_rng(derive_seed(...))",
-    ),
-    "DET003": (
-        "wall-clock read {detail}() in simulation code; virtual time "
-        "comes from env.now",
-        "read env.now (or pass timestamps in) instead of the wall clock",
-    ),
-    "DET004": (
-        "module-level mutable state {detail!r} is shared by every testbed "
-        "built in this process; run N can perturb run N+1",
-        "move the state into a class/testbed instance or make it immutable",
-    ),
-}
+_DET001_MESSAGE = (
+    "unseeded random generator: {detail}; derive the seed via "
+    "repro.sim.rng.derive_seed so reruns reproduce"
+)
+_DET001_SUGGESTION = (
+    "pass a seed: np.random.default_rng(derive_seed(root, \"stream\"))"
+)
 
 
 def _snippet_at(lines: "list[str]", line: int) -> str:
@@ -368,39 +288,24 @@ def _analyze(source: str, path: "str | pathlib.Path"):
 def lint_source(
     source: str, path: "str | pathlib.Path" = "<string>"
 ) -> "list[Finding]":
-    """Run the determinism pack over one Python source text."""
+    """Run the per-file rules (DET000/DET001) over one Python source text."""
     analyzer, error = _analyze(source, path)
     if analyzer is None:
         return [error]
-    sim = is_sim_path(path)
     lines = source.splitlines()
-    findings: list[Finding] = []
-    for hit in analyzer.hits:
-        severity = _severity(hit.code, sim)
-        if severity is None:
-            continue
-        message, suggestion = _MESSAGES[hit.code]
-        findings.append(
-            Finding(
-                code=hit.code,
-                severity=severity,
-                message=message.format(detail=hit.detail),
-                location=Location(path=str(path), line=hit.line),
-                suggestion=suggestion,
-                qualname=hit.qualname,
-                snippet=_snippet_at(lines, hit.line),
-            )
+    return [
+        Finding(
+            code="DET001",
+            severity=Severity.ERROR,
+            message=_DET001_MESSAGE.format(detail=hit.detail),
+            location=Location(path=str(path), line=hit.line),
+            suggestion=_DET001_SUGGESTION,
+            qualname=hit.qualname,
+            snippet=_snippet_at(lines, hit.line),
         )
-    return findings
-
-
-#: maps raw analyzer hit codes to taint-source kinds for the deep pass
-_TAINT_KINDS = {
-    "DET002": "global-rng",
-    "DET003": "wall-clock",
-    "ENV": "env-read",
-    "ORDER": "unordered-iter",
-}
+        for hit in analyzer.hits
+        if hit.kind == "DET001"
+    ]
 
 
 def collect_taint_sources(
@@ -417,16 +322,12 @@ def collect_taint_sources(
     if analyzer is None:
         return []
     lines = source.splitlines()
-    out = []
-    for hit in analyzer.hits:
-        kind = _TAINT_KINDS.get(hit.code)
-        if kind is None:
-            continue
-        out.append(
-            (kind, hit.detail, hit.line, hit.qualname,
-             _snippet_at(lines, hit.line))
-        )
-    return out
+    return [
+        (hit.kind, hit.detail, hit.line, hit.qualname,
+         _snippet_at(lines, hit.line))
+        for hit in analyzer.hits
+        if hit.kind != "DET001"
+    ]
 
 
 def lint_python_paths(
@@ -441,21 +342,6 @@ def lint_python_paths(
 
 # Registered for discoverability (--list-rules, docs); the engine calls
 # lint_source directly since the det pack's subject is a file, not a view.
-def _register_det_rules() -> None:
-    specs = [
-        ("DET001", "unseeded-rng", Severity.ERROR,
-         "np.random.default_rng()/RandomState() called without a seed"),
-        ("DET002", "stdlib-random", Severity.ERROR,
-         "stdlib random.* in simulation code paths (warning elsewhere)"),
-        ("DET003", "wall-clock-read", Severity.ERROR,
-         "time.time()/datetime.now() in simulation code paths "
-         "(warning elsewhere)"),
-        ("DET004", "module-level-mutable-state", Severity.WARNING,
-         "module-level list/dict/set state in simulation modules"),
-    ]
-    for code, name, severity, description in specs:
-        rule(code, name, pack="det", severity=severity,
-             description=description)(lint_source)
-
-
-_register_det_rules()
+rule("DET001", "unseeded-rng", pack="det", severity=Severity.ERROR,
+     description="np.random.default_rng()/RandomState() called without a "
+                 "seed (or with seed=None)")(lint_source)

@@ -3,8 +3,8 @@
 One :class:`LintEngine` call covers every entry point:
 
 - ``repro lint`` (CLI) — lints paths (Python sources and JSON spec
-  fixtures) or, with no paths, the built testbed plus the CONNECT
-  workflow.
+  fixtures) or, with no paths, the built testbed, the CONNECT
+  workflow, the loadtest deployment and the package sources.
 - :meth:`repro.cluster.Cluster.enable_admission_lint` — the spec pack
   as an admission hook.
 - ``Workflow.__init__`` — structural DAG rules at construction time.
@@ -117,15 +117,6 @@ class LintEngine:
         Codes to switch off (wins over ``select``).
     baseline:
         Previously-accepted findings to suppress.
-    deep:
-        Run the whole-program pass: interprocedural determinism taint
-        (DET010+), concurrency hazards (CONC), and — on JSON fixtures
-        declaring ``gateway``/``client`` sections and on explicit
-        deployment views — the cross-layer deploy pack.  In deep mode
-        the shallow DET002/DET003 findings on code *inside functions*
-        are dropped: the call graph decides reachability, so a seeded
-        test helper goes quiet and a genuinely sim-reachable draw
-        re-emerges as a DET01x error with its call path quoted.
     entry_modules:
         Override entry-point detection for the call graph (exact
         dotted module names); mostly for fixtures and tests.
@@ -136,7 +127,6 @@ class LintEngine:
         select: _t.Collection[str] | None = None,
         disable: _t.Collection[str] | None = None,
         baseline: Baseline | None = None,
-        deep: bool = False,
         entry_modules: _t.Collection[str] | None = None,
     ):
         # Validate codes eagerly so typos fail loudly.
@@ -145,7 +135,6 @@ class LintEngine:
         self.select = set(select) if select is not None else None
         self.disable = set(disable or ())
         self.baseline = baseline
-        self.deep = deep
         self.entry_modules = entry_modules
 
     def _active(self, code: str) -> bool:
@@ -164,45 +153,31 @@ class LintEngine:
     def run_dag(self, view: WorkflowView) -> "list[Finding]":
         return run_dag_rules(view, rules=self._rules("dag"))
 
-    def run_det(self, paths: _t.Iterable["str | pathlib.Path"]) -> "list[Finding]":
+    def run_det(
+        self, paths: _t.Sequence["str | pathlib.Path"]
+    ) -> "list[Finding]":
+        """Python sources: DET000/DET001 per file, then determinism taint
+        (DET010+) and concurrency hazards (CONC) over one call graph."""
+        graph = build_call_graph(paths, entry_modules=self.entry_modules)
         findings = lint_python_paths(paths)
-        if self.deep:
-            # The call graph owns reachability for code inside functions;
-            # the shallow path-prefix verdicts on DET002/DET003 are
-            # strictly worse there (module-level hits keep them: import-
-            # time code runs unconditionally).
-            findings = [
-                f
-                for f in findings
-                if f.code not in ("DET002", "DET003") or not f.qualname
-            ]
-        # The det pack reports per-file, so enable/disable filters the
-        # produced findings (DET000 = unparseable source, always kept).
+        findings += run_taint_analysis(paths, graph=graph)
+        findings += run_concurrency_rules(paths, graph=graph)
+        # DET000 (unparseable source) has no rule to switch off.
         return [
-            f
-            for f in findings
-            if f.code == "DET000" or self._active(f.code)
+            f for f in findings if f.code == "DET000" or self._active(f.code)
         ]
 
     def run_deploy(self, view: DeploymentView) -> "list[Finding]":
         return run_deployment_rules(view, rules=self._rules("deploy"))
-
-    def run_deep(
-        self, paths: _t.Sequence["str | pathlib.Path"]
-    ) -> "list[Finding]":
-        """The whole-program pass: one call graph, taint + conc packs."""
-        graph = build_call_graph(paths, entry_modules=self.entry_modules)
-        findings = run_taint_analysis(paths, graph=graph)
-        findings += run_concurrency_rules(paths, graph=graph)
-        return [f for f in findings if self._active(f.code)]
 
     # -- whole-target runners -------------------------------------------------
 
     def lint_paths(
         self, paths: _t.Sequence["str | pathlib.Path"]
     ) -> LintReport:
-        """Dispatch paths by type: ``.py``/dirs -> det pack, ``.json``
-        fixtures -> spec + dag packs."""
+        """Dispatch paths by type: ``.py``/dirs -> det + conc packs,
+        ``.json`` fixtures -> spec + dag packs (+ deploy when the file
+        declares ``gateway``/``client`` sections)."""
         report = LintReport()
         py_paths: list[pathlib.Path] = []
         for raw in paths:
@@ -216,7 +191,7 @@ class LintEngine:
                 )
                 for view in workflow_views_from_dict(data, source=str(path)):
                     report.merge(self.run_dag(view))
-                if self.deep and ("gateway" in data or "client" in data):
+                if "gateway" in data or "client" in data:
                     report.merge(
                         self.run_deploy(
                             deployment_view_from_dict(data, source=str(path))
@@ -226,8 +201,6 @@ class LintEngine:
                 py_paths.append(path)
         if py_paths:
             report.merge(self.run_det(py_paths))
-            if self.deep:
-                report.merge(self.run_deep(py_paths))
         self._apply_baseline(report)
         return report
 

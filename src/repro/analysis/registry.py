@@ -1,13 +1,17 @@
 """The rule registry: every lint rule, discoverable and switchable.
 
 Rules are small functions registered under a stable code (``SPEC001``,
-``DAG003``, ``DET002``...) and grouped into packs:
+``DAG003``, ``DET010``...) and grouped into packs:
 
 - ``spec`` — cluster-spec admission lint (pods, jobs, namespaces,
   services vs. the testbed's nodes).
 - ``dag`` — workflow DAG lint (cycles, orphans, retry/timeout hygiene,
   checkpoint coverage, GPU oversubscription).
-- ``det`` — determinism sanitizer (AST pass over Python sources).
+- ``det`` — determinism lint (unseeded generators, plus call-graph
+  taint over Python sources).
+- ``conc`` — concurrency hazards in simulation processes.
+- ``deploy`` — cross-layer deployment lint (gateway + cluster +
+  workflows + client retries).
 
 The registry is the single source of truth for ``repro lint
 --list-rules`` and the rule-code tables in README/API docs; a rule that

@@ -1,7 +1,7 @@
 """SARIF 2.1.0 output for ``repro lint --format sarif``.
 
 SARIF (Static Analysis Results Interchange Format) is what CI code-
-scanning UIs ingest; emitting it makes the deep lint findings show up
+scanning UIs ingest; emitting it makes the lint findings show up
 as annotations instead of buried job logs.  This module renders a
 :class:`~repro.analysis.engine.LintReport` as a minimal-but-valid
 single-run SARIF log:

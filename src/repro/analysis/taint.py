@@ -1,14 +1,13 @@
-"""Rule pack ``det`` (deep): interprocedural nondeterminism taint.
+"""Rule pack ``det``: interprocedural nondeterminism taint.
 
-The shallow determinism pack flags nondeterminism *where it happens*;
-this pass answers the question that actually matters for reproductions:
-**can it happen during a simulation run?**  A taint source — wall-clock
-read, process-global RNG draw, environment read, order-unstable
-iteration — in a function nobody calls from the simulation is inert.
-The same source reachable from ``WorkflowDriver.run`` or the admission
-gateway silently makes two same-seed runs diverge.
+A taint source — wall-clock read, process-global RNG draw, environment
+read, order-unstable iteration — in a function nobody calls from the
+simulation is inert.  The same source reachable from
+``WorkflowDriver.run`` or the admission gateway silently makes two
+same-seed runs diverge.  This pass answers the question that matters
+for reproductions: **can it happen during a simulation run?**
 
-The pass combines the per-function sources collected by
+It combines the per-function sources collected by
 :func:`repro.analysis.determinism.collect_taint_sources` with the
 whole-program :class:`~repro.analysis.callgraph.CallGraph` and reports
 one finding per tainted *source site* whose enclosing function is
@@ -18,21 +17,20 @@ sim-reachable, quoting the full call path from the entry point::
     wall-clock read time.time() is reachable from simulation entry
     point 'driver.run' ...
 
+Sources at module level run at import time, unconditionally, so they
+are reported without a reachability check and quote
+``<module> (import time)`` in place of a call path.
+
 Codes (all errors — reachability **is** the severity argument):
 
-- ``DET010`` — wall-clock read on a sim-reachable path.
+- ``DET010`` — wall-clock read (``time.time``, ``time.perf_counter``,
+  ``datetime.now``...) on a sim-reachable path.
 - ``DET011`` — stdlib ``random`` (process-global state) on a
   sim-reachable path.
 - ``DET012`` — environment read (``os.environ``/``os.getenv``): runs
   depend on ambient shell state no seed controls.
 - ``DET013`` — iteration over order-unstable collections (``set``,
   unsorted ``os.listdir``): hash/OS order leaks into event order.
-
-In deep mode these *replace* DET002/DET003 for code inside functions:
-the engine drops those shallow findings (their path-prefix heuristic is
-strictly worse than reachability), so a seeded test helper stops
-warning and a genuinely reachable draw upgrades to an error with its
-path quoted.
 """
 
 from __future__ import annotations
@@ -48,9 +46,9 @@ from repro.analysis.determinism import (
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.registry import rule
 
-__all__ = ["run_taint_analysis", "DEEP_DET_CODES"]
+__all__ = ["run_taint_analysis"]
 
-#: taint-source kind -> deep rule code
+#: taint-source kind -> rule code
 _KIND_CODES = {
     "wall-clock": "DET010",
     "global-rng": "DET011",
@@ -58,7 +56,8 @@ _KIND_CODES = {
     "unordered-iter": "DET013",
 }
 
-DEEP_DET_CODES = tuple(sorted(_KIND_CODES.values()))
+#: the path text module-level sources quote instead of a call chain
+_IMPORT_TIME = "<module> (import time)"
 
 _KIND_MESSAGES = {
     "wall-clock": (
@@ -86,12 +85,8 @@ def run_taint_analysis(
     graph: "CallGraph | None" = None,
     entry_modules: "_t.Collection[str] | None" = None,
 ) -> "list[Finding]":
-    """Report every taint source enclosed in a sim-reachable function.
-
-    Module-level sources (qualname ``""``) stay with the shallow rules:
-    reachability is a property of *functions*; import-time code runs
-    unconditionally and DET002/DET003 already judge it.
-    """
+    """Report every taint source in a sim-reachable function or at
+    module level (import-time code always runs)."""
     if graph is None:
         graph = build_call_graph(paths, entry_modules=entry_modules)
     findings: list[Finding] = []
@@ -104,22 +99,26 @@ def run_taint_analysis(
         for kind, detail, line, qualname, snippet in collect_taint_sources(
             source, path=file
         ):
-            if not qualname:
-                continue
-            func_qual = f"{module}.{qualname}"
-            if not graph.is_sim_reachable(func_qual):
-                continue
-            path_text = graph.format_path(func_qual)
-            entry = path_text.split(" -> ", 1)[0]
+            if qualname:
+                func_qual = f"{module}.{qualname}"
+                if not graph.is_sim_reachable(func_qual):
+                    continue
+                path_text = graph.format_path(func_qual)
+                entry = path_text.split(" -> ", 1)[0]
+                where = (
+                    f"is reachable from simulation entry point {entry!r}: "
+                    f"{path_text}"
+                )
+            else:
+                where = f"runs on import: {_IMPORT_TIME}"
             raw_message, suggestion = _KIND_MESSAGES[kind]
             findings.append(
                 Finding(
                     code=_KIND_CODES[kind],
                     severity=Severity.ERROR,
                     message=(
-                        f"{raw_message.format(detail=detail)} is reachable "
-                        f"from simulation entry point {entry!r}: "
-                        f"{path_text}; same-seed runs will diverge"
+                        f"{raw_message.format(detail=detail)} {where}; "
+                        "same-seed runs will diverge"
                     ),
                     location=Location(path=str(file), line=line),
                     suggestion=suggestion,
@@ -130,23 +129,20 @@ def run_taint_analysis(
     return findings
 
 
-def _register_deep_det_rules() -> None:
+def _register_taint_rules() -> None:
     specs = [
         ("DET010", "sim-reachable-wall-clock",
-         "wall-clock read reachable from a simulation entry point"),
+         "wall-clock read (time.time/perf_counter, datetime.now...)"),
         ("DET011", "sim-reachable-global-rng",
-         "stdlib random (process-global RNG) reachable from a "
-         "simulation entry point"),
-        ("DET012", "sim-reachable-env-read",
-         "os.environ/os.getenv read reachable from a simulation "
-         "entry point"),
+         "stdlib random (process-global RNG) draw"),
+        ("DET012", "sim-reachable-env-read", "os.environ/os.getenv read"),
         ("DET013", "sim-reachable-unordered-iter",
-         "iteration over set/os.listdir order reachable from a "
-         "simulation entry point"),
+         "iteration over set/os.listdir order"),
     ]
     for code, name, description in specs:
         rule(code, name, pack="det", severity=Severity.ERROR,
-             description=description)(run_taint_analysis)
+             description=f"{description} reachable from a simulation "
+                         "entry point, or at import time")(run_taint_analysis)
 
 
-_register_deep_det_rules()
+_register_taint_rules()

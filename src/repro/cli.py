@@ -10,14 +10,14 @@ Commands
     Execute the 4-step CONNECT workflow and print Table I (and, with
     ``--figures``, Figures 3–6).
 ``lint``
-    Static analysis (repro-lint): run the spec/dag/det rule packs over
-    JSON spec fixtures and Python sources, or — with no paths — over
-    the built testbed plus the CONNECT workflow.  ``--deep`` adds the
-    whole-program pass (interprocedural determinism taint DET010+,
-    concurrency hazards CONC, cross-layer deployment lint DEPLOY) and,
-    with no paths, lints the installed ``repro`` package itself plus
-    the loadtest deployment config.  Exits nonzero on error findings
-    (and on warnings under ``--strict``).
+    Static analysis (repro-lint) over JSON spec fixtures and Python
+    sources, or — with no paths — over the built testbed, the CONNECT
+    workflow, the loadtest deployment config and the installed
+    ``repro`` package.  Python sources get the call-graph determinism
+    lint (DET001, DET010+) and concurrency hazards (CONC); fixtures get
+    the spec/dag packs, plus DEPLOY when they declare a gateway or
+    client.  ``./lint-baseline.json`` is loaded when present.  Exits
+    nonzero on error findings (and on warnings under ``--strict``).
 ``bench``
     Run the batched-compute macro-benchmarks (conv3d, wavefront flood
     fill, segment_volume, distributed fan-out) and write a
@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         help="JSON spec fixtures and/or Python files/directories; with "
-             "no paths, lint the built testbed and the CONNECT workflow",
+             "no paths, lint the built testbed, the CONNECT workflow, the "
+             "loadtest deployment and the repro package sources",
     )
     p_lint.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -103,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--strict", action="store_true",
         help="exit nonzero on warnings too, not just errors",
-    )
-    p_lint.add_argument(
-        "--deep", action="store_true",
-        help="whole-program pass: call-graph determinism taint (DET010+), "
-             "concurrency hazards (CONC), cross-layer deployment lint "
-             "(DEPLOY); with no paths, lints the repro package itself and "
-             "the loadtest deployment config",
     )
     p_lint.add_argument(
         "--select", action="append", default=None, metavar="CODE",
@@ -122,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--baseline", metavar="FILE", default=None,
-        help="JSON baseline of accepted findings to suppress",
+        help="JSON baseline of accepted findings to suppress (default: "
+             "./lint-baseline.json when present)",
     )
     p_lint.add_argument(
         "--update-baseline", action="store_true",
@@ -281,14 +276,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     baseline = None
     baseline_path = pathlib.Path(args.baseline) if args.baseline else None
-    if baseline_path is None and args.deep:
-        # The committed repo baseline gates `lint --deep --strict` in CI;
-        # an explicit --baseline always wins.
-        default_baseline = pathlib.Path("lint-baseline.json")
-        if default_baseline.exists():
-            baseline_path = default_baseline
-    if baseline_path is not None and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
+    # The committed repo baseline gates `lint --strict` in CI; an explicit
+    # --baseline wins, and only an explicit one is ever rewritten.
+    load_path = baseline_path or pathlib.Path("lint-baseline.json")
+    if load_path.exists():
+        baseline = Baseline.load(load_path)
 
     def split_codes(values: "list[str] | None") -> "list[str] | None":
         if values is None:
@@ -300,7 +292,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             select=split_codes(args.select),
             disable=split_codes(args.disable),
             baseline=baseline,
-            deep=args.deep,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -311,9 +302,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             report = engine.lint_paths(args.paths)
         else:
             # No paths: lint the deployment itself — the built testbed's
-            # cluster and the CONNECT workflow against its GPU total
-            # (and, under --deep, the package sources plus the loadtest
-            # deployment config).
+            # cluster, the CONNECT workflow against its GPU total, the
+            # loadtest deployment config and the package sources.
+            import repro as _repro_pkg
+            from repro.loadgen import LoadgenConfig, loadtest_deployment_view
             from repro.testbed import build_nautilus_testbed
             from repro.workflow import build_connect_workflow
 
@@ -323,28 +315,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                     seed=args.seed, scale=args.scale
                 )
                 workflow = build_connect_workflow(testbed)
-            deployment = None
-            if args.deep:
-                from repro.loadgen import (
-                    LoadgenConfig,
-                    loadtest_deployment_view,
-                )
-
-                deployment = loadtest_deployment_view(LoadgenConfig())
             report = engine.lint_views(
                 cluster=cluster_view(testbed.cluster),
                 workflows=[
                     workflow_view(workflow, total_gpus=testbed.total_gpus())
                 ],
-                deployment=deployment,
+                deployment=loadtest_deployment_view(LoadgenConfig()),
             )
-            if args.deep:
-                import repro as _repro_pkg
-
-                pkg_root = pathlib.Path(_repro_pkg.__file__).parent
-                deep_report = engine.lint_paths([pkg_root])
-                report.merge(deep_report.findings)
-                report.suppressed.extend(deep_report.suppressed)
+            pkg_report = engine.lint_paths(
+                [pathlib.Path(_repro_pkg.__file__).parent]
+            )
+            report.merge(pkg_report.findings)
+            report.suppressed.extend(pkg_report.suppressed)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2

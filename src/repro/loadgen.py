@@ -415,7 +415,7 @@ def loadtest_deployment_view(
 ):
     """The overload drill's config as a lint :class:`DeploymentView`.
 
-    This is the cross-layer join ``repro lint --deep`` inspects with the
+    This is the cross-layer join ``repro lint`` (no paths) inspects with the
     ``deploy`` pack: the gateway's tenant policies, the client retry
     budgets of :class:`_TenantRunner` (which *honors*
     ``decision.retry_after_s`` — the property DEPLOY001 checks), and the

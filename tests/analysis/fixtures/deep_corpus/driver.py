@@ -1,7 +1,7 @@
 """Seeded-defect corpus: the simulation entry module.
 
 ``driver`` in the module name marks this as a sim entry point for the
-deep pass, exactly like ``repro.workflow.driver`` in the real tree.
+taint pass, exactly like ``repro.workflow.driver`` in the real tree.
 Every defect in the sibling modules is reachable (or deliberately
 unreachable) through the calls below.
 """

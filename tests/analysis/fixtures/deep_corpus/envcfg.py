@@ -1,6 +1,6 @@
 """Seeded defects: an environment read on the reachable path, and a
-global-RNG draw in a helper nothing calls (must stay quiet in deep
-mode — the shallow DET002 warning is requalified away)."""
+global-RNG draw in a helper nothing calls (must stay quiet: the call
+graph proves it unreachable)."""
 
 import os
 import random
@@ -11,4 +11,4 @@ def limit():
 
 
 def dead_code_draw():
-    return random.random()  # unreachable: no DET011, no DET002 in deep
+    return random.random()  # unreachable: no DET011

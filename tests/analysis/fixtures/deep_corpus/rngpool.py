@@ -1,6 +1,6 @@
 """Seeded defects: global-RNG draw reachable through two call hops,
 plus an unseeded generator in a function nothing reaches (DET001 only —
-the deep pass must NOT add a DET011 for it)."""
+the taint pass must NOT add a DET011 for it)."""
 
 import random
 
@@ -16,4 +16,4 @@ def draw():
 
 
 def make_gen_unreached():
-    return np.random.default_rng()  # DET001 (shallow), but not DET011
+    return np.random.default_rng()  # DET001 wherever it sits, but not DET011

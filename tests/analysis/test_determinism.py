@@ -1,11 +1,21 @@
-"""Det pack (DET000–DET004): the AST determinism sanitizer."""
+"""Det pack: DET000/DET001 per file, and the analyzer's taint sources as
+reported by the call-graph pass (DET010/DET011)."""
 
 from __future__ import annotations
 
 import pathlib
 import textwrap
 
-from repro.analysis import Severity, is_sim_path, lint_python_paths, lint_source
+import pytest
+
+from repro.analysis import (
+    LintEngine,
+    Severity,
+    lint_python_paths,
+    lint_source,
+    registry,
+    run_taint_analysis,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -17,19 +27,16 @@ def lint(source: str, path: str = SIM):
     return lint_source(textwrap.dedent(source), path=path)
 
 
+def taint(source: str, tmp_path: pathlib.Path):
+    """Taint findings for one loose module; nothing in it is an entry
+    point, so only module-level (import-time) sources can fire."""
+    mod = tmp_path / "mod.py"
+    mod.write_text(textwrap.dedent(source))
+    return run_taint_analysis([mod], entry_modules=[])
+
+
 def codes_of(findings):
     return {f.code for f in findings}
-
-
-# --------------------------------------------------------------- sim paths
-
-
-def test_is_sim_path():
-    assert is_sim_path("src/repro/sim/kernel.py")
-    assert is_sim_path("src/repro/netsim/flows.py")
-    assert is_sim_path("src/repro/cluster/chaos_injector.py")
-    assert not is_sim_path("src/repro/viz/plots.py")
-    assert not is_sim_path("src/repro/similarity.py")  # 'sim' only as a dir
 
 
 # ----------------------------------------------------------------- DET001
@@ -39,9 +46,13 @@ def test_det001_unseeded_default_rng():
     findings = lint("""
         import numpy as np
         rng = np.random.default_rng()
+        a = np.random.default_rng(None)
+        b = np.random.default_rng(seed=None)
+        c = np.random.RandomState(None)
     """)
     assert codes_of(findings) == {"DET001"}
-    assert findings[0].severity is Severity.ERROR
+    assert len(findings) == 4  # a literal None seed is no seed
+    assert all(f.severity is Severity.ERROR for f in findings)
 
 
 def test_det001_seeded_rng_is_clean():
@@ -81,90 +92,101 @@ def test_unrelated_default_rng_name_not_flagged():
     """) == []
 
 
-# ----------------------------------------------------------------- DET002
+# ------------------------------------------- DET011: process-global RNG
 
 
-def test_det002_stdlib_random_severity_by_path():
-    src = "import random\nx = random.randint(0, 5)\n"
-    (sim_f,) = lint_source(src, path=SIM)
-    assert sim_f.code == "DET002" and sim_f.severity is Severity.ERROR
-    (plain_f,) = lint_source(src, path=PLAIN)
-    assert plain_f.severity is Severity.WARNING
+def test_det011_aliased_import(tmp_path):
+    findings = taint("""
+        import random as rnd
+        from random import randint
+        a = rnd.random()
+        b = randint(0, 5)
+        c = rnd.Random()
+        d = rnd.Random(None)
+    """, tmp_path)
+    assert [f.code for f in findings] == ["DET011"] * 4
+    assert all(f.severity is Severity.ERROR for f in findings)
+    assert all(f.qualname == "" for f in findings)
+    assert all("<module> (import time)" in f.message for f in findings)
+    messages = " ".join(f.message for f in findings)
+    assert "random.random()" in messages and "random.randint()" in messages
 
 
-def test_det002_aliased_import():
-    findings = lint("import random as rnd\nx = rnd.random()\n")
-    assert codes_of(findings) == {"DET002"}
+def test_global_rng_seeding_helpers_exempt(tmp_path):
+    assert taint("""
+        import random
+        random.seed(3)
+        state = random.getstate()
+        random.setstate(state)
+        stream = random.Random(7)
+        other = random.Random(x=7)
+    """, tmp_path) == []
 
 
-# ----------------------------------------------------------------- DET003
+# --------------------------------------------------- DET010: host clocks
 
 
-def test_det003_wall_clock_reads():
-    findings = lint("""
+def test_det010_wall_clock_reads(tmp_path):
+    findings = taint("""
         import time
         from datetime import datetime
         a = time.time()
         b = time.time_ns()
         c = datetime.now()
         d = datetime.utcnow()
-    """)
-    assert codes_of(findings) == {"DET003"}
+    """, tmp_path)
+    assert codes_of(findings) == {"DET010"}
     assert len(findings) == 4
     assert all(f.severity is Severity.ERROR for f in findings)
+    assert "datetime.datetime.utcnow()" in findings[-1].message
 
 
-def test_det003_monotonic_not_flagged():
-    # time.monotonic / perf_counter are not in the flagged set (they are
-    # still wall-clock-ish, but the rule targets the common offenders).
-    assert lint("import time\nx = time.monotonic()\n") == []
+def write_clock_modules(tmp_path, attr):
+    (tmp_path / "clockmod.py").write_text(textwrap.dedent(f"""
+        import time
 
 
-# ----------------------------------------------------------------- DET004
+        def tick():
+            return time.{attr}()
 
 
-def test_det004_module_level_mutable_state_in_sim():
-    findings = lint("""
-        CACHE = {}
-        ITEMS = []
-        SEEN = set()
-    """)
-    assert codes_of(findings) == {"DET004"}
-    assert len(findings) == 3
-    assert all(f.severity is Severity.WARNING for f in findings)
+        def report_elapsed():
+            return time.{attr}()
+    """))
+    (tmp_path / "driver.py").write_text(textwrap.dedent("""
+        import clockmod
 
 
-def test_det004_quiet_outside_sim_paths():
-    assert lint_source("CACHE = {}\n", path=PLAIN) == []
+        def run():
+            return clockmod.tick()
+    """))
 
 
-def test_det004_ignores_function_and_class_scope():
-    assert lint("""
-        def f():
-            local = {}
-            return local
-
-        class C:
-            table = {}
-    """) == []
-
-
-def test_det004_ignores_dunders_and_immutables():
-    assert lint("""
-        __all__ = ["a", "b"]
-        NAMES = ("a", "b")
-        LIMIT = 5
-    """) == []
+@pytest.mark.parametrize("attr", [
+    "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
+    "process_time",
+])
+def test_host_clock_sim_reachable_fires_det010(tmp_path, attr):
+    write_clock_modules(tmp_path, attr)
+    findings = run_taint_analysis([tmp_path], entry_modules=["driver"])
+    (f,) = [f for f in findings if f.qualname == "tick"]
+    assert f.code == "DET010"
+    assert f"time.{attr}()" in f.message
+    assert "driver.run -> clockmod.tick" in f.message
 
 
-def test_det004_constructor_calls():
-    findings = lint("""
-        from collections import defaultdict
-        REGISTRY = defaultdict(list)
-        TABLE = dict()
-    """)
-    assert codes_of(findings) == {"DET004"}
-    assert len(findings) == 2
+def test_host_clock_unreachable_is_quiet(tmp_path):
+    write_clock_modules(tmp_path, "perf_counter")
+    findings = run_taint_analysis([tmp_path], entry_modules=["driver"])
+    assert "report_elapsed" not in {f.qualname for f in findings}
+
+
+def test_module_level_wall_clock_in_fixture_is_import_time():
+    findings = run_taint_analysis([FIXTURES / "unseeded_rng.py"])
+    (f,) = findings  # jitter() is reachable from no entry point
+    assert f.code == "DET010"
+    assert f.qualname == ""
+    assert "<module> (import time)" in f.message
 
 
 # ----------------------------------------------------------------- DET000
@@ -191,10 +213,15 @@ def test_lint_python_paths_directory_recurses():
     assert "DET001" in codes_of(findings)
 
 
-def test_repo_sources_are_clean():
-    # Satellite: the sanitizer run over the shipped package finds nothing
-    # (no unseeded RNGs, no wall-clock reads, no module-level mutable
-    # state on simulation paths).
-    root = pathlib.Path(__file__).resolve().parents[2]
-    findings = lint_python_paths([root / "src" / "repro"])
-    assert findings == []
+# ------------------------------------------------ every rule has a fixture
+
+
+def test_every_det_and_conc_rule_fires_on_a_committed_fixture():
+    engine = LintEngine(entry_modules=["driver", "scheduler_conc"])
+    report = engine.lint_paths(
+        [FIXTURES / "deep_corpus", FIXTURES / "unseeded_rng.py"]
+    )
+    fired = codes_of(report.findings)
+    for pack in ("det", "conc"):
+        for rule in registry.rules(pack=pack):
+            assert rule.code in fired, f"{rule.code} has no committed fixture"

@@ -13,12 +13,12 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "deep_corpus"
 
 
-def deep_report():
-    engine = LintEngine(deep=True, entry_modules=["driver", "scheduler_conc"])
+def corpus_report():
+    engine = LintEngine(entry_modules=["driver", "scheduler_conc"])
     return engine.lint_paths([CORPUS])
 
 
-def shallow_report(path):
+def fixture_report(path):
     return LintEngine().lint_paths([path])
 
 
@@ -26,7 +26,7 @@ def shallow_report(path):
 
 
 def test_sarif_log_shape_and_rules():
-    doc = to_sarif(deep_report())
+    doc = to_sarif(corpus_report())
     assert doc["version"] == SARIF_VERSION
     (run,) = doc["runs"]
     driver = run["tool"]["driver"]
@@ -39,7 +39,7 @@ def test_sarif_log_shape_and_rules():
 
 
 def test_sarif_results_carry_fingerprints_and_locations():
-    report = deep_report()
+    report = corpus_report()
     doc = to_sarif(report)
     results = doc["runs"][0]["results"]
     assert len(results) == len(report.findings)
@@ -52,14 +52,14 @@ def test_sarif_results_carry_fingerprints_and_locations():
 
 
 def test_sarif_levels_map_severities():
-    doc = to_sarif(deep_report())
+    doc = to_sarif(corpus_report())
     levels = {r["ruleId"]: r["level"] for r in doc["runs"][0]["results"]}
     assert levels["DET010"] == "error"
     assert levels["CONC001"] == "warning"
 
 
 def test_sarif_object_findings_use_logical_coordinates():
-    doc = to_sarif(shallow_report(FIXTURES / "bad_gpu.json"))
+    doc = to_sarif(fixture_report(FIXTURES / "bad_gpu.json"))
     results = doc["runs"][0]["results"]
     assert any(r["ruleId"] == "SPEC001" for r in results)
     for res in results:
@@ -69,7 +69,7 @@ def test_sarif_object_findings_use_logical_coordinates():
 
 
 def test_sarif_suppressed_findings_marked_external(tmp_path):
-    report = deep_report()
+    report = corpus_report()
     assert report.findings
     # Push everything into a baseline, re-run: all suppressed.
     from repro.analysis import Baseline
@@ -78,8 +78,7 @@ def test_sarif_suppressed_findings_marked_external(tmp_path):
     for f in report.findings:
         baseline.add(f)
     engine = LintEngine(
-        deep=True, entry_modules=["driver", "scheduler_conc"],
-        baseline=baseline,
+        entry_modules=["driver", "scheduler_conc"], baseline=baseline
     )
     suppressed_report = engine.lint_paths([CORPUS])
     assert suppressed_report.findings == []
@@ -93,8 +92,8 @@ def test_sarif_suppressed_findings_marked_external(tmp_path):
 
 
 def test_render_sarif_is_deterministic_json():
-    first = deep_report().render_sarif()
-    second = deep_report().render_sarif()
+    first = corpus_report().render_sarif()
+    second = corpus_report().render_sarif()
     assert first == second
     json.loads(first)  # well-formed
 
@@ -103,8 +102,8 @@ def test_render_sarif_is_deterministic_json():
 
 
 def test_validate_accepts_generated_logs():
-    assert validate_sarif(to_sarif(deep_report())) == []
-    assert validate_sarif(to_sarif(shallow_report(FIXTURES / "bad_gpu.json"))) == []
+    assert validate_sarif(to_sarif(corpus_report())) == []
+    assert validate_sarif(to_sarif(fixture_report(FIXTURES / "bad_gpu.json"))) == []
 
 
 def test_validate_rejects_bad_logs():
@@ -112,19 +111,19 @@ def test_validate_rejects_bad_logs():
     assert any("version" in p for p in validate_sarif({"runs": [{}]}))
     assert any("runs" in p for p in validate_sarif({"version": SARIF_VERSION}))
 
-    doc = to_sarif(deep_report())
+    doc = to_sarif(corpus_report())
     doc["runs"][0]["results"][0]["level"] = "fatal"
     assert any("level" in p for p in validate_sarif(doc))
 
-    doc = to_sarif(deep_report())
+    doc = to_sarif(corpus_report())
     del doc["runs"][0]["results"][0]["message"]
     assert any("message.text" in p for p in validate_sarif(doc))
 
-    doc = to_sarif(deep_report())
+    doc = to_sarif(corpus_report())
     doc["runs"][0]["results"][0]["ruleId"] = "NOPE999"
     assert any("missing from driver rules" in p for p in validate_sarif(doc))
 
-    doc = to_sarif(deep_report())
+    doc = to_sarif(corpus_report())
     doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"][
         "region"
     ]["startLine"] = 0

@@ -1,4 +1,4 @@
-"""Deep determinism taint (DET010-DET013): interprocedural propagation."""
+"""Determinism taint (DET010-DET013): interprocedural propagation."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ def by_code(findings):
     return out
 
 
-# ------------------------------------------------- the four deep det rules
+# ------------------------------------------------- the four taint rules
 
 
 def test_corpus_fires_each_deep_det_rule():
@@ -78,30 +78,23 @@ def test_taint_findings_are_deterministic():
     assert first == second
 
 
-# ------------------------------------------- deep requalification of DET002
+# ------------------------------------------- the engine's one source pass
 
 
 def test_deep_mode_drops_shallow_det002_in_functions():
-    # Shallow: dead_code_draw's random.random() is a DET002 warning.
-    shallow = LintEngine().lint_paths([CORPUS / "envcfg.py"])
-    assert "DET002" in {f.code for f in shallow.findings}
-
-    # Deep: the call graph proves it unreachable; DET002 is requalified
-    # away and no DET011 replaces it.
-    deep = LintEngine(deep=True, entry_modules=ENTRIES)
-    report = deep.lint_paths([CORPUS])
+    # dead_code_draw's random.random() is a global-RNG source, but the
+    # call graph proves it unreachable: the engine reports no DET011.
+    report = LintEngine(entry_modules=ENTRIES).lint_paths([CORPUS])
     codes_for_envcfg = {
         f.code for f in report.findings if f.location.path.endswith("envcfg.py")
     }
-    assert "DET002" not in codes_for_envcfg
     assert codes_for_envcfg == {"DET012"}
 
 
 def test_deep_mode_keeps_shallow_det001():
     # DET001 (unseeded generator construction) is a defect regardless of
-    # reachability: the deep pass keeps it as-is.
-    deep = LintEngine(deep=True, entry_modules=ENTRIES)
-    report = deep.lint_paths([CORPUS])
+    # reachability: the engine reports it in an unreached function too.
+    report = LintEngine(entry_modules=ENTRIES).lint_paths([CORPUS])
     det001 = [f for f in report.findings if f.code == "DET001"]
     assert len(det001) == 1
     assert det001[0].location.path.endswith("rngpool.py")
