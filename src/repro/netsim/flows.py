@@ -120,50 +120,51 @@ def max_min_rates(flows: _t.Sequence[Flow]) -> dict[Flow, float]:
     Returns the fair rate for every flow.  Flows with an empty resource
     list are unconstrained (rate ``inf`` — local copies); flows crossing
     a ``blocked`` resource are stalled at rate 0.
+
+    The fill is one pass: every unfrozen flow has the same rate, the
+    running fill ``level``, so a flow's rate is the level at the round
+    its tightest resource saturates.
     """
     rates: dict[Flow, float] = {}
-    active: set[Flow] = set()
+    users: dict[CapacityResource, dict[Flow, None]] = {}
     for flow in flows:
-        if any(res.blocked for res in flow.resources):
-            rates[flow] = 0.0
-        elif flow.resources:
-            active.add(flow)
-            rates[flow] = 0.0
-        else:
-            rates[flow] = float("inf")
-
-    cap_left: dict[CapacityResource, float] = {}
-    users: dict[CapacityResource, set[Flow]] = {}
-    for flow in active:
+        rates[flow] = 0.0 if flow.resources else float("inf")
         for res in flow.resources:
-            cap_left.setdefault(res, res.capacity)
-            users.setdefault(res, set()).add(flow)
+            members = users.get(res)
+            if members is None:
+                users[res] = {flow: None}
+            else:
+                members[flow] = None
 
-    while active:
+    def freeze(res: CapacityResource, rate: float) -> None:
+        """Fix every flow still crossing ``res`` at ``rate``."""
+        for flow in users.pop(res, ()):
+            rates[flow] = rate
+            for other in flow.resources:
+                members = users.get(other)
+                if members is not None:
+                    members.pop(flow, None)
+                    if not members:
+                        del users[other]
+
+    for res in [res for res in users if res.blocked]:
+        freeze(res, 0.0)
+
+    cap_left = {res: res.capacity for res in users}
+    level = 0.0
+    while users:
         # Uniform increment until the tightest resource saturates.
-        inc = min(
-            cap_left[res] / len(members)
-            for res, members in users.items()
-            if members
-        )
-        for flow in active:
-            rates[flow] += inc
+        inc = min(cap_left[res] / len(members) for res, members in users.items())
+        level += inc
         saturated: list[CapacityResource] = []
         for res, members in users.items():
-            if not members:
-                continue
             cap_left[res] -= inc * len(members)
             if cap_left[res] <= 1e-9 * res.capacity:
                 saturated.append(res)
         if not saturated:  # pragma: no cover - numerical guard
-            break
-        frozen: set[Flow] = set()
+            saturated = list(users)
         for res in saturated:
-            frozen |= users[res]
-        for flow in frozen & active:
-            active.discard(flow)
-            for res in flow.resources:
-                users[res].discard(flow)
+            freeze(res, level)
     return rates
 
 
@@ -176,12 +177,16 @@ class FlowSimulator:
         yield done        # fires when the last byte lands
 
     The engine re-plans rates whenever a flow starts or completes, and
-    refreshes every touched resource's ``allocated_rate`` for monitoring.
+    keeps every resource's ``allocated_rate`` equal to the summed rate of
+    the flows crossing it.  Flows live in start order, so flows that
+    finish at the same instant complete in the order they started.
     """
 
     def __init__(self, env: Environment):
         self.env = env
-        self._flows: set[Flow] = set()
+        self._flows: dict[Flow, None] = {}
+        #: resource -> the live flows crossing it (no empty entries)
+        self._members: dict[CapacityResource, dict[Flow, None]] = {}
         self._handles: dict[Event, Flow] = {}
         self._wake: Event | None = None
         self._proc = env.process(self._coordinator(), name="flowsim")
@@ -221,7 +226,7 @@ class FlowSimulator:
 
         flow_done = self.env.event()
         flow = Flow(name, resources, nbytes, flow_done, self.env.now)
-        self._flows.add(flow)
+        self._add(flow)
         if self.tracer is not None:
             self._flow_spans[flow.id] = self.tracer.start(
                 name or f"flow-{flow.id}",
@@ -262,13 +267,11 @@ class FlowSimulator:
         flow = self._handles.pop(handle, None)
         if flow is None or flow not in self._flows:
             return False
-        self._flows.discard(flow)
+        self._remove(flow)
         self.cancelled_count += 1
         self._finish_flow_span(flow, status="error")
         for res in flow.resources:
-            res.allocated_rate = sum(
-                f.rate for f in self._flows if res in f.resources
-            )
+            res.allocated_rate = self._rate_through(res)
         if not flow.event.triggered:
             flow.event.defuse()
             flow.event.fail(
@@ -280,10 +283,6 @@ class FlowSimulator:
     @property
     def active_flows(self) -> int:
         return len(self._flows)
-
-    def instantaneous_rate(self, resource: CapacityResource) -> float:
-        """Current aggregate rate through ``resource`` (bytes/s)."""
-        return resource.allocated_rate
 
     def recompute(self) -> None:
         """Re-converge rates now — call after any capacity change.
@@ -311,28 +310,39 @@ class FlowSimulator:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
+    def _add(self, flow: Flow) -> None:
+        self._flows[flow] = None
+        for res in flow.resources:
+            members = self._members.get(res)
+            if members is None:
+                self._members[res] = {flow: None}
+            else:
+                members[flow] = None
+
+    def _remove(self, flow: Flow) -> None:
+        del self._flows[flow]
+        for res in flow.resources:
+            members = self._members.get(res)
+            if members is None or flow not in members:  # a repeated hop
+                continue
+            del members[flow]
+            if not members:
+                del self._members[res]
+                res.allocated_rate = 0.0
+
+    def _rate_through(self, res: CapacityResource) -> float:
+        return sum((f.rate for f in self._members.get(res, ())), 0.0)
+
     def _recompute(self) -> None:
         rates = max_min_rates(list(self._flows))
-        touched: set[CapacityResource] = set()
         for flow in self._flows:
             flow.rate = rates[flow]
-            touched |= set(flow.resources)
-        for res in touched:
-            res.allocated_rate = sum(
-                f.rate for f in self._flows if res in f.resources
-            )
-        # Resources no longer used by any flow decay to zero lazily: they
-        # are refreshed the next time a flow touches them; callers sampling
-        # utilization should prefer `sample_rates`.
+        for res, members in self._members.items():
+            res.allocated_rate = sum((f.rate for f in members), 0.0)
 
     def sample_rates(self, resources: _t.Iterable[CapacityResource]) -> dict[str, float]:
         """Accurate instantaneous rates for ``resources`` (monitoring API)."""
-        out = {}
-        for res in resources:
-            out[res.name] = sum(
-                f.rate for f in self._flows if res in f.resources
-            )
-        return out
+        return {res.name: self._rate_through(res) for res in resources}
 
     def _coordinator(self):
         while True:
@@ -365,18 +375,9 @@ class FlowSimulator:
                 ):
                     finished.append(flow)
             for flow in finished:
-                self._flows.remove(flow)
+                self._remove(flow)
                 self._handles.pop(flow.handle, None)
                 self.completed_count += 1
                 self.bytes_moved += flow.nbytes
                 self._finish_flow_span(flow)
                 flow.event.succeed(flow)
-            if finished:
-                # Zero out rates on now-idle resources for clean sampling.
-                idle: set[CapacityResource] = set()
-                for flow in finished:
-                    idle |= set(flow.resources)
-                for res in idle:
-                    res.allocated_rate = sum(
-                        f.rate for f in self._flows if res in f.resources
-                    )

@@ -72,6 +72,8 @@ class Topology:
         self.sites: dict[str, Site] = {}
         self.links: dict[frozenset, Link] = {}
         self.hosts: dict[str, str] = {}  # host -> site
+        #: (src, dst) -> route; every graph mutation clears it
+        self._routes: dict[tuple[str, str], tuple[Link, ...]] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -81,6 +83,7 @@ class Topology:
         site = Site(name, tier)
         self.sites[name] = site
         self._graph.add_node(name, kind="site")
+        self._routes.clear()
         return site
 
     def add_link(
@@ -95,6 +98,7 @@ class Topology:
             raise NetworkError(f"duplicate link {a}<->{b}")
         self.links[link.key] = link
         self._graph.add_edge(a, b, link=link, weight=latency_s)
+        self._routes.clear()
         return link
 
     def attach_host(self, hostname: str, site: str, nic_gbps: float = 10.0) -> None:
@@ -108,6 +112,7 @@ class Topology:
         link = Link(hostname, site, nic_gbps, latency_s=0.0001)
         self.links[link.key] = link
         self._graph.add_edge(hostname, site, link=link, weight=0.0001)
+        self._routes.clear()
 
     # -- queries -----------------------------------------------------------------
 
@@ -139,6 +144,7 @@ class Topology:
         link.up = False
         link.resource.blocked = True
         self._graph.remove_edge(a, b)
+        self._routes.clear()
 
     def restore_link(self, a: str, b: str) -> None:
         """Bring a failed link back into the routing graph."""
@@ -148,6 +154,7 @@ class Topology:
         link.up = True
         link.resource.blocked = False
         self._graph.add_edge(a, b, link=link, weight=link.latency_s)
+        self._routes.clear()
 
     def reachable(self, src: str, dst: str) -> bool:
         """True when a route currently exists between two endpoints."""
@@ -169,16 +176,23 @@ class Topology:
         )
 
     def route(self, src: str, dst: str) -> list[Link]:
-        """Latency-shortest path between two hosts or sites (up links only)."""
+        """Latency-shortest path between two hosts or sites (up links only).
+
+        Routes are memoised until the graph next changes; each call
+        returns a fresh list.
+        """
         if src == dst:
             return []
-        try:
-            nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise NoRouteError(f"no route {src!r} -> {dst!r}") from None
-        return [
-            self.links[frozenset((u, v))] for u, v in zip(nodes, nodes[1:])
-        ]
+        cached = self._routes.get((src, dst))
+        if cached is None:
+            try:
+                nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                raise NoRouteError(f"no route {src!r} -> {dst!r}") from None
+            cached = self._routes[(src, dst)] = tuple(
+                self.links[frozenset((u, v))] for u, v in zip(nodes, nodes[1:])
+            )
+        return list(cached)
 
     def path_resources(self, src: str, dst: str) -> list[CapacityResource]:
         """Capacity resources along the route (what a flow must share)."""

@@ -279,8 +279,8 @@ def build_nautilus_testbed(
     for host, osds in by_host.items():
         sampler.add_probe(
             "ceph_disk_write_bytes_per_second",
-            (lambda osds=osds: sum(
-                sum(flowsim.sample_rates([o.disk]).values()) for o in osds
+            (lambda disks=[o.disk for o in osds]: sum(
+                flowsim.sample_rates(disks).values()
             )),
             {"host": host},
         )

@@ -1,7 +1,7 @@
 """Unit tests for the max-min fair fluid-flow engine."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
@@ -89,6 +89,89 @@ class TestMaxMinRates:
         assert sum(rates.values()) == pytest.approx(cap)
 
 
+def _reference_max_min_rates(flows):
+    """The original per-flow accumulation fill, kept as a bit-exact oracle."""
+    rates = {}
+    active = set()
+    for flow in flows:
+        if any(res.blocked for res in flow.resources):
+            rates[flow] = 0.0
+        elif flow.resources:
+            active.add(flow)
+            rates[flow] = 0.0
+        else:
+            rates[flow] = float("inf")
+
+    cap_left = {}
+    users = {}
+    for flow in active:
+        for res in flow.resources:
+            cap_left.setdefault(res, res.capacity)
+            users.setdefault(res, set()).add(flow)
+
+    while active:
+        inc = min(
+            cap_left[res] / len(members)
+            for res, members in users.items()
+            if members
+        )
+        for flow in active:
+            rates[flow] += inc
+        saturated = []
+        for res, members in users.items():
+            if not members:
+                continue
+            cap_left[res] -= inc * len(members)
+            if cap_left[res] <= 1e-9 * res.capacity:
+                saturated.append(res)
+        if not saturated:
+            break
+        frozen = set()
+        for res in saturated:
+            frozen |= users[res]
+        for flow in frozen & active:
+            active.discard(flow)
+            for res in flow.resources:
+                users[res].discard(flow)
+    return rates
+
+
+class TestMaxMinParity:
+    """The one-pass fill gives exactly the rates of the per-flow fill."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        resources=st.lists(
+            st.tuples(st.floats(min_value=1e-3, max_value=1e9), st.booleans()),
+            min_size=1,
+            max_size=6,
+        ),
+        paths=st.lists(
+            st.lists(st.integers(min_value=0, max_value=5), max_size=5),
+            max_size=12,
+        ),
+    )
+    # shared resources
+    @example(resources=[(10.0, False), (4.0, False)], paths=[[0, 1], [0], [0]])
+    # a blocked resource
+    @example(resources=[(10.0, False), (4.0, True)], paths=[[0, 1], [0]])
+    # an empty resource list
+    @example(resources=[(10.0, False)], paths=[[], [0], []])
+    # a path that repeats a resource
+    @example(resources=[(9.0, False), (5.0, False)], paths=[[0, 1, 0], [0]])
+    def test_equals_reference_bit_for_bit(self, resources, paths):
+        pool = []
+        for i, (cap, blocked) in enumerate(resources):
+            res = CapacityResource(f"r{i}", cap)
+            res.blocked = blocked
+            pool.append(res)
+        flows = [
+            Flow(f"f{j}", [pool[k % len(pool)] for k in path], 1.0, None, 0.0)
+            for j, path in enumerate(paths)
+        ]
+        assert max_min_rates(flows) == _reference_max_min_rates(flows)
+
+
 class TestFlowSimulator:
     def test_single_transfer_duration(self, env, sim):
         link = CapacityResource("l", 100.0)  # 100 B/s
@@ -159,6 +242,18 @@ class TestFlowSimulator:
         env.run(until=100)
         assert sim.completed_count == 2
         assert sim.bytes_moved == pytest.approx(200.0)
+
+    def test_simultaneous_finishers_complete_in_start_order(self, env, sim):
+        """Equal flows on one path finish at one instant; their events
+        fire in the order the flows started, not in memory-address order."""
+        link = CapacityResource("l", 100.0)
+        order = []
+        for i in range(40):
+            done = sim.transfer([link], 1000.0, name=f"f{i}")
+            done.callbacks.append(lambda _ev, i=i: order.append((env.now, i)))
+        env.run()
+        assert {t for t, _ in order} == {400.0}
+        assert [i for _, i in order] == list(range(40))
 
     def test_many_parallel_flows_complete(self, env, sim):
         link = CapacityResource("l", 1000.0)

@@ -76,6 +76,57 @@ class TestRouting:
             small_topo.site_of("ghost")
 
 
+def _hops(route):
+    return [frozenset((link.a, link.b)) for link in route]
+
+
+class TestRouteCache:
+    """Memoised routes follow every graph change."""
+
+    def test_fail_link_reroutes(self, small_topo):
+        small_topo.add_link("A", "C", 10.0, latency_s=0.5)
+        before = _hops(small_topo.route("host-a", "host-c"))
+        assert frozenset(("A", "B")) in before
+        small_topo.fail_link("A", "B")
+        after = _hops(small_topo.route("host-a", "host-c"))
+        assert frozenset(("A", "B")) not in after
+        assert frozenset(("A", "C")) in after
+
+    def test_restore_link_brings_back_original_route(self, small_topo):
+        small_topo.add_link("A", "C", 10.0, latency_s=0.5)
+        original = small_topo.route("host-a", "host-c")
+        small_topo.fail_link("A", "B")
+        assert small_topo.route("host-a", "host-c") != original
+        small_topo.restore_link("A", "B")
+        assert small_topo.route("host-a", "host-c") == original
+
+    def test_fail_link_without_detour_has_no_route(self, small_topo):
+        assert small_topo.reachable("host-a", "host-c")
+        small_topo.fail_link("B", "C")
+        with pytest.raises(NoRouteError):
+            small_topo.route("host-a", "host-c")
+
+    def test_new_link_and_host_change_routes(self, small_topo):
+        assert len(small_topo.route("host-a", "host-c")) == 4
+        small_topo.add_link("A", "C", 100.0, latency_s=0.001)
+        assert _hops(small_topo.route("host-a", "host-c"))[1] == frozenset(("A", "C"))
+        small_topo.add_site("D")
+        small_topo.add_link("D", "C", 10.0)
+        small_topo.attach_host("host-d", "D")
+        assert len(small_topo.route("host-a", "host-d")) == 4
+
+    def test_mutating_a_returned_route_leaves_the_cache_intact(self, small_topo):
+        route = small_topo.route("host-a", "host-c")
+        expected = list(route)
+        route.reverse()
+        route.pop()
+        route.append(None)
+        assert small_topo.route("host-a", "host-c") == expected
+        assert small_topo.route("host-a", "host-c") is not small_topo.route(
+            "host-a", "host-c"
+        )
+
+
 class TestPRPTopology:
     def test_matches_paper_scale(self):
         """§II: 'more than 20 institutions, including four NSF/DOE/NASA

@@ -5,6 +5,11 @@ observationally identical to the serial reference — including in the
 trace it emits (engine shows up only as a span attribute).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -103,3 +108,31 @@ def test_counting_clock_orders_spans():
     segment = [s for s in spans if s.name == "segment_volume"]
     assert len(segment) == 1
     assert segment[0].attributes["objects"] >= 1
+
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _export_connect_trace(out: pathlib.Path, allocator: str | None) -> bytes:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    env.pop("PYTHONMALLOC", None)
+    if allocator is not None:
+        env["PYTHONMALLOC"] = allocator
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "trace", "--scale", "0.002",
+         "--workers", "4", "--gpus", "8", "--no-real-ml", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, cwd=str(REPO), env=env,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return out.read_bytes()
+
+
+def test_connect_trace_export_independent_of_allocator(tmp_path):
+    """Memory addresses must not order anything the trace records:
+    flows that finish at one instant complete in start order."""
+    default = _export_connect_trace(tmp_path / "default.json", None)
+    system = _export_connect_trace(tmp_path / "malloc.json", "malloc")
+    assert default == system
