@@ -1,18 +1,13 @@
 """Table I — Nautilus resource summary for all four workflow steps.
 
 This is the headline reproduction: the whole 4-step workflow at the
-paper's full scale, benchmarked end to end, with every Table-I cell
+paper's full scale (the session ``paper_run``), with every Table-I cell
 checked against the paper.
 """
 
-import warnings
-
 import pytest
 
-from benchmarks.conftest import PAPER
-from repro.testbed import build_nautilus_testbed
 from repro.viz import render_table1
-from repro.workflow import WorkflowDriver, build_connect_workflow
 
 #: Table I of the paper, verbatim.
 PAPER_TABLE = {
@@ -27,17 +22,8 @@ PAPER_TABLE = {
 }
 
 
-def _run_full_workflow():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        testbed = build_nautilus_testbed(seed=42, scale=1.0)
-        report = WorkflowDriver(testbed).run(build_connect_workflow(testbed))
-    assert report.succeeded
-    return report
-
-
-def test_table1_summary(benchmark):
-    report = benchmark.pedantic(_run_full_workflow, rounds=1, iterations=1)
+def test_table1_summary(paper_run):
+    _testbed, _workflow, report = paper_run
     print()
     print(render_table1(report))
 

@@ -36,18 +36,33 @@ _END = _dt.datetime(2018, 6, 1)
 
 @dataclasses.dataclass(frozen=True)
 class GranuleInfo:
-    """One archive file."""
+    """One archive file.
+
+    The timestamp, name and URL are functions of ``index`` and are
+    computed when read: a transfer of the whole archive reads only the
+    sizes of most granules.
+    """
 
     index: int
-    name: str
-    timestamp: _dt.datetime
     full_bytes: float
     subset_bytes: float
 
+    @property
+    def timestamp(self) -> _dt.datetime:
+        """Valid time: 3-hourly from the archive epoch."""
+        return _EPOCH + _dt.timedelta(hours=3 * self.index)
+
+    @property
+    def name(self) -> str:
+        """The MERRA-2 file name, e.g. ``MERRA2.inst3_3d_asm_Np.19800101_0000.nc4``."""
+        return f"MERRA2.inst3_3d_asm_Np.{self.timestamp:%Y%m%d_%H%M}.nc4"
+
     def url(self, server: str = "thredds") -> str:
         """The THREDDS fileServer URL of this granule."""
-        stamp = self.timestamp.strftime("%Y%m%d_%H%M")
-        return f"https://{server}/fileServer/MERRA2/M2I3NPASM/{stamp}/{self.name}"
+        return (
+            f"https://{server}/fileServer/MERRA2/M2I3NPASM/"
+            f"{self.timestamp:%Y%m%d_%H%M}/{self.name}"
+        )
 
 
 class MerraArchive:
@@ -89,17 +104,23 @@ class MerraArchive:
 
     def granule(self, index: int) -> GranuleInfo:
         """The ``index``-th granule (0-based, time-ordered)."""
-        if not 0 <= index < self.n_files:
-            raise IndexError(f"granule index {index} out of range")
-        ts = _EPOCH + _dt.timedelta(hours=3 * index)
-        name = f"MERRA2.inst3_3d_asm_Np.{ts.strftime('%Y%m%d_%H%M')}.nc4"
-        return GranuleInfo(
-            index=index,
-            name=name,
-            timestamp=ts,
-            full_bytes=float(self._full_sizes[index]),
-            subset_bytes=float(self._subset_sizes[index]),
-        )
+        return self.granules_at([index])[0]
+
+    def granules_at(self, indices: _t.Sequence[int]) -> list[GranuleInfo]:
+        """The granules at ``indices``, in the order given.
+
+        Raises :class:`IndexError` before building any granule if an
+        index is negative or past the end (no wrap-around).
+        """
+        if len(indices) == 0:
+            return []
+        if min(indices) < 0 or max(indices) >= self.n_files:
+            bad = next(i for i in indices if not 0 <= i < self.n_files)
+            raise IndexError(f"granule index {bad} out of range")
+        at = np.asarray(indices)
+        full = self._full_sizes[at].tolist()
+        subset = self._subset_sizes[at].tolist()
+        return [GranuleInfo(*fields) for fields in zip(indices, full, subset)]
 
     def granules(self) -> _t.Iterator[GranuleInfo]:
         """Iterate all granules in time order."""

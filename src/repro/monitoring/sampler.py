@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.monitoring.metrics import Labels, MetricRegistry
+from repro.monitoring.metrics import Labels, MetricRegistry, TimeSeries
 from repro.sim import Environment
 
 __all__ = ["Sampler"]
+
+
+class _Probe:
+    __slots__ = ("name", "labels", "fn", "series")
+
+    def __init__(self, name: str, labels: Labels, fn: _t.Callable[[], float]):
+        self.name = name
+        self.labels = labels
+        self.fn = fn
+        #: Resolved on the first successful sample, so a probe that
+        #: never succeeds creates no series.
+        self.series: TimeSeries | None = None
 
 
 class Sampler:
@@ -32,7 +44,7 @@ class Sampler:
         self.env = env
         self.registry = registry
         self.interval = interval
-        self._probes: list[tuple[str, tuple, _t.Callable[[], float]]] = []
+        self._probes: list[_Probe] = []
         self._proc = env.process(self._loop(), name="metrics-sampler")
         self.scrapes = 0
 
@@ -43,15 +55,18 @@ class Sampler:
         labels: Labels | None = None,
     ) -> None:
         """Register a gauge probe."""
-        self._probes.append((name, tuple(sorted((labels or {}).items())), fn))
+        self._probes.append(_Probe(name, dict(labels or {}), fn))
 
     def _loop(self):
         while True:
-            for name, label_items, fn in self._probes:
+            now = self.env.now
+            for probe in self._probes:
                 try:
-                    value = float(fn())
+                    value = float(probe.fn())
                 except Exception:
                     continue  # scrape failure: skip this sample
-                self.registry.set_gauge(name, value, dict(label_items))
+                if probe.series is None:
+                    probe.series = self.registry.series(probe.name, probe.labels)
+                probe.series.append(now, value)
             self.scrapes += 1
             yield self.env.timeout(self.interval)

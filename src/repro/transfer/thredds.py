@@ -35,7 +35,12 @@ class SubsetRequest:
     granule: GranuleInfo
     variables: tuple[str, ...] | None  # None = whole file
     nbytes: float
-    url: str
+    host: str  # the serving THREDDS host
+
+    @property
+    def url(self) -> str:
+        """The granule's fileServer URL on :attr:`host`."""
+        return self.granule.url(server=self.host)
 
 
 class ThreddsServer:
@@ -94,7 +99,7 @@ class ThreddsServer:
         end = min(start + count, len(self.archive))
         if start < 0 or start > len(self.archive):
             raise TransferError(f"bad catalog page start {start}")
-        return [self.archive.granule(i) for i in range(start, end)]
+        return self.archive.granules_at(range(start, end))
 
     # -- subset service --------------------------------------------------------------
 
@@ -103,39 +108,12 @@ class ThreddsServer:
     ) -> SubsetRequest:
         """Resolve a granule (optionally variable-subset) into a request.
 
-        ``variables=None`` fetches the whole file; naming a subset of
-        :data:`SUBSET_VARIABLES` fetches only those fields' bytes.
+        ``variables=None`` fetches the whole file; naming a non-empty
+        subset of :data:`SUBSET_VARIABLES` fetches only those fields'
+        bytes.
         """
         self._maybe_fail(f"resolve({index})")
-        return self._resolve_one(index, variables)
-
-    def _resolve_one(
-        self, index: int, variables: _t.Sequence[str] | None = None
-    ) -> SubsetRequest:
-        granule = self.archive.granule(index)
-        if variables is None:
-            nbytes = granule.full_bytes
-            vars_tuple = None
-        else:
-            unknown = set(variables) - set(self.SUBSET_VARIABLES)
-            if unknown:
-                raise TransferError(
-                    f"subset service cannot extract {sorted(unknown)}; "
-                    f"available: {self.SUBSET_VARIABLES}"
-                )
-            # The catalog's subset size covers all three IVT variables;
-            # fewer variables scale proportionally.
-            fraction = len(set(variables)) / len(self.SUBSET_VARIABLES)
-            nbytes = granule.subset_bytes * fraction
-            vars_tuple = tuple(variables)
-        self.requests_served += 1
-        self.bytes_served += nbytes
-        return SubsetRequest(
-            granule=granule,
-            variables=vars_tuple,
-            nbytes=nbytes,
-            url=granule.url(server=self.host),
-        )
+        return self._resolve_batch([index], variables)[0]
 
     def resolve_many(
         self, indices: _t.Sequence[int], variables: _t.Sequence[str] | None = None
@@ -143,10 +121,54 @@ class ThreddsServer:
         """Resolve a manifest chunk's worth of granules.
 
         One server round-trip: the transient-fault draw happens once for
-        the whole chunk, not per granule.
+        the whole chunk, not per granule, and ``variables`` and every
+        index are validated before any request is counted.
         """
         self._maybe_fail(f"resolve_many({len(indices)} granules)")
-        return [self._resolve_one(i, variables) for i in indices]
+        return self._resolve_batch(indices, variables)
+
+    def _resolve_batch(
+        self, indices: _t.Sequence[int], variables: _t.Sequence[str] | None
+    ) -> list[SubsetRequest]:
+        vars_tuple = self._subset_variables(variables)
+        granules = self.archive.granules_at(indices)
+        if vars_tuple is None:
+            sizes = [g.full_bytes for g in granules]
+        else:
+            # The catalog's subset size covers all three IVT variables;
+            # fewer variables scale proportionally.
+            fraction = len(vars_tuple) / len(self.SUBSET_VARIABLES)
+            sizes = [g.subset_bytes * fraction for g in granules]
+        host = self.host
+        requests = [
+            SubsetRequest(g, vars_tuple, nbytes, host)
+            for g, nbytes in zip(granules, sizes)
+        ]
+        self.requests_served += len(requests)
+        for nbytes in sizes:  # one add per granule, in order: sum() rounds differently
+            self.bytes_served += nbytes
+        return requests
+
+    def _subset_variables(
+        self, variables: _t.Sequence[str] | None
+    ) -> tuple[str, ...] | None:
+        """``variables`` deduplicated in first-seen order (None = whole file).
+
+        Raises :class:`~repro.errors.TransferError` for an empty subset
+        or a variable the subset service cannot extract.
+        """
+        if variables is None:
+            return None
+        unique = tuple(dict.fromkeys(variables))
+        if not unique:
+            raise TransferError("empty variable subset: name at least one variable")
+        unknown = set(unique) - set(self.SUBSET_VARIABLES)
+        if unknown:
+            raise TransferError(
+                f"subset service cannot extract {sorted(unknown)}; "
+                f"available: {self.SUBSET_VARIABLES}"
+            )
+        return unique
 
     # -- content service ------------------------------------------------------------
 
@@ -165,20 +187,13 @@ class ThreddsServer:
             )
         self._maybe_fail(f"open_granule({index})")
         granule_info = self.archive.granule(index)  # validates the index
+        subset_vars = self._subset_variables(variables)
         granule = self.generator.granule(index, name=granule_info.name)
+        if subset_vars is not None:
+            granule = granule.subset(list(subset_vars))
         self.requests_served += 1
-        if variables is None:
-            self.bytes_served += granule.nbytes
-            return granule
-        unknown = set(variables) - set(self.SUBSET_VARIABLES)
-        if unknown:
-            raise TransferError(
-                f"subset service cannot extract {sorted(unknown)}; "
-                f"available: {self.SUBSET_VARIABLES}"
-            )
-        subset = granule.subset(list(variables))
-        self.bytes_served += subset.nbytes
-        return subset
+        self.bytes_served += granule.nbytes
+        return granule
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -95,6 +95,74 @@ class TestSampler:
         with pytest.raises(ValueError):
             Sampler(env, registry, interval=0)
 
+    @staticmethod
+    def _probes(env):
+        """(name, labels, fn): steady, flaky and late-starting probes."""
+
+        def flaky():
+            if int(env.now) % 15 == 0:
+                raise RuntimeError("target down")
+            return env.now / 7
+
+        def late():
+            if env.now < 20:
+                raise RuntimeError("not up yet")
+            return 3
+
+        return [
+            ("late", {"pod": "c"}, late),
+            ("cpu", {"pod": "a", "node": "n1"}, lambda: env.now * 0.1),
+            ("cpu", {"node": "n2", "pod": "b"}, flaky),
+            ("mem", None, lambda: 2**40 + env.now),
+        ]
+
+    def test_series_equal_set_gauge_reference(self):
+        env = Environment()
+        registry = MetricRegistry(env)
+        sampler = Sampler(env, registry, interval=5)
+        for name, labels, fn in self._probes(env):
+            sampler.add_probe(name, fn, labels)
+        env.run(until=60)
+
+        ref_env = Environment()
+        reference = MetricRegistry(ref_env)
+        probes = self._probes(ref_env)
+
+        def reference_loop():
+            while True:
+                for name, labels, fn in probes:
+                    try:
+                        value = float(fn())
+                    except Exception:
+                        continue
+                    reference.set_gauge(name, value, labels)
+                yield ref_env.timeout(5)
+
+        ref_env.process(reference_loop())
+        ref_env.run(until=60)
+
+        def dump(reg):  # insertion order, times and values
+            return [(key, ts.times, ts.values) for key, ts in reg._series.items()]
+
+        assert dump(registry) == dump(reference)
+        assert [key[0] for key in registry._series] == ["cpu", "mem", "cpu", "late"]
+
+    def test_always_failing_probe_creates_no_series(self, env, registry):
+        sampler = Sampler(env, registry, interval=5)
+        sampler.add_probe("bad", lambda: 1 / 0, {"pod": "x"})
+        env.run(until=30)
+        assert sampler.scrapes == 7
+        assert registry.names() == []
+
+    def test_legacy_alias_writes_canonical_series(self, env, registry):
+        sampler = Sampler(env, registry, interval=10)
+        sampler.add_probe("node_cpu_allocated", lambda: 4.0, {"node": "n1"})
+        env.run(until=20)
+        assert registry.names() == ["node_cpu_allocated_cores"]
+        ts = registry.get("node_cpu_allocated_cores", {"node": "n1"})
+        assert ts.times == [0, 10, 20]
+        assert ts.values == [4.0, 4.0, 4.0]
+
 
 class TestPromql:
     def _series(self, registry, pts, name="m", labels=None):
