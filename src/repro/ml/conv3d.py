@@ -4,12 +4,37 @@ The FFN is "a 3D convolution neural network (3D CNN) ... able to separate
 objects within a 3D volume of spatial data or images by using a deep
 stack of 3D convolutions" (§III-B).  This module supplies that kernel:
 ``same``-padded, stride-1, cross-correlation convention (as every DL
-framework uses), implemented with :func:`numpy.lib.stride_tricks.
-sliding_window_view` + ``tensordot`` so the hot loop is one BLAS call —
-views, not copies, per the HPC guide.
+framework uses), lowered to im2col + one BLAS GEMM per call.
 
-The batched entry points carry a leading batch axis ``N`` and contract
-all ``N`` items in a single ``tensordot``; this is what makes wavefront
+At the FFN's shapes (5³ FOVs, a handful of filters) the GEMM is a small
+part of each call, so the operands are built with as little host work
+as possible:
+
+- **Padding** is one slice assignment into a preallocated ``np.zeros``
+  buffer ``(N, C, D+2p, H+2p, W+2p)``, ``p = k // 2``.
+- **The im2col matrix** is one C-level gather: ``np.take`` along the
+  flattened padded buffer with a flat-index table that depends only on
+  ``(C, k, spatial)`` and is memoised per shape.  The forward gathers the
+  ``(N, C·k³, D·H·W)`` operand of ``np.matmul(w_mat, cols)``; the weight
+  gradient gathers the ``(N·D·H·W, C·k³)`` operand of
+  ``np.dot(grad_y_mat, cols_t)`` with the transposed table.
+- **A 1×1×1 kernel** (the FFN head) neither pads nor gathers: its im2col
+  matrix is ``x`` itself, reshaped.
+
+Every GEMM gets the operands that a pad + strided-window-view +
+tensor-contraction lowering would build — same shape, values and
+C-contiguous layout — so the results are bit-for-bit those of that
+lowering (``tests/ml/test_conv_oracle.py`` keeps it as the oracle).
+The one exception is a one-channel input with ``H == W == 1 < D`` and
+``k > 1``: there that lowering's forward operand is a strided view, which
+``np.matmul`` multiplies without BLAS, so such shapes differ from it in
+the last bits.
+The forward's im2col matrix is *not* kept for the backward: inference
+would then hold every layer's matrix alive, which costs more memory than
+the second gather costs time.
+
+The batched entry points carry a leading batch axis ``N`` and run all
+``N`` items in a single stacked GEMM; this is what makes wavefront
 flood filling (:mod:`repro.ml.inference`) and minibatch training
 (:mod:`repro.ml.training`) fast.  The unbatched functions are thin
 ``N=1`` wrappers, so both paths share one code path and one numerical
@@ -31,8 +56,9 @@ Batched: ``x``: ``(N, C_in, D, H, W)`` and ``y``: ``(N, C_out, D, H, W)``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
 
@@ -45,7 +71,13 @@ __all__ = [
 ]
 
 
-def _check_shapes_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> int:
+def _check_shapes_batch(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None
+) -> int:
+    """Validate a batched conv's operands; returns the kernel size ``k``.
+
+    ``b`` is checked when given (the backward has no bias operand).
+    """
     if x.ndim != 5:
         raise ShapeError(f"x must be (N,C,D,H,W), got {x.shape}")
     if w.ndim != 5 or w.shape[2] != w.shape[3] or w.shape[3] != w.shape[4]:
@@ -54,7 +86,7 @@ def _check_shapes_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> int:
         raise ShapeError(
             f"channel mismatch: x has {x.shape[1]}, w expects {w.shape[1]}"
         )
-    if b.shape != (w.shape[0],):
+    if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"b must be ({w.shape[0]},), got {b.shape}")
     k = w.shape[2]
     if k % 2 != 1:
@@ -62,15 +94,80 @@ def _check_shapes_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> int:
     return k
 
 
-def _windows_batch(x: np.ndarray, k: int) -> np.ndarray:
-    """Same-padded sliding windows: ``(N, C, D, H, W, k, k, k)`` view."""
+@functools.lru_cache(maxsize=64)
+def _im2col_index(c: int, k: int, spatial: tuple[int, int, int]) -> np.ndarray:
+    """Flat indices of the im2col matrix in one padded, flattened item.
+
+    Row ``(c, a, b, g)`` (the weight layout), column ``(z, y, x)``: entry
+    ``[c·k³ + a·k² + b·k + g, z·H·W + y·W + x]`` is the offset of padded
+    voxel ``(c, z+a, y+b, x+g)``; shape ``(C·k³, D·H·W)``.  The cached
+    table is shared by every call and must not be written to; it is left
+    writeable because ``np.take`` copies a read-only index array on
+    every call.
+    """
+    d, h, w = spatial
     pad = k // 2
-    xp = np.pad(
-        x,
-        ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)),
-        mode="constant",
-    )
-    return sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))
+    ph, pw = h + 2 * pad, w + 2 * pad
+    plane = (d + 2 * pad) * ph * pw
+    r = np.arange(k, dtype=np.intp)
+    tap = (np.arange(c, dtype=np.intp)[:, None, None, None] * plane
+           + r[:, None, None] * (ph * pw) + r[:, None] * pw + r).reshape(-1)
+    origin = (np.arange(d, dtype=np.intp)[:, None, None] * (ph * pw)
+              + np.arange(h, dtype=np.intp)[:, None] * pw
+              + np.arange(w, dtype=np.intp)).reshape(-1)
+    return tap[:, None] + origin[None, :]
+
+
+@functools.lru_cache(maxsize=64)
+def _im2col_index_t(c: int, k: int, spatial: tuple[int, int, int]) -> np.ndarray:
+    """C-contiguous transpose of :func:`_im2col_index`, ``(D·H·W, C·k³)``."""
+    return np.ascontiguousarray(_im2col_index(c, k, spatial).T)
+
+
+def _padded(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` zero-padded by ``k // 2`` per spatial side, C-contiguous."""
+    pad = k // 2
+    if pad == 0:
+        return np.ascontiguousarray(x)
+    n, c, d, h, w = x.shape
+    xp = np.zeros((n, c, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + d, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The batched conv on validated operands (see the module docstring)."""
+    n, c = x.shape[:2]
+    spatial = x.shape[2:]
+    xp = _padded(x, k)
+    if k == 1:
+        cols = xp.reshape(n, c, -1)
+    else:
+        cols = np.take(xp.reshape(n, -1), _im2col_index(c, k, spatial), axis=1)
+    w_mat = w.reshape(w.shape[0], c * k**3)
+    y = np.matmul(w_mat, cols)  # (N, O, D*H*W)
+    y = y.reshape(n, w.shape[0], *spatial)
+    return y + b[None, :, None, None, None]
+
+
+def _grad_w(x: np.ndarray, grad_y: np.ndarray, k: int) -> np.ndarray:
+    """Batch-summed weight gradient ``(O, C·k³)`` on validated operands.
+
+    ``dL/dw[o, (c,a,b,g)]`` sums ``grad_y[n, o, v] * window(x)[n, v, (c,a,b,g)]``
+    over items ``n`` and voxels ``v``: one
+    ``(O, N·D·H·W) x (N·D·H·W, C·k³)`` GEMM.  A function of its own so
+    that the im2col operand is freed before ``grad_x`` builds its own.
+    """
+    n, c = x.shape[:2]
+    gy_mat = grad_y.transpose(1, 0, 2, 3, 4).reshape(grad_y.shape[1], -1)
+    xp = _padded(x, k)
+    if k == 1:
+        cols_t = xp.transpose(0, 2, 3, 4, 1).reshape(-1, c)
+    else:
+        cols_t = np.take(
+            xp.reshape(n, -1), _im2col_index_t(c, k, x.shape[2:]), axis=1
+        ).reshape(-1, c * k**3)
+    return np.dot(gy_mat, cols_t)
 
 
 def conv3d_forward_batch(
@@ -87,18 +184,7 @@ def conv3d_forward_batch(
     engines rely on exact batched/serial equivalence.)
     """
     k = _check_shapes_batch(x, w, b)
-    n, c = x.shape[:2]
-    spatial = x.shape[2:]
-    win = _windows_batch(x, k)  # (N, C, D, H, W, k, k, k) view
-    # (N, C*k^3, D*H*W): contraction axes (C, kz, ky, kx) ordered to
-    # match the weight layout; the reshape materializes the im2col copy.
-    win_mat = win.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(
-        n, c * k**3, -1
-    )
-    w_mat = w.reshape(w.shape[0], c * k**3)
-    y = np.matmul(w_mat, win_mat)  # (N, O, D*H*W)
-    y = y.reshape(n, w.shape[0], *spatial)
-    return y + b[None, :, None, None, None]
+    return _forward(x, w, b, k)
 
 
 def conv3d_forward(
@@ -133,24 +219,29 @@ def conv3d_backward_batch(
     -------
     ``(grad_x, grad_w, grad_b)`` where ``grad_x`` has the batch axis and
     ``grad_w`` / ``grad_b`` are summed over the batch (minibatch
-    accumulation happens inside the ``tensordot``, not in Python).
+    accumulation happens inside the GEMM, not in Python).
+
+    Raises
+    ------
+    ShapeError
+        On the forward's shape errors (see :func:`conv3d_forward_batch`)
+        or a ``grad_y`` that is not ``(N, O, D, H, W)``, before any
+        array work.
     """
-    k = w.shape[2]
-    if grad_y.shape != (x.shape[0], w.shape[0]) + x.shape[2:]:
+    k = _check_shapes_batch(x, w)
+    n, c = x.shape[:2]
+    o = w.shape[0]
+    if grad_y.shape != (n, o) + x.shape[2:]:
         raise ShapeError(
-            f"grad_y must be {(x.shape[0], w.shape[0]) + x.shape[2:]}, "
-            f"got {grad_y.shape}"
+            f"grad_y must be {(n, o) + x.shape[2:]}, got {grad_y.shape}"
         )
-    # dL/dw[o,c,a,b,g] = sum_{n,voxels} grad_y[n,o,...] * window(x)[n,c,...,a,b,g]
-    win = _windows_batch(x, k)
-    grad_w = np.tensordot(grad_y, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-    # tensordot leaves axes (O, C, k, k, k) already in the right order.
+    grad_w = _grad_w(x, grad_y, k).reshape(w.shape)
     grad_b = grad_y.sum(axis=(0, 2, 3, 4))
     # dL/dx is a full correlation of grad_y with spatially flipped kernels,
     # with in/out channels swapped — i.e. another same-padded conv.
     w_flip = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-    grad_x = conv3d_forward_batch(
-        grad_y, np.ascontiguousarray(w_flip), np.zeros(w.shape[1], dtype=w.dtype)
+    grad_x = _forward(
+        grad_y, np.ascontiguousarray(w_flip), np.zeros(c, dtype=w.dtype), k
     )
     return grad_x, grad_w, grad_b
 
@@ -177,6 +268,8 @@ def conv3d_backward(
     -------
     (grad_x, grad_w, grad_b)
     """
+    if x.ndim != 4:
+        raise ShapeError(f"x must be (C,D,H,W), got {x.shape}")
     if grad_y.shape != (w.shape[0],) + x.shape[1:]:
         raise ShapeError(
             f"grad_y must be {(w.shape[0],) + x.shape[1:]}, got {grad_y.shape}"

@@ -205,8 +205,8 @@ class FFNModel:
         ----------
         images / mask_logits:
             ``(N, *fov)`` stacks.  Every conv in the residual stack runs
-            as one batched ``tensordot``, so an ``N``-FOV wavefront costs
-            one GEMM per layer instead of ``N``.
+            as one stacked ``matmul``, so an ``N``-FOV wavefront costs
+            one kernel call per layer instead of ``N``.
 
         Returns
         -------
@@ -271,7 +271,7 @@ class FFNModel:
         """Batched backprop: ``grad_logits`` is ``(N, *fov)``.
 
         Parameter gradients are summed over the batch inside the conv
-        kernels (one ``tensordot`` per layer) and accumulated, mirroring
+        kernels (one weight-gradient GEMM per layer) and accumulated, mirroring
         ``N`` sequential :meth:`backward` calls.
         """
         if self._cache is None:

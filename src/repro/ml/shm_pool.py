@@ -134,6 +134,21 @@ def _attach(
     return ref.view(shm)
 
 
+def _release_stale(
+    cache: dict[str, shared_memory.SharedMemory], keep: tuple[str, ...]
+) -> None:
+    """Close every cached attachment not named in ``keep``.
+
+    Each :meth:`SharedMemoryPool.segment_shards` call shares fresh
+    segments and unlinks them when it returns, so an attachment left from
+    an earlier call only pins that call's pages in the worker: without
+    this, a long-lived worker's resident set grows by a volume and a label
+    buffer per call.
+    """
+    for name in [name for name in cache if name not in keep]:
+        cache.pop(name).close()
+
+
 def segment_shard(
     model: FFNModel,
     volume: np.ndarray,
@@ -179,7 +194,7 @@ def _worker_main(
 
     Module-level so it pickles under every start method.  The model is
     rebuilt exactly once; shared segments are attached on first use and
-    cached by name for the worker's lifetime.
+    cached by name until a task of a later call arrives.
     """
     model = FFNModel(config)
     model.load_state_dict(state)
@@ -199,6 +214,10 @@ def _worker_main(
             if crash_armed:  # die hard with this shard in flight
                 os._exit(17)
             (_, generation, volume_ref, labels_ref, spec, options) = message
+            # Drop the views of the previous task's segments, so that
+            # closing them finds no exported buffer.
+            volume = labels_out = None
+            _release_stale(attached, (volume_ref.name, labels_ref.name))
             try:
                 volume = _attach(attached, volume_ref, own_tracker)
                 labels_out = _attach(attached, labels_ref, own_tracker)

@@ -119,7 +119,7 @@ class TestFFNModelBatchParity:
         for i in range(n):
             trained.forward(images[i], masks[i])
             trained.backward(grads[i])
-        # Batched grads sum over the batch inside one tensordot; the
+        # Batched grads sum over the batch inside one GEMM; the
         # sequential reference accumulates in Python — same math, float32
         # addition order differs, so allow accumulation-order slack.
         for gw_b, layer in zip(batched_gw, trained.layers):

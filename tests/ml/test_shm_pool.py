@@ -12,6 +12,8 @@ The pool's contract has three legs:
 """
 
 import glob
+import os
+import re
 import time
 
 import numpy as np
@@ -180,6 +182,22 @@ class TestHygiene:
         unregistered = {n for kind, n in events if kind == "unregister"}
         assert registered, "expected the pool to share segments"
         assert registered == unregistered
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_workers_map_only_the_current_calls_segments(self, trained_world):
+        """A long-lived worker closes the segments of earlier calls, which
+        the parent has unlinked, instead of keeping them mapped."""
+        model, volume = trained_world
+        with SharedMemoryPool(model, n_workers=2) as pool:
+            for _ in range(4):
+                distributed_segment(
+                    model, volume, n_workers=4, halo=2, max_workers=2,
+                    pool=pool,
+                )
+            for pid in (proc.pid for proc in pool._procs):
+                with open(f"/proc/{pid}/maps") as maps:
+                    mapped = set(re.findall(r"repro-pool-[\w-]+", maps.read()))
+                assert 0 < len(mapped) <= 2, mapped
 
     def test_close_is_idempotent(self, trained_world):
         model, _ = trained_world
