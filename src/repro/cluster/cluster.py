@@ -469,7 +469,7 @@ class Cluster:
             creation_time=self.env.now,
         )
         pod = Pod(meta, spec)
-        ns.admit(spec.total_request())  # may raise QuotaExceededError
+        ns.admit(pod.request)  # may raise QuotaExceededError
         self.pods[key] = pod
         self._pending.append(pod)
         self._pod_span_open(pod, "queueing")
@@ -517,7 +517,7 @@ class Cluster:
             pod.termination_reason = "Deleted"
             self._set_phase(pod, PodPhase.FAILED)
             pod.finish_time = self.env.now
-            self.get_namespace(pod.meta.namespace).release(pod.spec.total_request())
+            self.get_namespace(pod.meta.namespace).release(pod.request)
             self.record_event(
                 "Pod", pod.meta.name, "Deleted", namespace=pod.meta.namespace
             )
@@ -711,7 +711,7 @@ class Cluster:
             if pod.is_terminal:  # deleted while queued
                 continue
             spec = pod.spec
-            request = spec.total_request()
+            request = pod.request
             shape = (
                 request.cpu,
                 request.memory,
@@ -923,7 +923,7 @@ class Cluster:
         self._set_phase(pod, phase)
         pod.finish_time = self.env.now
         node.release(pod)
-        self.get_namespace(pod.meta.namespace).release(pod.spec.total_request())
+        self.get_namespace(pod.meta.namespace).release(pod.request)
         self.record_event(
             "Pod",
             pod.meta.name,

@@ -84,13 +84,11 @@ class Namespace:
 
     def release(self, request: ResourceRequirements) -> None:
         """Return a terminated pod's charge."""
-        self.used = ResourceRequirements(
-            cpu=max(0.0, self.used.cpu - request.cpu),
-            memory=max(0, self.used.memory - request.memory),
-            gpu=max(0, self.used.gpu - request.gpu),
-            ephemeral_storage=max(
-                0, self.used.ephemeral_storage - request.ephemeral_storage
-            ),
+        self.used = ResourceRequirements._of(
+            max(0.0, self.used.cpu - request.cpu),
+            max(0, self.used.memory - request.memory),
+            max(0, self.used.gpu - request.gpu),
+            max(0, self.used.ephemeral_storage - request.ephemeral_storage),
         )
         self.pod_count = max(0, self.pod_count - 1)
 

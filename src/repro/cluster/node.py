@@ -94,23 +94,40 @@ class Node:
 
     @property
     def free(self) -> ResourceRequirements:
-        """Unallocated capacity."""
-        return ResourceRequirements(
-            cpu=self.capacity.cpu - self.allocated.cpu,
-            memory=self.capacity.memory - self.allocated.memory,
-            gpu=self.capacity.gpu - self.allocated.gpu,
-            ephemeral_storage=(
-                self.capacity.ephemeral_storage - self.allocated.ephemeral_storage
-            ),
+        """Unallocated capacity, each dimension clamped at 0.
+
+        CPU sums may overshoot capacity by the ``1e-9``-core tolerance
+        :meth:`ResourceRequirements.fits_within` allows; a full node then
+        has no free CPU rather than a negative amount.
+        """
+        cap, alloc = self.capacity, self.allocated
+        return ResourceRequirements._of(
+            max(0.0, cap.cpu - alloc.cpu),
+            max(0, cap.memory - alloc.memory),
+            max(0, cap.gpu - alloc.gpu),
+            max(0, cap.ephemeral_storage - alloc.ephemeral_storage),
         )
 
     def can_fit(self, request: ResourceRequirements) -> bool:
-        """Would ``request`` fit in the remaining capacity?"""
-        return request.fits_within(self.free)
+        """Would ``request`` fit in the remaining capacity?
+
+        Equal to ``request.fits_within(self.free)``, compared field by
+        field without building the ``free`` object.  Only CPU needs the
+        clamp: :meth:`allocate` never lets the integer dimensions exceed
+        capacity.
+        """
+        cap, alloc = self.capacity, self.allocated
+        return (
+            request.cpu <= max(0.0, cap.cpu - alloc.cpu) + 1e-9
+            and request.memory <= cap.memory - alloc.memory
+            and request.gpu <= cap.gpu - alloc.gpu
+            and request.ephemeral_storage
+            <= cap.ephemeral_storage - alloc.ephemeral_storage
+        )
 
     def allocate(self, pod: "Pod") -> None:
-        """Reserve a pod's total request on this node and assign GPUs."""
-        request = pod.spec.total_request()
+        """Reserve a pod's admitted request on this node and assign GPUs."""
+        request = pod.request
         if not self.can_fit(request):
             raise ClusterError(
                 f"node {self.spec.name} cannot fit pod {pod.meta.name}: "
@@ -135,14 +152,12 @@ class Node:
         if pod.meta.uid not in self.pods:
             return
         del self.pods[pod.meta.uid]
-        request = pod.spec.total_request()
-        self.allocated = ResourceRequirements(
-            cpu=max(0.0, self.allocated.cpu - request.cpu),
-            memory=max(0, self.allocated.memory - request.memory),
-            gpu=max(0, self.allocated.gpu - request.gpu),
-            ephemeral_storage=max(
-                0, self.allocated.ephemeral_storage - request.ephemeral_storage
-            ),
+        request = pod.request
+        self.allocated = ResourceRequirements._of(
+            max(0.0, self.allocated.cpu - request.cpu),
+            max(0, self.allocated.memory - request.memory),
+            max(0, self.allocated.gpu - request.gpu),
+            max(0, self.allocated.ephemeral_storage - request.ephemeral_storage),
         )
         for device in self.devices:
             if device.allocated_to == pod.meta.uid:

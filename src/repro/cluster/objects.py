@@ -50,6 +50,10 @@ class ResourceRequirements:
     >>> r = ResourceRequirements(cpu="500m", memory="2Gi", gpu=1)
     >>> r.cpu
     0.5
+
+    The constructor parses and validates every field.  Results derived
+    from fields that are already parsed (sums, a node's free or released
+    capacity) are built with :meth:`_of`, which skips the parser.
     """
 
     __slots__ = ("cpu", "memory", "gpu", "ephemeral_storage")
@@ -68,12 +72,25 @@ class ResourceRequirements:
         self.gpu = int(gpu)
         self.ephemeral_storage = parse_memory(ephemeral_storage)
 
+    @classmethod
+    def _of(
+        cls, cpu: float, memory: int, gpu: int, ephemeral_storage: int
+    ) -> "ResourceRequirements":
+        """Fill the slots with values that are already parsed and valid
+        (non-negative cores as a float, bytes and GPUs as ints)."""
+        self = cls.__new__(cls)
+        self.cpu = cpu
+        self.memory = memory
+        self.gpu = gpu
+        self.ephemeral_storage = ephemeral_storage
+        return self
+
     def __add__(self, other: "ResourceRequirements") -> "ResourceRequirements":
-        return ResourceRequirements(
-            cpu=self.cpu + other.cpu,
-            memory=self.memory + other.memory,
-            gpu=self.gpu + other.gpu,
-            ephemeral_storage=self.ephemeral_storage + other.ephemeral_storage,
+        return ResourceRequirements._of(
+            self.cpu + other.cpu,
+            self.memory + other.memory,
+            self.gpu + other.gpu,
+            self.ephemeral_storage + other.ephemeral_storage,
         )
 
     def fits_within(self, other: "ResourceRequirements") -> bool:

@@ -171,7 +171,8 @@ class PodSpec:
         return priority_class_name(self.priority)
 
     def total_request(self) -> ResourceRequirements:
-        """Sum of all containers' requests (what the scheduler reserves)."""
+        """Sum of all containers' requests.  A pod computes this once, as
+        :attr:`Pod.request`, which is what the scheduler reserves."""
         total = ResourceRequirements()
         for container in self.containers:
             total = total + container.resources
@@ -184,6 +185,10 @@ class Pod:
     def __init__(self, meta: ObjectMeta, spec: PodSpec):
         self.meta = meta
         self.spec = spec
+        #: The spec's total request, fixed at admission (a pod's requests
+        #: cannot change once it exists).  Quota, node accounting and the
+        #: scheduler all charge this one object.
+        self.request: ResourceRequirements = spec.total_request()
         self.phase = PodPhase.PENDING
         self.node_name: str | None = None
         self.assigned_gpus: tuple[str, ...] = ()

@@ -85,9 +85,11 @@ def parse_memory(value: "float | int | str") -> int:
     1500000000
     >>> parse_memory(1024)
     1024
+    >>> parse_memory(2**53 + 1) == 2**53 + 1  # ints stay exact
+    True
     """
     if isinstance(value, (int, float)):
-        nbytes = float(value)
+        nbytes = value
     else:
         match = _QTY_RE.match(value)
         if not match:

@@ -83,13 +83,12 @@ class Scheduler:
 
     def filter_node(self, pod: Pod, node: Node) -> FilterResult:
         """Apply all predicates to one node."""
-        return self._filter(pod, node, pod.spec.total_request())
+        return self._filter(pod, node, pod.request)
 
     def _filter(
         self, pod: Pod, node: Node, request: ResourceRequirements
     ) -> FilterResult:
-        """:meth:`filter_node` with the pod's total request computed once
-        by the caller rather than once per node."""
+        """:meth:`filter_node` with the pod's request passed in."""
         if not node.ready:
             return FilterResult(node, False, "node not ready")
         if node.unschedulable:
@@ -108,12 +107,12 @@ class Scheduler:
 
     def feasible_nodes(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[Node]:
         """All nodes passing the filter phase."""
-        request = pod.spec.total_request()
+        request = pod.request
         return [n for n in nodes if self._filter(pod, n, request).feasible]
 
     def explain(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[FilterResult]:
         """Filter results for every node — the 'why is my pod Pending' view."""
-        request = pod.spec.total_request()
+        request = pod.request
         return [self._filter(pod, n, request) for n in nodes]
 
     # -- score ----------------------------------------------------------------
@@ -143,7 +142,7 @@ class Scheduler:
         if images <= node.image_cache:
             score += 0.05
         # Avoid putting CPU-only pods on scarce GPU nodes when possible.
-        if pod.spec.total_request().gpu == 0 and cap.gpu > 0:
+        if pod.request.gpu == 0 and cap.gpu > 0:
             score -= 0.10
         return score
 
@@ -178,14 +177,15 @@ class Scheduler:
         of a single namespace's long backlog.  Ties break on arrival
         order, keeping the ordering deterministic.
         """
+        zero = ResourceRequirements()
         projected: dict[str, ResourceRequirements] = {}
         keyed: list[tuple[float, float, int, Pod]] = []
         for index, pod in enumerate(pods):
             ns = pod.meta.namespace
             acc = projected.get(ns)
             if acc is None:
-                acc = usage.get(ns, ResourceRequirements())
-            acc = acc + pod.spec.total_request()
+                acc = usage.get(ns, zero)
+            acc = acc + pod.request
             projected[ns] = acc
             weight = max(float(weights.get(ns, 1.0)), 1e-9)
             share = dominant_share(acc, capacity) / weight
@@ -206,7 +206,7 @@ class Scheduler:
         the fewest victims (then the lexicographically first) wins.
         Returns ``None`` when no preemption can help.
         """
-        request = pod.spec.total_request()
+        request = pod.request
         best: tuple[int, str, Node, list[Pod]] | None = None
         for node in nodes:
             if not node.ready or node.unschedulable:
@@ -231,8 +231,7 @@ class Scheduler:
             for victim in victims_pool:
                 if request.fits_within(free):
                     break
-                freed = victim.spec.total_request()
-                free = free + freed
+                free = free + victim.request
                 chosen.append(victim)
             if not request.fits_within(free) or not chosen:
                 continue

@@ -70,19 +70,21 @@ class Process(Event):
         The interrupt is delivered at the process's current ``yield``
         immediately (at the current simulation time).  Interrupting a
         finished process is an error; interrupting a process that is about
-        to resume anyway delivers the interrupt first.
+        to resume anyway delivers the interrupt first.  A process that has
+        not taken its first step yet takes it first, so the interrupt lands
+        at its first ``yield``, inside the body's own handlers.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has already terminated")
-        if self._target is None and self._resume is not None:
-            # Process hasn't taken its first step yet; deliver on first step.
-            pass
         event = Interrupt(self.env)
         event._ok = False
         event._value = ProcessKilled(cause)
         event._defused = True
         event.callbacks.append(self._step)
-        self.env.schedule(event, priority=0)
+        if self._resume.processed:
+            self.env.schedule(event, priority=0)
+        else:
+            self.env.schedule(event)  # behind the first step
 
     # -- engine -------------------------------------------------------------
 

@@ -83,6 +83,25 @@ class TestPodLifecycle:
         assert pod.phase is PodPhase.FAILED
         assert all(n.allocated.cpu == 0 for n in cluster.nodes.values())
 
+    def test_delete_pod_bound_in_the_same_instant(self, cluster, env):
+        """A pod deleted after its bind but before its kubelet ran still
+        fails cleanly and returns its node and quota charge."""
+        deleted = []
+
+        def driver(env):
+            pod = cluster.create_pod("p1", sleeper_spec(duration=1000))
+            yield env.timeout(0)
+            assert pod.node_name is not None
+            cluster.delete_pod(pod)
+            deleted.append(pod)
+
+        env.process(driver(env))
+        env.run()
+        assert deleted[0].phase is PodPhase.FAILED
+        assert deleted[0].termination_reason == "Deleted"
+        assert all(n.pods == {} for n in cluster.nodes.values())
+        assert cluster.get_namespace("default").pod_count == 0
+
     def test_pod_events_logged(self, cluster, env):
         cluster.create_pod("p1", sleeper_spec(duration=1))
         env.run()
@@ -143,6 +162,26 @@ class TestScheduling:
             p.node_name for p in cluster.list_pods(phase=PodPhase.RUNNING)
         }
         assert len(used_nodes) == 4
+
+    @pytest.mark.parametrize("cpu,fits", [(0.1, 240), (0.3, 80)])
+    def test_full_node_leaves_next_pod_pending(self, env, cpu, fits):
+        """Float CPU sums overshoot a full node's capacity by ~1e-14; the
+        pod that does not fit stays Pending and nothing raises."""
+        cluster = Cluster(env)
+        cluster.add_node(fiona_node_spec("n0"))
+        pods = [
+            cluster.create_pod(
+                f"p{i}", sleeper_spec(duration=100, cpu=cpu, memory="100Mi")
+            )
+            for i in range(fits + 1)
+        ]
+        env.run(until=50)
+        running = [p for p in pods if p.phase is PodPhase.RUNNING]
+        assert len(running) == fits
+        assert pods[-1].phase is PodPhase.PENDING
+        assert pods[-1] in cluster.pending_pods()
+        env.run()
+        assert all(p.phase is PodPhase.SUCCEEDED for p in pods)
 
     def test_taints_require_toleration(self, env):
         cluster = Cluster(env)

@@ -83,6 +83,42 @@ class TestNodeAccounting:
         with pytest.raises(ClusterError):
             node.allocate(make_pod("b", gpu=1))
 
+    def test_pod_request_is_fixed_at_creation(self):
+        pod = make_pod(cpu="500m", memory="2Gi", gpu=1)
+        assert pod.request == pod.spec.total_request()
+        assert pod.request == ResourceRequirements(cpu=0.5, memory="2Gi", gpu=1)
+
+    def test_free_clamps_cpu_overshoot_at_zero(self):
+        """Float CPU sums may overshoot capacity within the 1e-9-core
+        tolerance; ``free`` reports 0 and ``can_fit`` agrees with it."""
+        node = Node(fiona_node_spec("n"))
+        for i in range(240):
+            node.allocate(make_pod(f"p{i}", cpu=0.1, memory="100Mi"))
+        assert node.allocated.cpu > node.capacity.cpu  # the overshoot
+        assert node.free.cpu == 0.0
+        assert node.free.memory == (96 * 1024 - 240 * 100) * 1024**2
+        small = ResourceRequirements(cpu=0.1)
+        assert node.can_fit(small) is False
+        assert small.fits_within(node.free) is False
+        no_cpu = ResourceRequirements(memory="1Gi")
+        assert node.can_fit(no_cpu) is True
+        assert no_cpu.fits_within(node.free) is True
+
+    def test_can_fit_matches_fits_within_free(self):
+        node = Node(fiona8_node_spec("n"))
+        node.allocate(make_pod("a", cpu=20, memory="90Gi", gpu=7))
+        for request in (
+            ResourceRequirements(cpu=4),
+            ResourceRequirements(cpu=4.5),
+            ResourceRequirements(memory="6Gi"),
+            ResourceRequirements(memory="7Gi"),
+            ResourceRequirements(gpu=1),
+            ResourceRequirements(gpu=2),
+            ResourceRequirements(ephemeral_storage=2 * 1024**4),
+            ResourceRequirements(ephemeral_storage=2 * 1024**4 + 1),
+        ):
+            assert node.can_fit(request) == request.fits_within(node.free)
+
 
 class TestDevicePlugin:
     def test_gpu_devices_assigned_on_allocate(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import Quantity, parse_cpu, parse_memory
+from repro.cluster import Quantity, ResourceRequirements, parse_cpu, parse_memory
 from repro.cluster.quantity import GiB, MiB, format_cpu, format_memory
 from repro.errors import InvalidQuantityError
 
@@ -50,12 +50,14 @@ class TestParseMemory:
             ("500M", 500_000_000),
             ("1024", 1024),
             (4096, 4096),
+            (1.9, 1),
+            (float(2**53 + 2), 2**53 + 2),
         ],
     )
     def test_valid(self, raw, expected):
         assert parse_memory(raw) == expected
 
-    @pytest.mark.parametrize("raw", ["96GG", "abc", "-5", "1Qi"])
+    @pytest.mark.parametrize("raw", ["96GG", "abc", "-5", "1Qi", -1])
     def test_invalid(self, raw):
         with pytest.raises(InvalidQuantityError):
             parse_memory(raw)
@@ -63,6 +65,15 @@ class TestParseMemory:
     @given(st.integers(min_value=0, max_value=1024))
     def test_gi_scaling(self, n):
         assert parse_memory(f"{n}Gi") == n * GiB
+
+    def test_int_input_is_exact_above_float_precision(self):
+        """Ints are returned as they are, not rounded through a float
+        (which loses bytes above 2**53, about 8 PiB)."""
+        nbytes = 2**53 + 1
+        assert parse_memory(nbytes) == nbytes
+        assert type(parse_memory(nbytes)) is int
+        assert ResourceRequirements(memory=nbytes).memory == nbytes
+        assert ResourceRequirements(ephemeral_storage=nbytes).ephemeral_storage == nbytes
 
 
 class TestFormatting:

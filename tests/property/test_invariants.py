@@ -1,9 +1,10 @@
 """Property-based invariants across substrates (hypothesis).
 
 These pin the load-bearing guarantees the workflow layer builds on:
-nodes are never over-allocated, jobs complete exactly, flows conserve
-bytes and never oversubscribe capacity, and the reliable queue delivers
-exactly-once under crashes.
+nodes are never over-allocated, node and quota accounting match the
+pods they hold, jobs complete exactly, flows conserve bytes and never
+oversubscribe capacity, and the reliable queue delivers exactly-once
+under crashes.
 """
 
 import numpy as np
@@ -11,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, JobSpec, PodPhase, fiona8_node_spec
-from repro.errors import QueueEmptyError
+from repro.cluster import (
+    Cluster,
+    JobSpec,
+    PodPhase,
+    ResourceQuota,
+    ResourceRequirements,
+    fiona8_node_spec,
+    fiona_node_spec,
+)
+from repro.errors import QueueEmptyError, QuotaExceededError
 from repro.netsim.flows import CapacityResource, FlowSimulator
 from repro.sim import Environment
 from repro.transfer import RedisQueue
@@ -94,6 +103,117 @@ class TestClusterInvariants:
         assert job.is_complete
         assert job.succeeded_indices == set(range(completions))
         assert peak[0] <= parallelism
+
+
+#: (cpu, memory, gpu) shapes; 0.1 and 0.3 cores overshoot a full node's
+#: CPU by float rounding, the large ones force preemption.
+_SHAPES = [
+    (0.1, "100Mi", 0),
+    (0.3, "1Gi", 0),
+    (4, "8Gi", 1),
+    (12, "40Gi", 2),
+    (1, "2Gi", 8),
+]
+_CLASSES = ["batch", "normal", "high"]
+_NAMESPACES = ["a", "b", "tight"]
+
+ACCOUNTING_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["create", "create", "create", "delete", "wait"]),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _summed(requests) -> ResourceRequirements:
+    total = ResourceRequirements()
+    for request in requests:
+        total = total + request
+    return total
+
+
+def _assert_accounting(cluster: Cluster) -> None:
+    for node in cluster.nodes.values():
+        expected = _summed(p.request for p in node.pods.values())
+        assert node.allocated.cpu == pytest.approx(expected.cpu, abs=1e-9)
+        assert (
+            node.allocated.memory,
+            node.allocated.gpu,
+            node.allocated.ephemeral_storage,
+        ) == (expected.memory, expected.gpu, expected.ephemeral_storage)
+        assert all(
+            not p.is_terminal and p.node_name == node.spec.name
+            for p in node.pods.values()
+        )
+    for name, ns in cluster.namespaces.items():
+        live = [
+            p
+            for (pod_ns, _), p in cluster.pods.items()
+            if pod_ns == name and not p.is_terminal
+        ]
+        expected = _summed(p.request for p in live)
+        assert ns.used.cpu == pytest.approx(expected.cpu, abs=1e-9)
+        assert (ns.used.memory, ns.used.gpu) == (expected.memory, expected.gpu)
+        assert ns.pod_count == len(live)
+    for pod in cluster.pending_pods():
+        for node in cluster.nodes.values():
+            assert node.can_fit(pod.request) == pod.request.fits_within(node.free)
+
+
+class TestAccountingInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(ops=ACCOUNTING_OPS)
+    def test_allocated_and_quota_track_pod_requests(self, ops):
+        """Random creates, deletes and waits (pods finish, high-priority
+        pods preempt): after every kernel step each node's allocation and
+        each namespace's quota charge equal the summed ``request`` of the
+        pods they hold, and ``can_fit`` agrees with ``free``."""
+        env = Environment()
+        cluster = Cluster(env)
+        cluster.add_node(fiona_node_spec("cpu-0"))
+        cluster.add_node(fiona8_node_spec("gpu-0"))
+        cluster.create_namespace("a")
+        cluster.create_namespace("b", weight=2.0)
+        cluster.create_namespace("tight", quota=ResourceQuota(cpu=6, gpu=2))
+        pods = []
+
+        def driver(env):
+            for op, k in ops:
+                if op == "create":
+                    cpu, memory, gpu = _SHAPES[k % len(_SHAPES)]
+                    spec = sleeper_spec(
+                        duration=1 + k % 40,
+                        cpu=cpu,
+                        memory=memory,
+                        gpu=gpu,
+                        priority_class=_CLASSES[(k // 7) % len(_CLASSES)],
+                    )
+                    try:
+                        pods.append(
+                            cluster.create_pod(
+                                f"p{len(pods)}",
+                                spec,
+                                namespace=_NAMESPACES[(k // 3) % len(_NAMESPACES)],
+                            )
+                        )
+                    except QuotaExceededError:
+                        pass
+                elif op == "delete" and pods:
+                    cluster.delete_pod(pods[k % len(pods)])
+                else:
+                    yield env.timeout(k % 25)
+            yield env.timeout(0)
+
+        env.process(driver(env))
+        while env.peek() < float("inf"):
+            env.step()
+            _assert_accounting(cluster)
+        for node in cluster.nodes.values():
+            assert node.pods == {}
+            assert node.allocated.cpu == pytest.approx(0.0, abs=1e-9)
+            assert node.allocated.gpu == 0 and node.allocated.memory == 0
 
 
 class TestFlowInvariants:

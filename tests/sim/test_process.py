@@ -211,6 +211,29 @@ class TestInterrupt:
         assert env.now == 10
 
 
+    def test_interrupt_before_first_step_lands_at_first_yield(self, env):
+        """A process interrupted before it ever ran takes its first step,
+        and the interrupt reaches its handler at the first ``yield``."""
+        steps = []
+
+        def victim(env):
+            steps.append("started")
+            try:
+                yield env.timeout(100)
+            except ProcessKilled as exc:
+                return ("killed", exc.cause, env.now)
+
+        def spawner(env):
+            yield env.timeout(5)
+            v = env.process(victim(env))
+            v.interrupt(cause="deleted")
+            return (yield v)
+
+        result = env.run(until=env.process(spawner(env)))
+        assert steps == ["started"]
+        assert result == ("killed", "deleted", 5)
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         def make_trace():

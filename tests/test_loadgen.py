@@ -5,8 +5,11 @@ The full acceptance drill (50 tenants × 4 workflows) runs in
 invariants on a smaller copy fast enough for tier-1.
 """
 
+import hashlib
+
 import pytest
 
+import repro.loadgen as loadgen
 from repro.loadgen import LoadgenConfig, run_loadtest
 
 
@@ -124,10 +127,41 @@ PINNED_DEFAULT_DRILL = {
     },
 }
 
+#: :func:`registry_digest` of the default drill's testbed per seed: every
+#: metric series, so a control-plane change that keeps the outcomes but
+#: moves any sample (a bind latency, a pending-pod gauge) fails here.
+PINNED_DEFAULT_REGISTRY = {7: "443a433e0128875e", 42: "2aa54b3b3cb02f8f"}
+
+
+def registry_digest(registry) -> str:
+    """SHA-256 over every ``(name, labels) -> (times, values)`` series."""
+    h = hashlib.sha256()
+    for name in registry.names():
+        for ts in registry.all_series(name):
+            h.update(repr((ts.name, ts.labels, ts.times, ts.values)).encode())
+    return h.hexdigest()[:16]
+
 
 @pytest.fixture(scope="module", params=sorted(PINNED_DEFAULT_DRILL))
-def default_report(request):
-    return run_loadtest(LoadgenConfig(seed=request.param))
+def default_drill(request):
+    """The default drill's report and the testbed it ran on."""
+    built = []
+    build = loadgen.build_nautilus_testbed
+
+    def capture(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loadgen, "build_nautilus_testbed", capture)
+        report = run_loadtest(LoadgenConfig(seed=request.param))
+    assert len(built) == 1
+    return report, built[0]
+
+
+@pytest.fixture(scope="module")
+def default_report(default_drill):
+    return default_drill[0]
 
 
 def test_default_drill_matches_pinned_outputs(default_report):
@@ -135,6 +169,13 @@ def test_default_drill_matches_pinned_outputs(default_report):
     assert default_report.checksum() == pinned["checksum"]
     assert default_report.makespan_s == pinned["makespan_s"]
     assert default_report.latency_by_class == pinned["latency_by_class"]
+
+
+def test_default_drill_matches_pinned_registry(default_drill):
+    report, testbed = default_drill
+    assert registry_digest(testbed.registry) == (
+        PINNED_DEFAULT_REGISTRY[report.config.seed]
+    )
 
 
 def test_default_drill_reports_scheduler_queue_depth(default_report):
