@@ -21,6 +21,9 @@ PAPER_TABLE = {
                           minutes=None),  # paper: NA
 }
 
+#: Relative error allowed on every timed step's minutes.
+TIME_BOUND = 0.10
+
 
 def test_table1_summary(paper_run):
     _testbed, _workflow, report = paper_run
@@ -45,6 +48,13 @@ def test_table1_summary(paper_run):
         if paper["minutes"] is None:
             assert measured["total_time"] == "NA", step_name
         else:
-            assert measured["total_minutes"] == pytest.approx(
-                paper["minutes"], rel=0.10
+            minutes = measured["total_minutes"]
+            error = abs(minutes - paper["minutes"]) / paper["minutes"]
+            print(
+                f"{step_name:>13}: {minutes:7.1f} min vs paper "
+                f"{paper['minutes']:6.0f} min, error {error:6.2%} "
+                f"(bound {TIME_BOUND:.0%})"
+            )
+            assert minutes == pytest.approx(
+                paper["minutes"], rel=TIME_BOUND
             ), step_name

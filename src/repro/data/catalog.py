@@ -112,15 +112,25 @@ class MerraArchive:
         Raises :class:`IndexError` before building any granule if an
         index is negative or past the end (no wrap-around).
         """
+        full, subset = self.sizes_at(indices)
+        return [
+            GranuleInfo(*fields)
+            for fields in zip(indices, full.tolist(), subset.tolist())
+        ]
+
+    def sizes_at(self, indices: _t.Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The full and subset sizes of the granules at ``indices``.
+
+        Two float arrays in the order given; raises :class:`IndexError`
+        like :meth:`granules_at`.
+        """
         if len(indices) == 0:
-            return []
+            return self._full_sizes[:0], self._subset_sizes[:0]
         if min(indices) < 0 or max(indices) >= self.n_files:
             bad = next(i for i in indices if not 0 <= i < self.n_files)
             raise IndexError(f"granule index {bad} out of range")
         at = np.asarray(indices)
-        full = self._full_sizes[at].tolist()
-        subset = self._subset_sizes[at].tolist()
-        return [GranuleInfo(*fields) for fields in zip(indices, full, subset)]
+        return self._full_sizes[at], self._subset_sizes[at]
 
     def granules(self) -> _t.Iterator[GranuleInfo]:
         """Iterate all granules in time order."""

@@ -16,7 +16,9 @@ mechanism.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import operator
 import typing as _t
 
 import numpy as np
@@ -84,6 +86,7 @@ class Flow:
         "resources",
         "nbytes",
         "remaining",
+        "done_below",
         "rate",
         "event",
         "start_time",
@@ -103,6 +106,8 @@ class Flow:
         self.resources = tuple(resources)
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
+        #: Residual bytes at or under which the flow counts as complete.
+        self.done_below = max(_EPS_BYTES, 1e-9 * self.nbytes)
         self.rate = 0.0
         self.event = event
         self.start_time = start_time
@@ -114,58 +119,86 @@ class Flow:
         return f"<Flow {self.name or self.id} {self.remaining:.3g}B left @ {self.rate:.3g}B/s>"
 
 
-def max_min_rates(flows: _t.Sequence[Flow]) -> dict[Flow, float]:
+_resources_of = operator.attrgetter("resources")
+_rate_of = operator.attrgetter("rate")
+
+
+def max_min_rates(flows: _t.Collection[Flow]) -> dict[Flow, float]:
     """Progressive-filling max-min fair allocation.
 
     Returns the fair rate for every flow.  Flows with an empty resource
     list are unconstrained (rate ``inf`` — local copies); flows crossing
     a ``blocked`` resource are stalled at rate 0.
 
-    The fill is one pass: every unfrozen flow has the same rate, the
-    running fill ``level``, so a flow's rate is the level at the round
-    its tightest resource saturates.
+    Flows on one route always get the same rate, so the fill runs per
+    route: each resource keeps the count of unfrozen flows crossing it,
+    and a route that repeats a resource counts once there.  A route is
+    one ``resources`` tuple *object* (:class:`FlowSimulator` gives every
+    flow on a path the same tuple); equal tuples that are distinct
+    objects fill as separate routes, with the same rates.  The fill is
+    one pass: every unfrozen flow has the same rate, the running fill
+    ``level``, so a route's rate is the level at the round its tightest
+    resource saturates.
     """
-    rates: dict[Flow, float] = {}
-    users: dict[CapacityResource, dict[Flow, None]] = {}
-    for flow in flows:
-        rates[flow] = 0.0 if flow.resources else float("inf")
-        for res in flow.resources:
-            members = users.get(res)
-            if members is None:
-                users[res] = {flow: None}
+    routes = list(map(_resources_of, flows))
+    keys = list(map(id, routes))
+    route_of = dict(zip(keys, routes))
+    rate_of: dict[int, float] = {}
+    #: unfrozen route -> (its flow count, its distinct resources)
+    live: dict[int, tuple[int, tuple[CapacityResource, ...]]] = {}
+    #: resource -> unfrozen flows crossing it (no zero entries)
+    counts: dict[CapacityResource, int] = {}
+    crossing: dict[CapacityResource, list[int]] = {}
+    for key, n in collections.Counter(keys).items():
+        route = route_of[key]
+        if not route:
+            rate_of[key] = float("inf")
+            continue
+        hops = tuple(dict.fromkeys(route))
+        live[key] = (n, hops)
+        for res in hops:
+            if res in counts:
+                counts[res] += n
+                crossing[res].append(key)
             else:
-                members[flow] = None
+                counts[res] = n
+                crossing[res] = [key]
 
     def freeze(res: CapacityResource, rate: float) -> None:
-        """Fix every flow still crossing ``res`` at ``rate``."""
-        for flow in users.pop(res, ()):
-            rates[flow] = rate
-            for other in flow.resources:
-                members = users.get(other)
-                if members is not None:
-                    members.pop(flow, None)
-                    if not members:
-                        del users[other]
+        """Fix every route still crossing ``res`` at ``rate``."""
+        for key in crossing[res]:
+            frozen = live.pop(key, None)
+            if frozen is None:
+                continue
+            rate_of[key] = rate
+            n, hops = frozen
+            for hop in hops:
+                left = counts[hop] - n
+                if left:
+                    counts[hop] = left
+                else:
+                    del counts[hop]
 
-    for res in [res for res in users if res.blocked]:
+    for res in [res for res in counts if res.blocked]:
         freeze(res, 0.0)
 
-    cap_left = {res: res.capacity for res in users}
+    cap_left = {res: res.capacity for res in counts}
     level = 0.0
-    while users:
+    while counts:
         # Uniform increment until the tightest resource saturates.
-        inc = min(cap_left[res] / len(members) for res, members in users.items())
+        inc = min([cap_left[res] / n for res, n in counts.items()])
         level += inc
         saturated: list[CapacityResource] = []
-        for res, members in users.items():
-            cap_left[res] -= inc * len(members)
-            if cap_left[res] <= 1e-9 * res.capacity:
+        for res, n in counts.items():
+            left = cap_left[res] - inc * n
+            cap_left[res] = left
+            if left <= 1e-9 * res.capacity:
                 saturated.append(res)
         if not saturated:  # pragma: no cover - numerical guard
-            saturated = list(users)
+            saturated = list(counts)
         for res in saturated:
             freeze(res, level)
-    return rates
+    return dict(zip(flows, map(rate_of.__getitem__, keys)))
 
 
 class FlowSimulator:
@@ -188,6 +221,8 @@ class FlowSimulator:
         #: resource -> the live flows crossing it (no empty entries)
         self._members: dict[CapacityResource, dict[Flow, None]] = {}
         self._handles: dict[Event, Flow] = {}
+        #: one tuple object per distinct path: the solver groups by identity
+        self._routes: dict[tuple[CapacityResource, ...], tuple[CapacityResource, ...]] = {}
         self._wake: Event | None = None
         self._proc = env.process(self._coordinator(), name="flowsim")
         self.completed_count = 0
@@ -225,7 +260,9 @@ class FlowSimulator:
             return done
 
         flow_done = self.env.event()
-        flow = Flow(name, resources, nbytes, flow_done, self.env.now)
+        route = tuple(resources)
+        route = self._routes.setdefault(route, route)
+        flow = Flow(name, route, nbytes, flow_done, self.env.now)
         self._add(flow)
         if self.tracer is not None:
             self._flow_spans[flow.id] = self.tracer.start(
@@ -331,18 +368,30 @@ class FlowSimulator:
                 res.allocated_rate = 0.0
 
     def _rate_through(self, res: CapacityResource) -> float:
-        return sum((f.rate for f in self._members.get(res, ())), 0.0)
+        return sum(map(_rate_of, self._members.get(res, ())), 0.0)
 
-    def _recompute(self) -> None:
-        rates = max_min_rates(list(self._flows))
+    def _recompute(self) -> float:
+        """Re-plan every rate; return the time to the next completion."""
+        rates = max_min_rates(self._flows)
+        horizon = float("inf")
         for flow in self._flows:
-            flow.rate = rates[flow]
+            rate = flow.rate = rates[flow]
+            if rate > 0:
+                left = flow.remaining / rate
+                if left < horizon:
+                    horizon = left
+        # Summed per flow in start order: sampled series see this rounding.
         for res, members in self._members.items():
-            res.allocated_rate = sum((f.rate for f in members), 0.0)
+            res.allocated_rate = sum(map(_rate_of, members), 0.0)
+        return horizon
 
     def sample_rates(self, resources: _t.Iterable[CapacityResource]) -> dict[str, float]:
-        """Accurate instantaneous rates for ``resources`` (monitoring API)."""
-        return {res.name: self._rate_through(res) for res in resources}
+        """Accurate instantaneous rates for ``resources`` (monitoring API).
+
+        Every resource's ``allocated_rate`` is the summed rate of the live
+        flows crossing it whenever the kernel is between steps.
+        """
+        return {res.name: res.allocated_rate for res in resources}
 
     def _coordinator(self):
         while True:
@@ -350,11 +399,7 @@ class FlowSimulator:
                 self._wake = self.env.event()
                 yield self._wake
                 continue
-            self._recompute()
-            horizon = min(
-                (f.remaining / f.rate for f in self._flows if f.rate > 0),
-                default=float("inf"),
-            )
+            horizon = self._recompute()
             self._wake = self.env.event()
             started = self.env.now
             if horizon == float("inf"):
@@ -370,7 +415,7 @@ class FlowSimulator:
             finished: list[Flow] = []
             for flow in self._flows:
                 flow.remaining -= flow.rate * elapsed
-                if flow.remaining <= max(_EPS_BYTES, 1e-9 * flow.nbytes) or (
+                if flow.remaining <= flow.done_below or (
                     flow.rate > 0 and flow.remaining / flow.rate <= time_eps
                 ):
                     finished.append(flow)

@@ -21,7 +21,7 @@ reproduced here:
 """
 
 from repro.transfer.queue import RedisQueue, QueueMessage
-from repro.transfer.thredds import ThreddsServer, SubsetRequest
+from repro.transfer.thredds import ResolvedChunk, ThreddsServer, SubsetRequest
 from repro.transfer.aria2 import Aria2Downloader, DownloadStats
 from repro.transfer.merge import MergePlanner, merged_hdf_size, merge_cpu_seconds
 from repro.transfer.retry import RetryPolicy, TransientFaultInjector, retry_call
@@ -31,6 +31,7 @@ __all__ = [
     "QueueMessage",
     "ThreddsServer",
     "SubsetRequest",
+    "ResolvedChunk",
     "Aria2Downloader",
     "DownloadStats",
     "MergePlanner",

@@ -28,13 +28,20 @@ from repro.netsim.topology import Topology
 from repro.sim import Environment, Resource
 from repro.sim.rng import derive_seed
 from repro.transfer.retry import RetryPolicy, TransientFaultInjector
-from repro.transfer.thredds import SubsetRequest, ThreddsServer
+from repro.transfer.thredds import ResolvedChunk, SubsetRequest, ThreddsServer
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.monitoring.metrics import MetricRegistry
     from repro.tracing.span import Span, Tracer
 
 __all__ = ["DownloadStats", "Aria2Downloader"]
+
+
+def _sizes(requests: _t.Sequence[SubsetRequest]) -> list[float]:
+    """Every request's byte count, in order (a chunk's own column)."""
+    if isinstance(requests, ResolvedChunk):
+        return requests.nbytes
+    return [r.nbytes for r in requests]
 
 
 @dataclasses.dataclass
@@ -288,7 +295,7 @@ class Aria2Downloader:
     def _download_stream(self, requests: _t.Sequence[SubsetRequest]):
         """One connection streaming many files back-to-back: summed
         request overheads + one flow carrying the combined payload."""
-        total = sum(r.nbytes for r in requests)
+        total = sum(_sizes(requests))
         span = self._span_open(
             f"stream:{self.host}:{len(requests)}f", total
         )
@@ -321,9 +328,8 @@ class Aria2Downloader:
         if threshold and len(requests) > max(threshold, self.connections):
             # Round-robin the files across connections so each stream
             # carries a near-equal byte share.
-            groups: list[list[SubsetRequest]] = [
-                list(requests[k :: self.connections])
-                for k in range(self.connections)
+            groups = [
+                requests[k :: self.connections] for k in range(self.connections)
             ]
             procs = [
                 self.env.process(
@@ -343,6 +349,6 @@ class Aria2Downloader:
         if procs:
             yield self.env.all_of(procs)
         stats.files = len(requests)
-        stats.bytes = sum(r.nbytes for r in requests)
+        stats.bytes = sum(_sizes(requests))
         stats.finished_at = self.env.now
         return stats

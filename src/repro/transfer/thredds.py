@@ -16,8 +16,11 @@ per-request service overhead.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import typing as _t
+
+import numpy as np
 
 from repro.data.catalog import GranuleInfo, MerraArchive
 from repro.errors import TransferError, TransientServerError
@@ -25,7 +28,7 @@ from repro.errors import TransferError, TransientServerError
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.transfer.retry import TransientFaultInjector
 
-__all__ = ["SubsetRequest", "ThreddsServer"]
+__all__ = ["ResolvedChunk", "SubsetRequest", "ThreddsServer"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,6 +44,69 @@ class SubsetRequest:
     def url(self) -> str:
         """The granule's fileServer URL on :attr:`host`."""
         return self.granule.url(server=self.host)
+
+
+class ResolvedChunk(collections.abc.Sequence):
+    """A resolved manifest chunk: one :class:`SubsetRequest` per granule,
+    stored as columns.
+
+    ``indices`` and ``nbytes`` are lists; the catalog sizes stay the
+    archive's arrays.  A request (or a slice, itself a chunk) is built
+    when read, so a transfer that needs only the sizes builds no object
+    per granule.  Read-only; compares equal to a list of the same
+    requests.
+    """
+
+    __slots__ = ("indices", "nbytes", "variables", "host", "_full", "_subset")
+
+    def __init__(
+        self,
+        indices: list[int],
+        nbytes: list[float],
+        full: np.ndarray,
+        subset: np.ndarray,
+        variables: tuple[str, ...] | None,
+        host: str,
+    ):
+        self.indices = indices
+        self.nbytes = nbytes
+        self.variables = variables
+        self.host = host
+        self._full = full
+        self._subset = subset
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ResolvedChunk(
+                self.indices[key],
+                self.nbytes[key],
+                self._full[key],
+                self._subset[key],
+                self.variables,
+                self.host,
+            )
+        granule = GranuleInfo(
+            self.indices[key], float(self._full[key]), float(self._subset[key])
+        )
+        return SubsetRequest(granule, self.variables, self.nbytes[key], self.host)
+
+    def __iter__(self) -> _t.Iterator[SubsetRequest]:
+        variables, host = self.variables, self.host
+        for index, full, subset, nbytes in zip(
+            self.indices, self._full.tolist(), self._subset.tolist(), self.nbytes
+        ):
+            yield SubsetRequest(GranuleInfo(index, full, subset), variables, nbytes, host)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, ResolvedChunk)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<ResolvedChunk {len(self)} granules from {self.host}>"
 
 
 class ThreddsServer:
@@ -117,37 +183,33 @@ class ThreddsServer:
 
     def resolve_many(
         self, indices: _t.Sequence[int], variables: _t.Sequence[str] | None = None
-    ) -> list[SubsetRequest]:
+    ) -> ResolvedChunk:
         """Resolve a manifest chunk's worth of granules.
 
         One server round-trip: the transient-fault draw happens once for
         the whole chunk, not per granule, and ``variables`` and every
-        index are validated before any request is counted.
+        index are validated before any request is counted.  Returns the
+        requests as a :class:`ResolvedChunk`, in the order of ``indices``.
         """
         self._maybe_fail(f"resolve_many({len(indices)} granules)")
         return self._resolve_batch(indices, variables)
 
     def _resolve_batch(
         self, indices: _t.Sequence[int], variables: _t.Sequence[str] | None
-    ) -> list[SubsetRequest]:
+    ) -> ResolvedChunk:
         vars_tuple = self._subset_variables(variables)
-        granules = self.archive.granules_at(indices)
+        full, subset = self.archive.sizes_at(indices)
         if vars_tuple is None:
-            sizes = [g.full_bytes for g in granules]
+            sizes = full.tolist()
         else:
             # The catalog's subset size covers all three IVT variables;
             # fewer variables scale proportionally.
             fraction = len(vars_tuple) / len(self.SUBSET_VARIABLES)
-            sizes = [g.subset_bytes * fraction for g in granules]
-        host = self.host
-        requests = [
-            SubsetRequest(g, vars_tuple, nbytes, host)
-            for g, nbytes in zip(granules, sizes)
-        ]
-        self.requests_served += len(requests)
+            sizes = (subset * fraction).tolist()
+        self.requests_served += len(sizes)
         for nbytes in sizes:  # one add per granule, in order: sum() rounds differently
             self.bytes_served += nbytes
-        return requests
+        return ResolvedChunk(list(indices), sizes, full, subset, vars_tuple, self.host)
 
     def _subset_variables(
         self, variables: _t.Sequence[str] | None

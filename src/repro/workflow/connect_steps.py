@@ -219,9 +219,7 @@ class DownloadStep(WorkflowStep):
                         )
                         ctx.gauge("step1_worker_cpu_cores", 0.5, {"worker": worker})
                         stats = yield from downloader.download_batch(requests)
-                        sizes = {
-                            r.granule.index: r.nbytes for r in requests
-                        }
+                        sizes = dict(zip(indices, requests.nbytes))
                         ctx.gauge(
                             "step1_worker_cpu_cores",
                             float(p["worker_cpu"]),

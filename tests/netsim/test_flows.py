@@ -171,6 +171,51 @@ class TestMaxMinParity:
         ]
         assert max_min_rates(flows) == _reference_max_min_rates(flows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        resources=st.lists(
+            st.tuples(st.floats(min_value=1e-3, max_value=1e9), st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        paths=st.lists(
+            st.lists(st.integers(min_value=0, max_value=7), max_size=6),
+            min_size=1,
+            max_size=5,
+        ),
+        picks=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=4), st.booleans()),
+            max_size=60,
+        ),
+    )
+    # three routes, one repeating a hop, one empty, one through a blocked hop
+    @example(
+        resources=[(10.0, False), (4.0, False), (7.0, True)],
+        paths=[[0, 1, 0], [], [0, 2], [1]],
+        picks=[(0, False), (1, False), (2, False), (3, False), (0, True), (3, True)],
+    )
+    def test_many_flows_on_few_routes(self, resources, paths, picks):
+        """Flows drawn from a few shared routes: the per-route fill gives
+        the per-flow reference's rates, and one rate per route.  A pick
+        with its flag set copies the route into a new tuple, so equal
+        routes that are distinct objects are covered too."""
+        pool = []
+        for i, (cap, blocked) in enumerate(resources):
+            res = CapacityResource(f"r{i}", cap)
+            res.blocked = blocked
+            pool.append(res)
+        routes = [tuple(pool[k % len(pool)] for k in path) for path in paths]
+        flows = []
+        for j, (r, copy) in enumerate(picks):
+            route = routes[r % len(routes)]
+            flows.append(Flow(f"f{j}", list(route) if copy else route, 1.0, None, 0.0))
+        rates = max_min_rates(flows)
+        assert rates == _reference_max_min_rates(flows)
+        by_route = {}
+        for flow in flows:
+            by_route.setdefault(flow.resources, set()).add(rates[flow])
+        assert all(len(seen) == 1 for seen in by_route.values())
+
 
 class TestFlowSimulator:
     def test_single_transfer_duration(self, env, sim):

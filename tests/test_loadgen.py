@@ -5,12 +5,11 @@ The full acceptance drill (50 tenants × 4 workflows) runs in
 invariants on a smaller copy fast enough for tier-1.
 """
 
-import hashlib
-
 import pytest
 
 import repro.loadgen as loadgen
 from repro.loadgen import LoadgenConfig, run_loadtest
+from tests.helpers import registry_digest
 
 
 @pytest.fixture(scope="module")
@@ -131,15 +130,6 @@ PINNED_DEFAULT_DRILL = {
 #: metric series, so a control-plane change that keeps the outcomes but
 #: moves any sample (a bind latency, a pending-pod gauge) fails here.
 PINNED_DEFAULT_REGISTRY = {7: "443a433e0128875e", 42: "2aa54b3b3cb02f8f"}
-
-
-def registry_digest(registry) -> str:
-    """SHA-256 over every ``(name, labels) -> (times, values)`` series."""
-    h = hashlib.sha256()
-    for name in registry.names():
-        for ts in registry.all_series(name):
-            h.update(repr((ts.name, ts.labels, ts.times, ts.values)).encode())
-    return h.hexdigest()[:16]
 
 
 @pytest.fixture(scope="module", params=sorted(PINNED_DEFAULT_DRILL))

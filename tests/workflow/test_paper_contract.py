@@ -3,23 +3,43 @@
 One barrier run of CONNECT at the paper's full archive scale, no real
 ML, seed 42 -- the configuration of the ``connect_paper`` benchmark
 workload.  A speed-up must leave its report, artifacts, simulated
-makespan and THREDDS request count bit-identical.
+makespan, THREDDS request count and every metric series bit-identical.
 """
 
 import warnings
 
+import pytest
+
 from perf.workloads import digest
 from repro.testbed import build_nautilus_testbed
 from repro.workflow import WorkflowDriver, build_connect_workflow
+from tests.helpers import registry_digest
 
 
-def test_connect_paper_outputs_pinned():
+@pytest.fixture(scope="module")
+def paper_run():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         testbed = build_nautilus_testbed(seed=42, scale=1.0)
         report = WorkflowDriver(testbed).run(build_connect_workflow(real_ml=False))
+    return report, testbed
+
+
+def test_connect_paper_outputs_pinned(paper_run):
+    report, testbed = paper_run
     artifacts = {step.name: step.artifacts for step in report.steps}
     assert report.succeeded, [s.error for s in report.steps]
     assert digest((report.to_dict(), artifacts)) == "6965c40ef3e71ead"
     assert report.total_duration_s == 93459.2050363148
     assert testbed.thredds.requests_served == 112273
+
+
+def test_connect_paper_registry_pinned(paper_run):
+    """Every registry series, plus the flow engine's and the THREDDS
+    server's byte counters: a solver or resolve change that keeps the
+    report but moves one sample (a link rate, a bytes gauge) fails here."""
+    _, testbed = paper_run
+    assert registry_digest(testbed.registry) == "e3ec740ebbe21264"
+    assert testbed.flowsim.completed_count == 4227
+    assert testbed.flowsim.bytes_moved == 1250521863152.0027
+    assert testbed.thredds.bytes_served == 246007858176.003
