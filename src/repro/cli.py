@@ -18,10 +18,6 @@ Commands
     the spec/dag packs, plus DEPLOY when they declare a gateway or
     client.  ``./lint-baseline.json`` is loaded when present.  Exits
     nonzero on error findings (and on warnings under ``--strict``).
-``bench``
-    Run the batched-compute macro-benchmarks (conv3d, wavefront flood
-    fill, segment_volume, distributed fan-out) and write a
-    ``BENCH_<date>.json`` trajectory artifact.
 ``trace``
     Run the CONNECT workflow with tracing on, export a Chrome
     trace-event JSON (loadable at chrome://tracing or ui.perfetto.dev),
@@ -126,33 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--list-rules", action="store_true",
         help="print every registered rule and exit",
-    )
-
-    p_bench = sub.add_parser(
-        "bench", help="run the batched-compute macro-benchmarks"
-    )
-    p_bench.add_argument("--seed", type=int, default=42, help="root seed")
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny shapes (seconds, for CI); artifact is BENCH_<date>_smoke.json",
-    )
-    p_bench.add_argument(
-        "--repeat", type=int, default=2,
-        help="timing repetitions per path (best-of)",
-    )
-    p_bench.add_argument(
-        "--max-workers", type=int, default=None,
-        help="process-pool width for the distributed fan-out bench",
-    )
-    p_bench.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="directory for the BENCH_<date>.json artifact",
-    )
-    p_bench.add_argument(
-        "--compare", default=None, metavar="FILE",
-        help="prior BENCH_*.json to diff against; exits nonzero on a "
-             ">10%% speedup regression (degraded/non-comparable records "
-             "are skipped)",
     )
 
     p_trace = sub.add_parser(
@@ -352,45 +321,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code(strict=args.strict)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import (
-        compare_artifacts,
-        render_comparison,
-        render_summary,
-        run_benchmarks,
-        write_artifact,
-    )
-
-    records = run_benchmarks(
-        smoke=args.smoke,
-        repeat=args.repeat,
-        max_workers=args.max_workers,
-        seed=args.seed,
-    )
-    path = write_artifact(records, out_dir=args.out, smoke=args.smoke)
-    print(render_summary(records))
-    print(f"\nwrote {path}")
-    if not all(r.outputs_identical for r in records):
-        print("ERROR: optimized path changed the output of at least one "
-              "benchmark", file=sys.stderr)
-        return 1
-    if args.compare is not None:
-        with open(args.compare, encoding="utf-8") as fh:
-            old = json.load(fh)
-        with open(path, encoding="utf-8") as fh:
-            new = json.load(fh)
-        comparison = compare_artifacts(old, new)
-        print()
-        print(render_comparison(comparison, old_label=args.compare))
-        if comparison["regressions"]:
-            print(f"ERROR: {len(comparison['regressions'])} benchmark(s) "
-                  "regressed by >10% speedup", file=sys.stderr)
-            return 1
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
@@ -518,8 +448,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return _cmd_run(args)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "loadtest":

@@ -21,8 +21,8 @@ scheduling latency while low-priority traffic absorbs the shedding.
 Everything is measured through ``repro.obs`` metrics: admission→bind
 latency percentiles per priority class, scheduler throughput, queue
 depths, preemption and shed counters.  ``python -m repro loadtest``
-drives this module; ``repro bench`` runs it twice on one seed and
-checksums the outcome summary to pin determinism.
+drives this module; ``tests/test_loadgen.py`` pins the checksum of the
+outcome summary per seed to hold the drill deterministic.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class LoadTestReport:
 
     def outcome_summary(self) -> list[tuple]:
         """Canonical, order-independent projection of every outcome —
-        the determinism fingerprint ``repro bench`` checksums."""
+        the determinism fingerprint ``tests/test_loadgen.py`` pins."""
         return sorted(
             (o.tenant, o.workflow, o.priority_class, o.outcome, o.reason)
             for o in self.outcomes

@@ -212,8 +212,8 @@ def layer_overlap(
     *simultaneously*.  A barrier-driven workflow shows ``compute`` /
     ``transfer`` overlap only inside individual steps; the pipelined
     driver's whole point is to grow this number across step boundaries
-    (training compute over download transfer), so the bench asserts on
-    it directly.
+    (training compute over download transfer), so the pipelined-driver
+    tests assert on it directly.
 
     Uses the same clipping and malformed-span rules as
     :func:`attribute_layers`, so the result is comparable with (and never

@@ -1,8 +1,10 @@
 """The overload drill's core invariants on a scaled-down fleet.
 
-The full acceptance drill (50 tenants × 4 workflows) runs in
-``repro bench`` and the CI ``loadtest-smoke`` job; these tests pin the
-invariants on a smaller copy fast enough for tier-1.
+The full acceptance drill (50 tenants × 4 workflows) is pinned per seed
+below (outcome checksum, makespan, latency percentiles); the CI
+``loadtest-smoke`` job runs a 12-tenant copy under a second hash seed.
+The remaining tests check the invariants on a smaller copy fast enough
+for tier-1.
 """
 
 import pytest

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import StreamBrokenError
 from repro.sim.environment import Environment
 from repro.testbed import build_nautilus_testbed
+from repro.tracing import analyze_run, layer_overlap
 from repro.workflow import (
     END,
     StreamChannel,
@@ -300,13 +301,18 @@ CONNECT_OVERRIDES = {
 
 class TestConnectOverlap:
     @pytest.fixture(scope="class")
-    def both_runs(self):
+    def traced_runs(self):
+        """overlap -> (testbed, report); the testbed keeps the spans."""
         out = {}
         for overlap in (False, True):
             tb = build_nautilus_testbed(seed=42, scale=0.002)
             wf = build_connect_workflow(tb, overrides=CONNECT_OVERRIDES)
-            out[overlap] = WorkflowDriver(tb).run(wf, overlap=overlap)
+            out[overlap] = (tb, WorkflowDriver(tb).run(wf, overlap=overlap))
         return out
+
+    @pytest.fixture(scope="class")
+    def both_runs(self, traced_runs):
+        return {overlap: report for overlap, (_, report) in traced_runs.items()}
 
     def test_both_modes_succeed(self, both_runs):
         assert both_runs[False].succeeded
@@ -321,6 +327,25 @@ class TestConnectOverlap:
         training = both_runs[True].step("training")
         download = both_runs[True].step("download")
         assert training.start_time < download.end_time
+
+    def test_compute_transfer_overlap_grows(self, traced_runs):
+        # The makespan win is visible in the trace: training compute runs
+        # alongside download transfer where the barrier kept them apart.
+        overlap_s = {}
+        for overlap, (tb, _) in traced_runs.items():
+            spans = tb.tracer.finished_spans()
+            root = [s for s in spans if s.category == "workflow"][-1]
+            overlap_s[overlap] = layer_overlap(spans, root, "compute",
+                                               "transfer")
+        assert overlap_s[True] > overlap_s[False]
+
+    def test_layer_partition_sums_to_makespan(self, traced_runs):
+        for tb, report in traced_runs.values():
+            analysis = analyze_run(tb.tracer.finished_spans())
+            assert analysis.total_s == pytest.approx(report.total_duration_s)
+            assert sum(analysis.layers.values()) == pytest.approx(
+                report.total_duration_s
+            )
 
     def test_artifacts_identical_across_modes(self, both_runs):
         a = {s.name: s.to_dict()["artifacts"] for s in both_runs[False].steps}
