@@ -32,9 +32,7 @@ reproduction, exposed as ``python -m repro lint``.  Rule packs:
 
 Findings carry a rule code, severity, location and suggestion;
 :class:`Baseline` files grandfather accepted findings so the linter can
-gate CI (``--strict``) without stopping the world, and
-:mod:`~repro.analysis.sarif` renders reports as SARIF 2.1.0 for
-code-scanning UIs.
+gate CI (``--strict``) without stopping the world.
 """
 
 from repro.analysis.baseline import Baseline
@@ -66,7 +64,6 @@ from repro.analysis.model import (
     workflow_views_from_dict,
 )
 from repro.analysis.registry import Rule, RuleRegistry, registry
-from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
 from repro.analysis.taint import run_taint_analysis
 from repro.analysis.workflow_rules import STRUCTURAL_DAG_CODES
 
@@ -104,13 +101,10 @@ __all__ = [
     "lint_workflow",
     "pod_view_from_spec",
     "registry",
-    "render_sarif",
     "run_concurrency_rules",
     "run_deployment_rules",
     "run_taint_analysis",
     "spec_view_from_dict",
-    "to_sarif",
-    "validate_sarif",
     "workflow_view",
     "workflow_views_from_dict",
 ]

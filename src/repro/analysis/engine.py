@@ -84,11 +84,6 @@ class LintReport:
         lines.append(self.summary())
         return "\n".join(lines)
 
-    def render_sarif(self) -> str:
-        from repro.analysis.sarif import render_sarif
-
-        return render_sarif(self)
-
     def render_json(self) -> str:
         return json.dumps(
             {

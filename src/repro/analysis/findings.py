@@ -79,7 +79,7 @@ class Finding:
     #: dotted name of the enclosing function/method ("Cls.method"), when
     #: the finding points into source code; anchors the fingerprint
     qualname: str = ""
-    #: the offending source line(s), used for fingerprints and SARIF
+    #: the offending source line(s), used for fingerprints
     snippet: str = ""
 
     @property

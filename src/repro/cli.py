@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
              "loadtest deployment and the repro package sources",
     )
     p_lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (sarif = SARIF 2.1.0 for code-scanning UIs)",
+        "--format", choices=("text", "json"), default="text",
+        help="output format",
     )
     p_lint.add_argument(
         "--strict", action="store_true",
@@ -314,8 +314,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(report.render_json())
-    elif args.format == "sarif":
-        print(report.render_sarif())
     else:
         print(report.render_text())
     return report.exit_code(strict=args.strict)

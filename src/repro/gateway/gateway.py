@@ -26,7 +26,7 @@ flood of pods from one of them.  The gateway sits in front of
   half-opens onto a probe after a cooldown.
 
 Every decision is returned as an :class:`AdmissionDecision` and counted
-through ``repro.obs`` metrics (``gateway_admitted_total``,
+through :mod:`repro.monitoring.metrics` (``gateway_admitted_total``,
 ``gateway_rejected_total{reason}``, ``gateway_shed_total``,
 ``gateway_queue_depth``).
 """

@@ -18,7 +18,7 @@ backpressure, retries exhausted), or ``failed`` (pod killed by faults,
 retries exhausted) — and high-priority tenants must keep bounded
 scheduling latency while low-priority traffic absorbs the shedding.
 
-Everything is measured through ``repro.obs`` metrics: admission→bind
+Everything is measured through the metric registry: admission→bind
 latency percentiles per priority class, scheduler throughput, queue
 depths, preemption and shed counters.  ``python -m repro loadtest``
 drives this module; ``tests/test_loadgen.py`` pins the checksum of the

@@ -1,12 +1,5 @@
 """Monitoring: Prometheus-like metrics and Grafana-like dashboards.
 
-.. deprecated::
-    Importing from ``repro.monitoring`` is deprecated — the unified
-    observability facade is :mod:`repro.obs` (``repro.obs.metrics`` for
-    the registry/sampler/promql/dashboards/alerts, ``repro.obs.tracing``
-    for spans, ``repro.obs.reports`` for workflow reports).  The old
-    paths keep working but emit :class:`DeprecationWarning`.
-
 Paper §II-A: "Nautilus needs software to monitor the health, availability,
 and performance of resources.  Grafana is an open source platform for
 time series analytics.  It graphs cluster health and performance data
@@ -17,68 +10,6 @@ performance measurements were presented using the CHASE-CI dashboard
 visualizations in Grafana" (§VIII).
 
 The implementations live in the submodules (``repro.monitoring.metrics``,
-``.sampler``, ``.promql``, ``.grafana``, ``.alerts``), which internal
-code imports directly and warning-free.
+``.sampler``, ``.promql``, ``.grafana``, ``.alerts``); import each name
+from its submodule.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-
-__all__ = [
-    "MetricRegistry",
-    "TimeSeries",
-    "Sampler",
-    "promql",
-    "Dashboard",
-    "Panel",
-    "Alert",
-    "AlertManager",
-    "AlertRule",
-    "AlertState",
-]
-
-#: package-level name -> (implementation module, attribute)
-_EXPORTS: dict[str, tuple[str, str]] = {
-    "MetricRegistry": ("repro.monitoring.metrics", "MetricRegistry"),
-    "TimeSeries": ("repro.monitoring.metrics", "TimeSeries"),
-    "METRIC_ALIASES": ("repro.monitoring.metrics", "METRIC_ALIASES"),
-    "canonical_metric_name": (
-        "repro.monitoring.metrics",
-        "canonical_metric_name",
-    ),
-    "Sampler": ("repro.monitoring.sampler", "Sampler"),
-    "Dashboard": ("repro.monitoring.grafana", "Dashboard"),
-    "Panel": ("repro.monitoring.grafana", "Panel"),
-    "Alert": ("repro.monitoring.alerts", "Alert"),
-    "AlertManager": ("repro.monitoring.alerts", "AlertManager"),
-    "AlertRule": ("repro.monitoring.alerts", "AlertRule"),
-    "AlertState": ("repro.monitoring.alerts", "AlertState"),
-}
-
-
-def __getattr__(name: str):  # PEP 562 deprecation shim
-    if name == "promql":
-        warnings.warn(
-            "importing promql from repro.monitoring is deprecated; "
-            "use repro.obs.metrics (or repro.monitoring.promql directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return importlib.import_module("repro.monitoring.promql")
-    target = _EXPORTS.get(name)
-    if target is not None:
-        warnings.warn(
-            f"importing {name} from repro.monitoring is deprecated; "
-            "use repro.obs.metrics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        module = importlib.import_module(target[0])
-        return getattr(module, target[1])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS) | {"promql"})

@@ -9,37 +9,9 @@ import numpy as np
 
 from repro.sim import Environment
 
-__all__ = [
-    "TimeSeries",
-    "MetricRegistry",
-    "METRIC_ALIASES",
-    "canonical_metric_name",
-]
+__all__ = ["TimeSeries", "MetricRegistry"]
 
 Labels = _t.Mapping[str, str]
-
-#: Legacy metric name -> canonical Prometheus-convention name
-#: (snake_case with unit suffixes).  The registry normalizes **every**
-#: name through this map — writers and readers alike — so dashboards,
-#: PromQL queries, and tests using either spelling resolve to the same
-#: series.  New code should use the canonical (right-hand) names.
-METRIC_ALIASES: dict[str, str] = {
-    "node_cpu_allocated": "node_cpu_allocated_cores",
-    "node_memory_allocated": "node_memory_allocated_bytes",
-    "node_gpu_in_use": "node_gpus_in_use",
-    "ceph_bytes_used": "ceph_used_bytes",
-    "thredds_egress_Bps": "thredds_egress_bytes_per_second",
-    "ceph_disk_write_Bps": "ceph_disk_write_bytes_per_second",
-    "step1_worker_cpu": "step1_worker_cpu_cores",
-    "step1_bytes_downloaded": "step1_downloaded_bytes_total",
-    "step1_files_downloaded": "step1_downloaded_files_total",
-    "step3_voxels_done": "step3_voxels_done_total",
-}
-
-
-def canonical_metric_name(name: str) -> str:
-    """Resolve a (possibly legacy) metric name to its canonical form."""
-    return METRIC_ALIASES.get(name, name)
 
 
 def _label_key(labels: Labels | None) -> tuple[tuple[str, str], ...]:
@@ -103,12 +75,8 @@ class MetricRegistry:
     # -- writing -----------------------------------------------------------------
 
     def series(self, name: str, labels: Labels | None = None) -> TimeSeries:
-        """The series for (name, labels), created on first use.
-
-        Legacy names resolve through :data:`METRIC_ALIASES`, so old and
-        new spellings address one series.
-        """
-        key = (canonical_metric_name(name), _label_key(labels))
+        """The series for (name, labels), created on first use."""
+        key = (name, _label_key(labels))
         ts = self._series.get(key)
         if ts is None:
             ts = TimeSeries(key[0], key[1])
@@ -142,7 +110,7 @@ class MetricRegistry:
         """Counter increment stamped at an explicit timestamp."""
         if amount < 0:
             raise ValueError("counters only go up")
-        key = (canonical_metric_name(name), _label_key(labels))
+        key = (name, _label_key(labels))
         total = self._counter_totals.get(key, 0.0) + amount
         self._counter_totals[key] = total
         self.series(name, labels).append(t, total)
@@ -153,21 +121,17 @@ class MetricRegistry:
         return sorted({name for name, _ in self._series})
 
     def all_series(self, name: str) -> list[TimeSeries]:
-        """Every labelled series under a metric name (aliases resolve)."""
-        name = canonical_metric_name(name)
+        """Every labelled series under a metric name."""
         return [ts for (n, _), ts in sorted(self._series.items()) if n == name]
 
     def get(self, name: str, labels: Labels | None = None) -> TimeSeries | None:
-        return self._series.get((canonical_metric_name(name), _label_key(labels)))
+        return self._series.get((name, _label_key(labels)))
 
     def counter_total(self, name: str, labels: Labels | None = None) -> float:
-        return self._counter_totals.get(
-            (canonical_metric_name(name), _label_key(labels)), 0.0
-        )
+        return self._counter_totals.get((name, _label_key(labels)), 0.0)
 
     def counter_sum(self, name: str) -> float:
         """A counter's total summed across every label set."""
-        name = canonical_metric_name(name)
         return sum(
             total
             for (n, _), total in self._counter_totals.items()

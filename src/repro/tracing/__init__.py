@@ -21,8 +21,6 @@ span-based trace through every layer of the reproduction:
   trace-event JSON, span-derived series into the
   :class:`~repro.monitoring.metrics.MetricRegistry`, and span-tree
   validation.
-
-The unified import surface for all of this is :mod:`repro.obs`.
 """
 
 from repro.tracing.span import LAYER_CATEGORIES, Span, Tracer, validate_spans

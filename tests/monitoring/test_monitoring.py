@@ -154,15 +154,6 @@ class TestSampler:
         assert sampler.scrapes == 7
         assert registry.names() == []
 
-    def test_legacy_alias_writes_canonical_series(self, env, registry):
-        sampler = Sampler(env, registry, interval=10)
-        sampler.add_probe("node_cpu_allocated", lambda: 4.0, {"node": "n1"})
-        env.run(until=20)
-        assert registry.names() == ["node_cpu_allocated_cores"]
-        ts = registry.get("node_cpu_allocated_cores", {"node": "n1"})
-        assert ts.times == [0, 10, 20]
-        assert ts.values == [4.0, 4.0, 4.0]
-
 
 class TestPromql:
     def _series(self, registry, pts, name="m", labels=None):

@@ -11,7 +11,7 @@ import pytest
 
 import repro.loadgen as loadgen
 from repro.loadgen import LoadgenConfig, run_loadtest
-from tests.helpers import registry_digest
+from tests.helpers import assert_prometheus_names, registry_digest
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,7 @@ def test_default_drill_matches_pinned_registry(default_drill):
     assert registry_digest(testbed.registry) == (
         PINNED_DEFAULT_REGISTRY[report.config.seed]
     )
+    assert_prometheus_names(testbed.registry)
 
 
 def test_default_drill_reports_scheduler_queue_depth(default_report):

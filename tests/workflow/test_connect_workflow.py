@@ -148,7 +148,7 @@ class TestMonitoringDuringWorkflow:
     def test_per_worker_download_series_exist(self, executed):
         """Figure 3 needs one CPU series per download worker."""
         testbed, _ = executed
-        series = testbed.registry.all_series("step1_worker_cpu")
+        series = testbed.registry.all_series("step1_worker_cpu_cores")
         workers = {dict(ts.labels).get("worker") for ts in series}
         assert len(workers) >= 10
 
@@ -159,7 +159,7 @@ class TestMonitoringDuringWorkflow:
 
     def test_node_gauges_sampled(self, executed):
         testbed, _ = executed
-        assert testbed.registry.all_series("node_cpu_allocated")
+        assert testbed.registry.all_series("node_cpu_allocated_cores")
         assert testbed.sampler.scrapes > 10
 
 

@@ -13,7 +13,7 @@ import pytest
 from perf.workloads import digest
 from repro.testbed import build_nautilus_testbed
 from repro.workflow import WorkflowDriver, build_connect_workflow
-from tests.helpers import registry_digest
+from tests.helpers import assert_prometheus_names, registry_digest
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,11 @@ def test_connect_paper_outputs_pinned(paper_run):
 def test_connect_paper_registry_pinned(paper_run):
     """Every registry series, plus the flow engine's and the THREDDS
     server's byte counters: a solver or resolve change that keeps the
-    report but moves one sample (a link rate, a bytes gauge) fails here."""
+    report but moves one sample (a link rate, a bytes gauge) fails here.
+    Every series it writes follows the Prometheus naming conventions."""
     _, testbed = paper_run
     assert registry_digest(testbed.registry) == "e3ec740ebbe21264"
+    assert_prometheus_names(testbed.registry)
     assert testbed.flowsim.completed_count == 4227
     assert testbed.flowsim.bytes_moved == 1250521863152.0027
     assert testbed.thredds.bytes_served == 246007858176.003

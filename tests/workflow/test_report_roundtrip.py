@@ -116,11 +116,3 @@ def test_report_dict_is_json_safe_with_array_artifacts():
     # Live runs carry ndarray artifacts that serialize to summaries, so
     # the stable invariant is dict-level idempotence, not object equality.
     assert report_to_dict(report_from_dict(d)) == d
-
-
-def test_obs_reports_facade_exposes_the_same_objects():
-    from repro.obs import reports as obs_reports
-
-    assert obs_reports.WorkflowReport is WorkflowReport
-    assert obs_reports.StepReport is StepReport
-    assert obs_reports.save_report is save_report
