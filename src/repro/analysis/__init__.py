@@ -40,7 +40,7 @@ from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.concurrency_rules import run_concurrency_rules
 from repro.analysis.deployment_rules import run_deployment_rules
 from repro.analysis.determinism import lint_python_paths, lint_source
-from repro.analysis.engine import LintEngine, LintReport, lint_cluster, lint_workflow
+from repro.analysis.engine import LintEngine, LintReport, lint_workflow
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.graph import find_cycle, format_cycle
 from repro.analysis.model import (
@@ -57,11 +57,9 @@ from repro.analysis.model import (
     TenantView,
     WorkflowView,
     cluster_view,
-    deployment_view_from_dict,
+    node_views,
     pod_view_from_spec,
-    spec_view_from_dict,
     workflow_view,
-    workflow_views_from_dict,
 )
 from repro.analysis.registry import Rule, RuleRegistry, registry
 from repro.analysis.taint import run_taint_analysis
@@ -92,19 +90,16 @@ __all__ = [
     "WorkflowView",
     "build_call_graph",
     "cluster_view",
-    "deployment_view_from_dict",
     "find_cycle",
     "format_cycle",
-    "lint_cluster",
     "lint_python_paths",
     "lint_source",
     "lint_workflow",
+    "node_views",
     "pod_view_from_spec",
     "registry",
     "run_concurrency_rules",
     "run_deployment_rules",
     "run_taint_analysis",
-    "spec_view_from_dict",
     "workflow_view",
-    "workflow_views_from_dict",
 ]

@@ -8,9 +8,9 @@ pods Pending forever because no FIONA can ever fit them, jobs that give
 up on the first transient fault, services selecting nothing.
 
 Every rule takes a :class:`~repro.analysis.model.ClusterSpecView` and
-yields findings; the same pack runs over live clusters (admission
-hook), the built testbed (``repro lint`` with no arguments), and JSON
-fixtures.
+yields findings.  The whole pack runs over the built testbed (``repro
+lint`` with no arguments); SPEC001 alone runs at the admission gateway
+over each submitted pod.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from repro.analysis.model import ClusterSpecView, PodView
 from repro.analysis.registry import rule
 
 __all__ = ["run_spec_rules"]
-
-
-def _loc(view: ClusterSpecView, kind: str, name: str, namespace: str = "") -> Location:
-    return Location(
-        path=view.source if view.source.endswith(".json") else "",
-        kind=kind,
-        name=name,
-        namespace=namespace,
-    )
 
 
 def _fmt_req(pod: PodView) -> str:
@@ -76,7 +67,9 @@ def check_unschedulable(view: ClusterSpecView) -> _t.Iterator[Finding]:
             code="SPEC001",
             severity=Severity.ERROR,
             message=f"pod {pod.name!r} is unschedulable: {detail}",
-            location=_loc(view, pod.kind, pod.name, pod.namespace),
+            location=Location(
+                kind=pod.kind, name=pod.name, namespace=pod.namespace
+            ),
             suggestion=fix,
         )
 
@@ -103,7 +96,9 @@ def check_missing_requests(view: ClusterSpecView) -> _t.Iterator[Finding]:
                 f"pod {pod.name!r} declares no resource requests; the "
                 "scheduler will pack it blindly and quota cannot account it"
             ),
-            location=_loc(view, pod.kind, pod.name, pod.namespace),
+            location=Location(
+                kind=pod.kind, name=pod.name, namespace=pod.namespace
+            ),
             suggestion="declare cpu/memory requests on every container",
         )
 
@@ -131,7 +126,9 @@ def check_missing_liveness(view: ClusterSpecView) -> _t.Iterator[Finding]:
                 "hang (e.g. behind a network partition) will never be "
                 "detected or restarted"
             ),
-            location=_loc(view, pod.kind, pod.name, pod.namespace),
+            location=Location(
+                kind=pod.kind, name=pod.name, namespace=pod.namespace
+            ),
             suggestion="attach a LivenessProbe so the kubelet restarts hung pods",
         )
 
@@ -154,7 +151,9 @@ def check_job_retry(view: ClusterSpecView) -> _t.Iterator[Finding]:
                 f"job {job.name!r} has backoff_limit=0; any transient pod "
                 "failure (NodeLost, liveness kill) fails the whole job"
             ),
-            location=_loc(view, "Job", job.name, job.namespace),
+            location=Location(
+                kind="Job", name=job.name, namespace=job.namespace
+            ),
             suggestion="set backoff_limit >= 1 (the paper's jobs tolerate "
                        "node churn, §V)",
         )
@@ -205,7 +204,7 @@ def check_quota_oversubscription(view: ClusterSpecView) -> _t.Iterator[Finding]:
                     f"namespace {name!r} quota is oversubscribed by its "
                     f"declared pods: {'; '.join(over)}"
                 ),
-                location=_loc(view, "Namespace", name),
+                location=Location(kind="Namespace", name=name),
                 suggestion="raise the quota or trim pod parallelism — "
                            "admission will reject the overflow at runtime",
             )
@@ -242,7 +241,7 @@ def check_quota_vs_cluster(view: ClusterSpecView) -> _t.Iterator[Finding]:
                     f"namespace {ns.name!r} quota promises more than the "
                     f"cluster holds: {'; '.join(over)}"
                 ),
-                location=_loc(view, "Namespace", ns.name),
+                location=Location(kind="Namespace", name=ns.name),
                 suggestion="size quotas within aggregate node capacity so "
                            "admitted pods can actually schedule",
             )
@@ -275,7 +274,9 @@ def check_service_selector(view: ClusterSpecView) -> _t.Iterator[Finding]:
                 f"pod in namespace {svc.namespace!r}; lookups will resolve "
                 "to zero endpoints"
             ),
-            location=_loc(view, "Service", svc.name, svc.namespace),
+            location=Location(
+                kind="Service", name=svc.name, namespace=svc.namespace
+            ),
             suggestion="align the selector with the pods' labels (or delete "
                        "the stale service)",
         )
@@ -294,7 +295,7 @@ def check_missing_priority(view: ClusterSpecView) -> _t.Iterator[Finding]:
 
     A cluster where nothing declares a priority is fine — every pod is
     implicitly best-effort and the scheduler treats them uniformly, so
-    legacy fixtures stay silent.  But as soon as one spec carries a
+    legacy deployments stay silent.  But as soon as one spec carries a
     priority class (or a nonzero numeric priority), unclassed pods
     silently become universal preemption victims; each one deserves an
     explicit decision (or a baseline entry grandfathering it).
@@ -317,7 +318,9 @@ def check_missing_priority(view: ClusterSpecView) -> _t.Iterator[Finding]:
                 "deployment uses priorities; it will be preempted before "
                 "every classed pod"
             ),
-            location=_loc(view, pod.kind, pod.name, pod.namespace),
+            location=Location(
+                kind=pod.kind, name=pod.name, namespace=pod.namespace
+            ),
             suggestion="set priority_class (best-effort/batch/normal/"
                        "high/system) to make the preemption order explicit",
         )

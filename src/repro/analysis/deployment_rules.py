@@ -69,14 +69,6 @@ def priority_rank(name: str) -> int:
     return PRIORITY_CLASSES.get(name, 0)
 
 
-def _loc(view: DeploymentView, kind: str, name: str) -> Location:
-    return Location(
-        path=view.source if view.source.endswith(".json") else "",
-        kind=kind,
-        name=name,
-    )
-
-
 def _max_concurrent(workflow: WorkflowView, weigh=len) -> "tuple[float, list[str]]":
     """Greedy max-weight antichain of steps that may run concurrently.
 
@@ -142,7 +134,7 @@ def check_retry_storm(view: DeploymentView) -> _t.Iterator[Finding]:
             "triggers an immediate resubmission — a retry storm that "
             "keeps the breaker open and starves well-behaved tenants"
         ),
-        location=_loc(view, "Client", "retry-policy"),
+        location=Location(kind="Client", name="retry-policy"),
         suggestion="honor decision.retry_after_s (sleep at least the hint, "
                    "plus jitter) before resubmitting",
     )
@@ -209,7 +201,7 @@ def check_priority_starvation(view: DeploymentView) -> _t.Iterator[Finding]:
                 "evicts lower priorities, so fair-share weight "
                 f"{tenant.weight:g} is irrelevant"
             ),
-            location=_loc(view, "Tenant", tenant.name),
+            location=Location(kind="Tenant", name=tenant.name),
             suggestion="cap long-running high-class demand below cluster "
                        "capacity, or raise the tenant's priority class",
         )
@@ -249,7 +241,7 @@ def check_quota_infeasible(view: DeploymentView) -> _t.Iterator[Finding]:
                         f"{tenant.name!r}'s namespace {ns.name!r} caps at "
                         f"{ns.quota_gpu:g}; the step can never be admitted"
                     ),
-                    location=_loc(view, "Tenant", tenant.name),
+                    location=Location(kind="Tenant", name=tenant.name),
                     suggestion="shard the step below the quota or raise "
                                "the namespace quota",
                 )
@@ -268,7 +260,7 @@ def check_quota_infeasible(view: DeploymentView) -> _t.Iterator[Finding]:
                         f"{ns.quota_gpu:g}; the wave will serialize "
                         f"behind the quota for tenant {tenant.name!r}"
                     ),
-                    location=_loc(view, "Tenant", tenant.name),
+                    location=Location(kind="Tenant", name=tenant.name),
                     suggestion="add dependencies to stagger the wave, or "
                                "size the quota for the full wave",
                 )
@@ -304,7 +296,7 @@ def check_burst_infeasible(view: DeploymentView) -> _t.Iterator[Finding]:
                     f"{tenant.burst:g} + queue {gw.max_queue_depth}); "
                     "part of every wave is rejected by construction"
                 ),
-                location=_loc(view, "Tenant", tenant.name),
+                location=Location(kind="Tenant", name=tenant.name),
                 suggestion="lower the fan-out, raise the burst, or deepen "
                            "the admission queue",
             )
@@ -345,7 +337,7 @@ def check_retry_amplification(view: DeploymentView) -> _t.Iterator[Finding]:
             f"the storm bound of {RETRY_AMPLIFICATION_BOUND}; under "
             "chaos the fleet amplifies its own failures"
         ),
-        location=_loc(view, "Client", "retry-policy"),
+        location=Location(kind="Client", name="retry-policy"),
         suggestion="budget retries at one layer (usually pod resubmission) "
                    "and cap the product below the bound",
     )

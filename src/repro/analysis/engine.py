@@ -2,12 +2,12 @@
 
 One :class:`LintEngine` call covers every entry point:
 
-- ``repro lint`` (CLI) — lints paths (Python sources and JSON spec
-  fixtures) or, with no paths, the built testbed, the CONNECT
-  workflow, the loadtest deployment and the package sources.
-- :meth:`repro.cluster.Cluster.enable_admission_lint` — the spec pack
-  as an admission hook.
-- ``Workflow.__init__`` — structural DAG rules at construction time.
+- ``repro lint`` (CLI) — lints Python paths or, with no paths, the
+  built testbed, the CONNECT workflow, the loadtest deployment and the
+  package sources.
+- ``Workflow.__init__`` — the dag pack at construction time.
+
+The admission gateway runs SPEC001 on its own, without an engine.
 
 The engine owns rule selection (``--select``/``--disable``), baseline
 suppression, and the exit-code policy: errors always fail, warnings
@@ -32,17 +32,13 @@ from repro.analysis.model import (
     ClusterSpecView,
     DeploymentView,
     WorkflowView,
-    cluster_view,
-    deployment_view_from_dict,
-    spec_view_from_dict,
     workflow_view,
-    workflow_views_from_dict,
 )
 from repro.analysis.registry import registry
 from repro.analysis.taint import run_taint_analysis
 from repro.analysis.workflow_rules import run_dag_rules
 
-__all__ = ["LintEngine", "LintReport", "lint_workflow", "lint_cluster"]
+__all__ = ["LintEngine", "LintReport", "lint_workflow"]
 
 
 @dataclasses.dataclass
@@ -170,30 +166,20 @@ class LintEngine:
     def lint_paths(
         self, paths: _t.Sequence["str | pathlib.Path"]
     ) -> LintReport:
-        """Dispatch paths by type: ``.py``/dirs -> det + conc packs,
-        ``.json`` fixtures -> spec + dag packs (+ deploy when the file
-        declares ``gateway``/``client`` sections)."""
-        report = LintReport()
-        py_paths: list[pathlib.Path] = []
-        for raw in paths:
-            path = pathlib.Path(raw)
+        """Run the det + conc packs over ``.py`` files and directories.
+
+        Raises :class:`FileNotFoundError` for a missing path and
+        :class:`ValueError` for a file that is not Python source.
+        """
+        py_paths = [pathlib.Path(raw) for raw in paths]
+        for path in py_paths:
             if not path.exists():
                 raise FileNotFoundError(f"no such lint target: {path}")
-            if path.suffix == ".json":
-                data = json.loads(path.read_text())
-                report.merge(
-                    self.run_spec(spec_view_from_dict(data, source=str(path)))
+            if path.is_file() and path.suffix != ".py":
+                raise ValueError(
+                    f"cannot lint {path}: not a Python file or directory"
                 )
-                for view in workflow_views_from_dict(data, source=str(path)):
-                    report.merge(self.run_dag(view))
-                if "gateway" in data or "client" in data:
-                    report.merge(
-                        self.run_deploy(
-                            deployment_view_from_dict(data, source=str(path))
-                        )
-                    )
-            else:
-                py_paths.append(path)
+        report = LintReport()
         if py_paths:
             report.merge(self.run_det(py_paths))
         self._apply_baseline(report)
@@ -227,22 +213,12 @@ class LintEngine:
 
 
 def lint_workflow(
-    workflow: _t.Any,
-    total_gpus: "int | None" = None,
-    codes: _t.Collection[str] | None = None,
+    workflow: _t.Any, total_gpus: "int | None" = None
 ) -> "list[Finding]":
-    """Run the dag pack over a live workflow-like object.
+    """Run the full dag pack over a live workflow-like object.
 
-    ``Workflow.__init__`` calls this with the structural codes; the CLI
-    calls it with the full pack and the testbed's GPU total.
+    ``Workflow.__init__`` calls this and raises on its error findings;
+    ``repro lint`` uses :func:`workflow_view` and
+    :meth:`LintEngine.lint_views` instead.
     """
-    view = workflow_view(workflow, total_gpus=total_gpus)
-    return run_dag_rules(view, codes=codes)
-
-
-def lint_cluster(
-    cluster: _t.Any, engine: "LintEngine | None" = None
-) -> "list[Finding]":
-    """Run the spec pack over a live cluster."""
-    engine = engine or LintEngine()
-    return engine.run_spec(cluster_view(cluster))
+    return run_dag_rules(workflow_view(workflow, total_gpus=total_gpus))

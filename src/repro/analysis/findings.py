@@ -90,10 +90,9 @@ class Finding:
         enclosing qualname and the whitespace-normalized snippet — never
         the absolute line number or the directory — so moving a file
         between directories or shifting code up and down the file keeps
-        a baselined suppression valid.  Spec/DAG findings hash the rule
-        code plus the object coordinates (kind/namespace/name) and the
-        message; the fixture path is deliberately excluded for the same
-        reason.
+        a baselined suppression valid.  Spec, DAG and deploy findings
+        hash the rule code plus the object coordinates
+        (kind/namespace/name) and the message.
         """
         h = hashlib.blake2b(digest_size=8)
         if self.location.path and (self.snippet or self.qualname):

@@ -2,12 +2,13 @@
 
 Rules never touch live :class:`~repro.cluster.cluster.Cluster` or
 :class:`~repro.workflow.Workflow` objects directly — they see small
-frozen view dataclasses.  That buys two things: the same rule runs over
-a *live* cluster (admission hook), over in-memory workflow objects
-(``Workflow.__init__``), and over declarative JSON fixtures (CI,
-pre-flight checks of specs that were never instantiated); and the
-analysis package never imports the workflow layer, so the workflow
-layer is free to import the analysis engine without a cycle.
+frozen view dataclasses built from live objects by the adapters below.
+That buys two things: the same rule runs at the admission gateway (one
+pod against the cluster's nodes), over the built testbed and the CONNECT
+workflow (``repro lint``), and over in-memory workflow objects
+(``Workflow.__init__``); and the analysis package never imports the
+workflow layer, so the workflow layer is free to import the analysis
+engine without a cycle.
 
 Adapters here are duck-typed: any object with the right attributes
 (``depends_on``, ``timeout_s``, ``spec.total_request()``...) converts.
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import typing as _t
-
-from repro.cluster.quantity import parse_cpu, parse_memory
 
 __all__ = [
     "NodeView",
@@ -34,9 +33,9 @@ __all__ = [
     "ClientRetryView",
     "DeploymentView",
     "cluster_view",
+    "node_views",
     "pod_view_from_spec",
     "workflow_view",
-    "deployment_view_from_dict",
 ]
 
 
@@ -136,7 +135,6 @@ class ClusterSpecView:
     pods: tuple[PodView, ...] = ()
     jobs: tuple[JobView, ...] = ()
     services: tuple[ServiceView, ...] = ()
-    source: str = "cluster"
 
     def all_pods(self) -> "list[PodView]":
         """Standalone pods plus each job's template, once per parallel slot."""
@@ -174,7 +172,6 @@ class WorkflowView:
     #: total GPUs in the target testbed, when known (None disables
     #: aggregate-capacity rules)
     total_gpus: "int | None" = None
-    source: str = "workflow"
 
     def deps(self) -> dict[str, tuple[str, ...]]:
         return {s.name: s.depends_on for s in self.steps}
@@ -240,7 +237,7 @@ class DeploymentView:
     """The cross-layer join the ``deploy`` pack inspects.
 
     Any part may be absent (``None``/empty): rules check what is
-    present and stay quiet about the rest, so a gateway-only fixture
+    present and stay quiet about the rest, so a gateway-only view
     still exercises retry-storm rules without declaring a cluster.
     """
 
@@ -250,65 +247,6 @@ class DeploymentView:
     client: "ClientRetryView | None" = None
     #: per-transfer attempts of network-bound steps (repro.netsim)
     transfer_retry_attempts: int = 1
-    source: str = "deployment"
-
-
-def deployment_view_from_dict(
-    data: dict, source: str = "fixture"
-) -> DeploymentView:
-    """Build a :class:`DeploymentView` from a JSON fixture dict.
-
-    Reuses the cluster/workflow fixture schemas and adds ``gateway``
-    (queue/breaker knobs plus ``tenants``) and ``client`` (retry
-    policy) sections; see ``tests/analysis/fixtures/deploy_*.json``.
-    """
-    raw_gw = data.get("gateway")
-    gateway = None
-    if raw_gw is not None:
-        breaker = raw_gw.get("breaker", {})
-        tenants = tuple(
-            TenantView(
-                name=raw["name"],
-                rate=float(raw.get("rate", float("inf"))),
-                burst=float(raw.get("burst", float("inf"))),
-                weight=float(raw.get("weight", 1.0)),
-                priority_class=str(raw.get("priority_class", "")),
-                namespace=str(raw.get("namespace", "")),
-                count=int(raw.get("count", 1)),
-            )
-            for raw in raw_gw.get("tenants", [])
-        )
-        gateway = GatewayView(
-            max_queue_depth=int(raw_gw.get("max_queue_depth", 0)),
-            pending_timeout_s=float(raw_gw.get("pending_timeout_s", 0.0)),
-            breaker_failure_threshold=int(
-                breaker.get("failure_threshold", 0)
-            ),
-            breaker_cooldown_s=float(breaker.get("cooldown_s", 0.0)),
-            tenants=tenants,
-        )
-    raw_client = data.get("client")
-    client = None
-    if raw_client is not None:
-        client = ClientRetryView(
-            max_submit_retries=int(raw_client.get("max_submit_retries", 0)),
-            max_pod_retries=int(raw_client.get("max_pod_retries", 0)),
-            honors_retry_after=bool(
-                raw_client.get("honors_retry_after", True)
-            ),
-            backoff_base_s=float(raw_client.get("backoff_base_s", 1.0)),
-        )
-    cluster = None
-    if any(k in data for k in ("nodes", "namespaces", "pods", "jobs")):
-        cluster = spec_view_from_dict(data, source=source)
-    return DeploymentView(
-        cluster=cluster,
-        gateway=gateway,
-        workflows=tuple(workflow_views_from_dict(data, source=source)),
-        client=client,
-        transfer_retry_attempts=int(data.get("transfer_retry_attempts", 1)),
-        source=source,
-    )
 
 
 # -------------------------------------------------------------------- adapters
@@ -348,14 +286,9 @@ def pod_view_from_spec(
     )
 
 
-def cluster_view(cluster: _t.Any) -> ClusterSpecView:
-    """Adapt a live :class:`~repro.cluster.cluster.Cluster`.
-
-    Job templates are materialized at index 0 (templates are pure
-    spec-builders in this codebase); ReplicaSet/DaemonSet pods count as
-    long-running for the liveness-probe rule.
-    """
-    nodes = tuple(
+def node_views(cluster: _t.Any) -> tuple[NodeView, ...]:
+    """Each node's allocatable capacity, in name order."""
+    return tuple(
         NodeView(
             name=node.spec.name,
             cpu=node.capacity.cpu,
@@ -364,6 +297,15 @@ def cluster_view(cluster: _t.Any) -> ClusterSpecView:
         )
         for _name, node in sorted(cluster.nodes.items())
     )
+
+
+def cluster_view(cluster: _t.Any) -> ClusterSpecView:
+    """Adapt a live :class:`~repro.cluster.cluster.Cluster`.
+
+    Job templates are materialized at index 0 (templates are pure
+    spec-builders in this codebase); ReplicaSet/DaemonSet pods count as
+    long-running for the liveness-probe rule.
+    """
     namespaces = tuple(
         NamespaceView(
             name=ns.name,
@@ -420,12 +362,11 @@ def cluster_view(cluster: _t.Any) -> ClusterSpecView:
         for _key, svc in sorted(cluster.services.items())
     )
     return ClusterSpecView(
-        nodes=nodes,
+        nodes=node_views(cluster),
         namespaces=namespaces,
         pods=pods,
         jobs=tuple(jobs),
         services=services,
-        source=f"cluster:{getattr(cluster, 'name', 'cluster')}",
     )
 
 
@@ -461,133 +402,4 @@ def workflow_view(
         name=workflow.name,
         steps=tuple(steps),
         total_gpus=total_gpus,
-        source=f"workflow:{workflow.name}",
     )
-
-
-# -------------------------------------------------------------------- fixtures
-
-
-def _fixture_pod(raw: dict, default_ns: str = "default") -> PodView:
-    cpu = parse_cpu(raw.get("cpu", 0))
-    memory = float(parse_memory(raw.get("memory", 0)))
-    explicit = "has_requests" in raw
-    priority_class = str(raw.get("priority_class", "") or "")
-    return PodView(
-        name=raw["name"],
-        namespace=raw.get("namespace", default_ns),
-        cpu=cpu,
-        memory=memory,
-        gpu=int(raw.get("gpu", 0)),
-        labels=dict(raw.get("labels", {})),
-        has_requests=(
-            bool(raw["has_requests"]) if explicit else (cpu > 0 or memory > 0)
-        ),
-        long_running=bool(raw.get("long_running", False)),
-        has_liveness=bool(raw.get("liveness", False)),
-        kind=raw.get("kind", "Pod"),
-        priority_class=priority_class,
-        has_priority=bool(priority_class) or int(raw.get("priority", 0)) != 0,
-    )
-
-
-def spec_view_from_dict(data: dict, source: str = "fixture") -> ClusterSpecView:
-    """Build a :class:`ClusterSpecView` from a JSON fixture dict.
-
-    See ``tests/analysis/fixtures/`` and the README "Static analysis"
-    section for the schema.  Quantities accept Kubernetes strings
-    (``"500m"``, ``"96Gi"``).
-    """
-    nodes = tuple(
-        NodeView(
-            name=raw["name"],
-            cpu=parse_cpu(raw.get("cpu", 0)),
-            memory=float(parse_memory(raw.get("memory", 0))),
-            gpu=int(raw.get("gpus", raw.get("gpu", 0))),
-        )
-        for raw in data.get("nodes", [])
-    )
-    namespaces = tuple(
-        NamespaceView(
-            name=raw["name"],
-            quota_cpu=(
-                parse_cpu(raw["quota"]["cpu"])
-                if "cpu" in raw.get("quota", {})
-                else float("inf")
-            ),
-            quota_memory=(
-                float(parse_memory(raw["quota"]["memory"]))
-                if "memory" in raw.get("quota", {})
-                else float("inf")
-            ),
-            quota_gpu=float(raw.get("quota", {}).get("gpu", float("inf"))),
-            quota_pods=float(raw.get("quota", {}).get("max_pods", float("inf"))),
-        )
-        for raw in data.get("namespaces", [])
-    )
-    pods = tuple(_fixture_pod(raw) for raw in data.get("pods", []))
-    jobs = tuple(
-        JobView(
-            name=raw["name"],
-            namespace=raw.get("namespace", "default"),
-            backoff_limit=int(raw.get("backoff_limit", 6)),
-            completions=int(raw.get("completions", 1)),
-            parallelism=int(raw.get("parallelism", 1)),
-            template=(
-                _fixture_pod(raw["pod"], raw.get("namespace", "default"))
-                if "pod" in raw
-                else None
-            ),
-        )
-        for raw in data.get("jobs", [])
-    )
-    services = tuple(
-        ServiceView(
-            name=raw["name"],
-            namespace=raw.get("namespace", "default"),
-            selector=dict(raw.get("selector", {})),
-        )
-        for raw in data.get("services", [])
-    )
-    return ClusterSpecView(
-        nodes=nodes,
-        namespaces=namespaces,
-        pods=pods,
-        jobs=jobs,
-        services=services,
-        source=source,
-    )
-
-
-def workflow_views_from_dict(
-    data: dict, source: str = "fixture"
-) -> "list[WorkflowView]":
-    """Build workflow views from a JSON fixture dict (``workflows`` key,
-    or a single top-level ``workflow``)."""
-    raw_workflows = list(data.get("workflows", []))
-    if "workflow" in data:
-        raw_workflows.append(data["workflow"])
-    out = []
-    for raw in raw_workflows:
-        steps = tuple(
-            StepView(
-                name=s["name"],
-                depends_on=tuple(s.get("depends_on", [])),
-                timeout_s=s.get("timeout_s"),
-                max_retries=int(s.get("max_retries", 0)),
-                network_bound=bool(s.get("network", s.get("network_bound", False))),
-                checkpointable=bool(s.get("checkpointable", True)),
-                gpus=int(s.get("gpus", 0)),
-                image=s.get("image", ""),
-            )
-            for s in raw.get("steps", [])
-        )
-        out.append(
-            WorkflowView(
-                name=raw.get("name", "workflow"),
-                steps=steps,
-                total_gpus=raw.get("total_gpus", data.get("total_gpus")),
-                source=source,
-            )
-        )
-    return out

@@ -68,28 +68,10 @@ class RuleRegistry:
             c for c, r in self._rules.items() if pack is None or r.pack == pack
         )
 
-    def rules(
-        self,
-        pack: str | None = None,
-        select: _t.Collection[str] | None = None,
-        disable: _t.Collection[str] | None = None,
-    ) -> list[Rule]:
-        """Resolve the active rule set.
-
-        ``select`` (when given) whitelists codes; ``disable`` always
-        wins over ``select``.  Unknown codes in either raise ``KeyError``
-        so typos fail loudly instead of silently linting nothing.
-        """
-        for code in list(select or []) + list(disable or []):
-            self.get(code)
-        out = []
-        for code in self.codes(pack):
-            if select is not None and code not in select:
-                continue
-            if disable is not None and code in disable:
-                continue
-            out.append(self._rules[code])
-        return out
+    def rules(self, pack: str | None = None) -> list[Rule]:
+        """Every rule of ``pack`` (all packs when None), in code order.
+        Selection is the engine's job (``LintEngine(select, disable)``)."""
+        return [self._rules[code] for code in self.codes(pack)]
 
     def render_table(self) -> str:
         """The ``--list-rules`` view: code, pack, severity, description."""

@@ -27,7 +27,6 @@ STRUCTURAL_DAG_CODES = ("DAG001", "DAG002", "DAG003")
 
 def _loc(view: WorkflowView, name: str = "", kind: str = "WorkflowStep") -> Location:
     return Location(
-        path=view.source if view.source.endswith(".json") else "",
         kind=kind if name else "Workflow",
         name=name or view.name,
         namespace=view.name if name else "",
@@ -274,16 +273,12 @@ def check_gpu_oversubscription(view: WorkflowView) -> _t.Iterator[Finding]:
 
 
 def run_dag_rules(
-    view: WorkflowView,
-    rules: _t.Iterable | None = None,
-    codes: _t.Collection[str] | None = None,
+    view: WorkflowView, rules: _t.Iterable | None = None
 ) -> "list[Finding]":
     """Run (a subset of) the dag pack over one workflow view."""
     from repro.analysis.registry import registry
 
     findings: list[Finding] = []
-    for r in rules if rules is not None else registry.rules(
-        pack="dag", select=codes
-    ):
+    for r in rules if rules is not None else registry.rules(pack="dag"):
         findings.extend(r.check(view))
     return findings

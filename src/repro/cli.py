@@ -10,14 +10,14 @@ Commands
     Execute the 4-step CONNECT workflow and print Table I (and, with
     ``--figures``, Figures 3–6).
 ``lint``
-    Static analysis (repro-lint) over JSON spec fixtures and Python
-    sources, or — with no paths — over the built testbed, the CONNECT
-    workflow, the loadtest deployment config and the installed
-    ``repro`` package.  Python sources get the call-graph determinism
-    lint (DET001, DET010+) and concurrency hazards (CONC); fixtures get
-    the spec/dag packs, plus DEPLOY when they declare a gateway or
-    client.  ``./lint-baseline.json`` is loaded when present.  Exits
-    nonzero on error findings (and on warnings under ``--strict``).
+    Static analysis (repro-lint) over Python sources, or — with no
+    paths — over the built testbed (spec pack), the CONNECT workflow
+    (dag pack), the loadtest deployment config (deploy pack) and the
+    installed ``repro`` package.  Python sources get the call-graph
+    determinism lint (DET001, DET010+) and concurrency hazards (CONC).
+    ``./lint-baseline.json`` is loaded when present.  Exits nonzero on
+    error findings (and on warnings under ``--strict``), and with 2 on a
+    target that is missing or not Python.
 ``trace``
     Run the CONNECT workflow with tracing on, export a Chrome
     trace-event JSON (loadable at chrome://tracing or ui.perfetto.dev),
@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "paths",
         nargs="*",
-        help="JSON spec fixtures and/or Python files/directories; with "
-             "no paths, lint the built testbed, the CONNECT workflow, the "
-             "loadtest deployment and the repro package sources",
+        help="Python files and/or directories; with no paths, lint the "
+             "built testbed, the CONNECT workflow, the loadtest deployment "
+             "and the repro package sources",
     )
     p_lint.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -266,39 +266,37 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
 
-    try:
-        if args.paths:
+    if args.paths:
+        try:
             report = engine.lint_paths(args.paths)
-        else:
-            # No paths: lint the deployment itself — the built testbed's
-            # cluster, the CONNECT workflow against its GPU total, the
-            # loadtest deployment config and the package sources.
-            import repro as _repro_pkg
-            from repro.loadgen import LoadgenConfig, loadtest_deployment_view
-            from repro.testbed import build_nautilus_testbed
-            from repro.workflow import build_connect_workflow
+        except (FileNotFoundError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+    else:
+        # No paths: lint the deployment itself — the built testbed's
+        # cluster, the CONNECT workflow against its GPU total, the
+        # loadtest deployment config and the package sources.
+        import repro as _repro_pkg
+        from repro.loadgen import LoadgenConfig, loadtest_deployment_view
+        from repro.testbed import build_nautilus_testbed
+        from repro.workflow import build_connect_workflow
 
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                testbed = build_nautilus_testbed(
-                    seed=args.seed, scale=args.scale
-                )
-                workflow = build_connect_workflow(testbed)
-            report = engine.lint_views(
-                cluster=cluster_view(testbed.cluster),
-                workflows=[
-                    workflow_view(workflow, total_gpus=testbed.total_gpus())
-                ],
-                deployment=loadtest_deployment_view(LoadgenConfig()),
-            )
-            pkg_report = engine.lint_paths(
-                [pathlib.Path(_repro_pkg.__file__).parent]
-            )
-            report.merge(pkg_report.findings)
-            report.suppressed.extend(pkg_report.suppressed)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            testbed = build_nautilus_testbed(seed=args.seed, scale=args.scale)
+            workflow = build_connect_workflow(testbed)
+        report = engine.lint_views(
+            cluster=cluster_view(testbed.cluster),
+            workflows=[
+                workflow_view(workflow, total_gpus=testbed.total_gpus())
+            ],
+            deployment=loadtest_deployment_view(LoadgenConfig()),
+        )
+        pkg_report = engine.lint_paths(
+            [pathlib.Path(_repro_pkg.__file__).parent]
+        )
+        report.merge(pkg_report.findings)
+        report.suppressed.extend(pkg_report.suppressed)
 
     if args.update_baseline:
         if baseline_path is None:

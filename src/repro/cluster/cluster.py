@@ -35,7 +35,6 @@ from repro.cluster.pod import Pod, PodContext, PodPhase, PodSpec, RestartPolicy
 from repro.cluster.scheduler import Scheduler, SchedulingStrategy
 from repro.cluster.service import Service
 from repro.errors import (
-    AdmissionError,
     ConflictError,
     NotFoundError,
     ProcessKilled,
@@ -109,10 +108,6 @@ class Cluster:
         self._lease_missed: dict[str, int] = {}
         self._lease_failed: set[str] = set()
         self._lease_proc = None
-        # Admission-lint state (enable_admission_lint): rule codes from
-        # the static-analysis ``spec`` pack run against every incoming
-        # pod/job spec, or None when the hook is off.
-        self._admission_lint_codes: tuple[str, ...] | None = None
 
     def _count(self, metric: str, labels: dict[str, str] | None = None) -> None:
         if self.metrics is not None:
@@ -315,80 +310,6 @@ class Cluster:
                     self._lease_failed.add(name)
                     self.fail_node(name)
 
-    # --------------------------------------------------------- admission lint
-
-    def enable_admission_lint(
-        self,
-        codes: _t.Sequence[str] = ("SPEC001", "SPEC002", "SPEC004"),
-    ) -> None:
-        """Turn on the static-analysis admission hook.
-
-        From now on every :meth:`create_pod` / :meth:`create_job` spec is
-        run through the given ``spec``-pack rules (see
-        :mod:`repro.analysis.cluster_rules`) *before* it is admitted:
-        error-severity findings raise :class:`~repro.errors.
-        AdmissionError` and the object is never created; warnings are
-        recorded as ``AdmissionLintWarning`` control-plane events.  This
-        is the reproduction of Nautilus's pre-scheduler manifest vetting
-        — a pod no FIONA can ever fit is rejected at the API server
-        instead of Pending forever.
-        """
-        from repro.analysis import registry
-
-        for code in codes:
-            registry.get(code)  # typos fail loudly
-        self._admission_lint_codes = tuple(codes)
-
-    def disable_admission_lint(self) -> None:
-        """Turn the admission hook back off."""
-        self._admission_lint_codes = None
-
-    def _admission_check(self, subject: str, view: _t.Any) -> None:
-        """Run the configured spec rules over a candidate view; raise
-        :class:`AdmissionError` on errors, log events for warnings."""
-        from repro.analysis import Severity, registry
-        from repro.analysis.cluster_rules import run_spec_rules
-
-        assert self._admission_lint_codes is not None
-        rules = [
-            r
-            for r in registry.rules(pack="spec")
-            if r.code in self._admission_lint_codes
-        ]
-        findings = run_spec_rules(view, rules=rules)
-        errors = [f for f in findings if f.severity is Severity.ERROR]
-        for f in findings:
-            if f.severity is not Severity.ERROR:
-                self.record_event(
-                    f.location.kind or "Pod",
-                    f.location.name,
-                    "AdmissionLintWarning",
-                    f"{f.code}: {f.message}",
-                    namespace=f.location.namespace or "default",
-                )
-        if errors:
-            self._count("admission_lint_rejections_total")
-            self.record_event(
-                "Cluster",
-                self.name,
-                "AdmissionRejected",
-                f"{subject}: " + "; ".join(f.code for f in errors),
-            )
-            raise AdmissionError(subject, errors)
-
-    def _admission_node_views(self):
-        from repro.analysis import NodeView
-
-        return tuple(
-            NodeView(
-                name=node.spec.name,
-                cpu=node.capacity.cpu,
-                memory=float(node.capacity.memory),
-                gpu=node.capacity.gpu,
-            )
-            for _name, node in sorted(self.nodes.items())
-        )
-
     def total_capacity(self) -> dict[str, float]:
         """Aggregate CPU/memory/GPU across ready nodes."""
         cpu = mem = gpu = 0.0
@@ -444,24 +365,11 @@ class Cluster:
         labels: dict[str, str] | None = None,
     ) -> Pod:
         """Admit a pod (charging namespace quota) and queue it for
-        scheduling.  Raises :class:`QuotaExceededError` on quota breach,
-        or :class:`AdmissionError` when the admission lint hook (see
-        :meth:`enable_admission_lint`) rejects the spec."""
+        scheduling.  Raises :class:`QuotaExceededError` on quota breach."""
         ns = self.get_namespace(namespace)
         key = (namespace, name)
         if key in self.pods and not self.pods[key].is_terminal:
             raise ConflictError(f"pod {namespace}/{name} already exists")
-        if self._admission_lint_codes is not None:
-            from repro.analysis import ClusterSpecView, pod_view_from_spec
-
-            self._admission_check(
-                f"pod {namespace}/{name}",
-                ClusterSpecView(
-                    nodes=self._admission_node_views(),
-                    pods=(pod_view_from_spec(name, spec, namespace, labels),),
-                    source=f"cluster:{self.name}",
-                ),
-            )
         meta = ObjectMeta(
             name=name,
             namespace=namespace,
@@ -533,42 +441,10 @@ class Cluster:
         namespace: str = "default",
         labels: dict[str, str] | None = None,
     ) -> Job:
-        """Create a batch Job and start reconciling it.  Raises
-        :class:`AdmissionError` when the admission lint hook rejects the
-        job's pod template."""
+        """Create a batch Job and start reconciling it."""
         key = (namespace, name)
         if key in self.jobs:
             raise ConflictError(f"job {namespace}/{name} already exists")
-        if self._admission_lint_codes is not None:
-            from repro.analysis import (
-                ClusterSpecView,
-                JobView,
-                pod_view_from_spec,
-            )
-
-            try:
-                template = pod_view_from_spec(
-                    f"{name}-template", spec.template(0), namespace, kind="Job"
-                )
-            except Exception:  # template needs runtime context: skip it
-                template = None
-            self._admission_check(
-                f"job {namespace}/{name}",
-                ClusterSpecView(
-                    nodes=self._admission_node_views(),
-                    jobs=(
-                        JobView(
-                            name=name,
-                            namespace=namespace,
-                            backoff_limit=spec.backoff_limit,
-                            completions=spec.completions,
-                            parallelism=spec.parallelism,
-                            template=template,
-                        ),
-                    ),
-                    source=f"cluster:{self.name}",
-                ),
-            )
         meta = ObjectMeta(
             name=name,
             namespace=namespace,

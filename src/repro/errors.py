@@ -14,7 +14,6 @@ __all__ = [
     "ProcessKilled",
     "ClusterError",
     "SchedulingError",
-    "AdmissionError",
     "QuotaExceededError",
     "InvalidQuantityError",
     "NotFoundError",
@@ -73,23 +72,6 @@ class QuotaExceededError(ClusterError):
 
 class InvalidQuantityError(ClusterError, ValueError):
     """A resource quantity string (``"500m"``, ``"96Gi"``) failed to parse."""
-
-
-class AdmissionError(ClusterError):
-    """The admission lint hook (:meth:`repro.cluster.Cluster.
-    enable_admission_lint`) rejected a spec: the static-analysis ``spec``
-    pack produced error-severity findings for it."""
-
-    def __init__(self, subject: str, findings: "list | None" = None):
-        details = "; ".join(
-            f"{f.code}: {f.message}" for f in (findings or [])
-        )
-        super().__init__(
-            f"{subject} rejected by admission lint"
-            + (f": {details}" if details else "")
-        )
-        self.subject = subject
-        self.findings = list(findings or [])
 
 
 class NotFoundError(ClusterError, KeyError):

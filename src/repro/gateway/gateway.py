@@ -11,9 +11,9 @@ flood of pods from one of them.  The gateway sits in front of
 - **Backpressure** — when the queue is full the submission is *rejected*
   with a structured reason and a ``retry_after_s`` hint instead of
   growing the queue without bound.
-- **Admission lint** — the static-analysis ``spec`` pack runs
-  synchronously against every spec; error findings reject before any
-  state changes.
+- **Admission lint** — the static-analysis rule SPEC001 runs
+  synchronously against every spec: a pod no node could ever fit is
+  rejected before any state changes.
 - **Quotas** — each tenant's namespace carries a ResourceQuota; quota
   breaches are structured rejections.
 - **Scheduling-timeout shedding** — an admitted pod that cannot bind
@@ -37,10 +37,11 @@ import collections
 import dataclasses
 import typing as _t
 
+from repro.analysis.cluster_rules import check_unschedulable
+from repro.analysis.model import ClusterSpecView, node_views, pod_view_from_spec
 from repro.cluster.namespace import ResourceQuota
 from repro.cluster.pod import PRIORITY_CLASSES, Pod, PodPhase, PodSpec
 from repro.errors import (
-    AdmissionError,
     ClusterError,
     ConflictError,
     NotFoundError,
@@ -120,8 +121,6 @@ class GatewayConfig:
     breaker_failure_threshold: int = 5
     #: How long an open breaker sheds before half-opening on a probe.
     breaker_cooldown_s: float = 120.0
-    #: Spec-pack lint codes run synchronously at admission ((), to skip).
-    lint_codes: tuple[str, ...] = ("SPEC001", "SPEC002", "SPEC004")
 
 
 @dataclasses.dataclass
@@ -196,11 +195,6 @@ class AdmissionGateway:
         self.shed_reasons: dict[str, str] = {}
         # Pods whose fate feeds the tenant breaker: uid -> tenant name.
         self._watched: dict[str, str] = {}
-        if self.config.lint_codes:
-            from repro.analysis import registry
-
-            for code in self.config.lint_codes:
-                registry.get(code)  # typos fail loudly at construction
         cluster.phase_hooks.append(self._on_phase_change)
 
     # ------------------------------------------------------------- tenants
@@ -379,31 +373,16 @@ class AdmissionGateway:
         tenant: str,
         labels: dict[str, str] | None,
     ) -> str | None:
-        """Run the configured spec rules; a reason string means reject."""
-        if not self.config.lint_codes:
-            return None
-        from repro.analysis import (
-            ClusterSpecView,
-            Severity,
-            pod_view_from_spec,
-            registry,
-        )
-        from repro.analysis.cluster_rules import run_spec_rules
-
-        rules = [
-            r
-            for r in registry.rules(pack="spec")
-            if r.code in self.config.lint_codes
-        ]
+        """Run SPEC001 (unschedulable request) over one pod; a reason
+        string means reject.  It is the one spec rule that can fail a
+        single pod: the other error rule, SPEC005, judges a namespace's
+        pods together, and warnings never reject."""
         view = ClusterSpecView(
-            nodes=self.cluster._admission_node_views(),
+            nodes=node_views(self.cluster),
             pods=(pod_view_from_spec(name, spec, tenant, labels),),
-            source=f"gateway:{self.cluster.name}",
         )
-        findings = run_spec_rules(view, rules=rules)
-        errors = [f for f in findings if f.severity is Severity.ERROR]
-        if errors:
-            return "AdmissionLint:" + ",".join(f.code for f in errors)
+        if any(check_unschedulable(view)):
+            return "AdmissionLint:SPEC001"
         return None
 
     def _try_create(
@@ -422,13 +401,6 @@ class AdmissionGateway:
         except QuotaExceededError:
             decision.outcome = REJECTED
             decision.reason = "QuotaExceeded"
-            t.breaker.record_failure()
-        except AdmissionError as exc:
-            # Cluster-side lint hook (if enabled) can still fire.
-            decision.outcome = REJECTED
-            decision.reason = "AdmissionLint:" + ",".join(
-                f.code for f in exc.findings
-            )
             t.breaker.record_failure()
         except ConflictError:
             decision.outcome = REJECTED

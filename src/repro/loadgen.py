@@ -490,10 +490,7 @@ def loadtest_deployment_view(
             tenants=tuple(tenants),
         ),
         workflows=(
-            WorkflowView(
-                name="loadgen-connect", steps=tuple(steps),
-                source="loadgen",
-            ),
+            WorkflowView(name="loadgen-connect", steps=tuple(steps)),
         ),
         client=ClientRetryView(
             max_submit_retries=cfg.max_submit_retries,
@@ -504,7 +501,6 @@ def loadtest_deployment_view(
             backoff_base_s=1.0,
         ),
         transfer_retry_attempts=1,
-        source="loadgen",
     )
 
 

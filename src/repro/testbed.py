@@ -151,7 +151,6 @@ def build_nautilus_testbed(
     ml_grid: GridSpec | None = None,
     scheduler_strategy: SchedulingStrategy = SchedulingStrategy.SPREAD,
     transfer_faults: TransientFaultInjector | None = None,
-    admission_lint: bool = False,
 ) -> NautilusTestbed:
     """Assemble a Nautilus deployment.
 
@@ -176,11 +175,6 @@ def build_nautilus_testbed(
         into the THREDDS server: catalog and stream requests then fail
         transiently at its seeded rates, exercising the download
         retry/backoff machinery.
-    admission_lint:
-        When True, turn on the cluster's static-analysis admission hook
-        (:meth:`~repro.cluster.Cluster.enable_admission_lint`): pod/job
-        specs that fail the ``spec`` rule pack are rejected with
-        :class:`~repro.errors.AdmissionError` before scheduling.
     """
     if scale <= 0 or scale > 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
@@ -239,8 +233,6 @@ def build_nautilus_testbed(
     # Cluster-level resilience counters (liveness restarts, lease
     # expirations) land in the shared registry.
     cluster.metrics = registry
-    if admission_lint:
-        cluster.enable_admission_lint()
 
     # -- standing monitoring probes ----------------------------------------------------
     for node in cluster.nodes.values():

@@ -117,10 +117,9 @@ class _NamespaceMeter:
         pods = len(self.running)
         cpu = gpu = mem = 0.0
         for pod in self.running.values():
-            request = pod.spec.total_request()
-            cpu += request.cpu
-            gpu += request.gpu
-            mem += request.memory
+            cpu += pod.request.cpu
+            gpu += pod.request.gpu
+            mem += pod.request.memory
         self.peak_pods = max(self.peak_pods, pods)
         self.peak_cpu = max(self.peak_cpu, cpu)
         self.peak_gpu = max(self.peak_gpu, int(gpu))

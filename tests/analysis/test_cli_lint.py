@@ -17,23 +17,17 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def copy_corpus(tmp_path):
+    # Copied out of tests/ so entry-module auto-detection kicks in
+    # (driver/scheduler markers), exactly as it would in a real tree.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for src in (FIXTURES / "deep_corpus").glob("*.py"):
+        (corpus / src.name).write_text(src.read_text())
+    return corpus
+
+
 # ------------------------------------------------------- acceptance gates
-
-
-def test_lint_exits_nonzero_on_unschedulable_gpu_fixture(capsys):
-    code, out, _err = run(["lint", str(FIXTURES / "bad_gpu.json")], capsys)
-    assert code == 1
-    assert "SPEC001" in out
-    assert "16 GPUs" in out
-
-
-def test_lint_exits_nonzero_on_cyclic_workflow_fixture(capsys):
-    code, out, _err = run(
-        ["lint", str(FIXTURES / "cyclic_workflow.json")], capsys
-    )
-    assert code == 1
-    assert "DAG001" in out
-    assert "->" in out  # the full cycle path is quoted
 
 
 def test_lint_exits_nonzero_on_unseeded_rng_fixture(capsys):
@@ -44,10 +38,16 @@ def test_lint_exits_nonzero_on_unseeded_rng_fixture(capsys):
     assert "DET001" in out
 
 
-def test_lint_exits_zero_on_clean_fixture(capsys):
-    code, out, _err = run(["lint", str(FIXTURES / "good_deploy.json")], capsys)
+def test_lint_exits_zero_on_clean_fixture(tmp_path, capsys):
+    clean = tmp_path / "seeded.py"
+    clean.write_text(
+        "import numpy as np\n\n\n"
+        "def draw(seed):\n"
+        "    return np.random.default_rng(seed).random()\n"
+    )
+    code, out, _err = run(["lint", "--strict", str(clean)], capsys)
     assert code == 0
-    assert "0 error(s)" in out
+    assert "0 error(s), 0 warning(s)" in out
 
 
 def test_lint_exits_zero_on_shipped_examples(capsys):
@@ -84,38 +84,42 @@ def test_lint_deep_strict_repo_root_passes_with_committed_baseline(
 # ----------------------------------------------------------------- options
 
 
-def test_lint_json_format(capsys):
+def test_lint_json_format(tmp_path, capsys):
     code, out, _err = run(
-        ["lint", "--format", "json", str(FIXTURES / "bad_gpu.json")], capsys
+        ["lint", "--format", "json", str(copy_corpus(tmp_path))], capsys
     )
     assert code == 1
     data = json.loads(out)
-    assert data["summary"]["errors"] >= 1
-    assert data["findings"][0]["code"] == "SPEC001"
+    assert data["summary"] == {"errors": 6, "warnings": 3, "total": 9}
+    assert data["findings"][0]["code"] == "DET010"
+    assert data["findings"][0]["location"]["path"].endswith("clock.py")
 
 
-def test_lint_select_and_disable(capsys):
-    target = str(FIXTURES / "bad_gpu.json")
-    code, out, _err = run(["lint", "--disable", "SPEC001", target], capsys)
+def test_lint_select_and_disable(tmp_path, capsys):
+    target = str(copy_corpus(tmp_path))
+    errors = "DET001,DET010,DET011,DET012,DET013"
+    code, out, _err = run(["lint", "--disable", errors, target], capsys)
     assert code == 0
-    code, out, _err = run(["lint", "--select", "SPEC002", target], capsys)
+    code, out, _err = run(["lint", "--select", "CONC003", target], capsys)
     assert code == 0
-    code, out, _err = run(["lint", "--select", "SPEC001", target], capsys)
+    code, out, _err = run(["lint", "--select", "DET001", target], capsys)
     assert code == 1
+    assert "DET001" in out and "DET010" not in out
 
 
-def test_lint_strict_fails_on_warnings(capsys):
-    fixture = FIXTURES / "warn_only.json"
-    code, out, _err = run(["lint", str(fixture)], capsys)
+def test_lint_strict_fails_on_warnings(tmp_path, capsys):
+    target = str(copy_corpus(tmp_path))
+    warnings_only = ["--select", "CONC001,CONC002,CONC003", target]
+    code, out, _err = run(["lint", *warnings_only], capsys)
     assert code == 0  # warnings alone pass by default
-    code, out, _err = run(["lint", "--strict", str(fixture)], capsys)
+    code, out, _err = run(["lint", "--strict", *warnings_only], capsys)
     assert code == 1
-    assert "SPEC004" in out
+    assert "0 error(s), 3 warning(s)" in out
 
 
 def test_lint_unknown_rule_code_is_usage_error(capsys):
     code, _out, err = run(
-        ["lint", "--select", "SPEC999", str(FIXTURES / "bad_gpu.json")],
+        ["lint", "--select", "SPEC999", str(FIXTURES / "unseeded_rng.py")],
         capsys,
     )
     assert code == 2
@@ -123,9 +127,18 @@ def test_lint_unknown_rule_code_is_usage_error(capsys):
 
 
 def test_lint_missing_path_is_usage_error(capsys):
-    code, _out, err = run(["lint", "/no/such/thing.json"], capsys)
+    code, _out, err = run(["lint", "/no/such/thing.py"], capsys)
     assert code == 2
     assert "no such lint target" in err
+
+
+def test_lint_non_python_target_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "deploy.json"
+    spec.write_text('{"pods": [{"name": "p", "gpu": 16}]}')
+    code, out, err = run(["lint", str(tmp_path), str(spec)], capsys)
+    assert code == 2
+    assert out == ""
+    assert str(spec) in err and "not a Python file" in err
 
 
 def test_lint_list_rules(capsys):
@@ -139,10 +152,10 @@ def test_lint_list_rules(capsys):
 
 
 def test_lint_baseline_roundtrip(tmp_path, capsys):
-    target = str(FIXTURES / "bad_gpu.json")
+    target = str(copy_corpus(tmp_path))
     baseline = tmp_path / "baseline.json"
 
-    # Without a baseline the fixture fails.
+    # Without a baseline the corpus fails.
     code, _out, _err = run(["lint", target], capsys)
     assert code == 1
 
@@ -162,23 +175,14 @@ def test_lint_baseline_roundtrip(tmp_path, capsys):
 
 def test_lint_update_baseline_requires_path(capsys):
     code, _out, err = run(
-        ["lint", "--update-baseline", str(FIXTURES / "bad_gpu.json")], capsys
+        ["lint", "--update-baseline", str(FIXTURES / "unseeded_rng.py")],
+        capsys,
     )
     assert code == 2
     assert "--baseline" in err
 
 
-# ------------------------------------------- call-graph corpus and deploy
-
-
-def copy_corpus(tmp_path):
-    # Copied out of tests/ so entry-module auto-detection kicks in
-    # (driver/scheduler markers), exactly as it would in a real tree.
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for src in (FIXTURES / "deep_corpus").glob("*.py"):
-        (corpus / src.name).write_text(src.read_text())
-    return corpus
+# ------------------------------------------------------ call-graph corpus
 
 
 def test_lint_deep_exits_nonzero_on_corpus(tmp_path, capsys):
@@ -188,15 +192,6 @@ def test_lint_deep_exits_nonzero_on_corpus(tmp_path, capsys):
                      "CONC001", "CONC002", "CONC003"):
         assert expected in out
     assert "->" in out  # call paths are quoted
-
-
-def test_lint_deep_fires_deploy_rules_on_json(capsys):
-    code, out, _err = run(
-        ["lint", str(FIXTURES / "deploy_retry_storm.json")], capsys
-    )
-    assert code == 1
-    for expected in ("DEPLOY001", "DEPLOY004", "DEPLOY005"):
-        assert expected in out
 
 
 def test_lint_deep_select_and_disable_new_codes(tmp_path, capsys):

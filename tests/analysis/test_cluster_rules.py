@@ -1,35 +1,25 @@
-"""Spec pack (SPEC001–SPEC008) over fixtures, live clusters, admission."""
+"""Spec pack (SPEC001–SPEC008) over views and live clusters."""
 
 from __future__ import annotations
 
-import pathlib
-
-import pytest
-
 from repro.analysis import (
+    Baseline,
     ClusterSpecView,
     JobView,
+    LintEngine,
     NamespaceView,
     NodeView,
     PodView,
     ServiceView,
     Severity,
     cluster_view,
-    lint_cluster,
+    node_views,
     registry,
 )
 from repro.analysis.cluster_rules import run_spec_rules
-from repro.cluster import (
-    Cluster,
-    ContainerSpec,
-    PodSpec,
-    ResourceRequirements,
-)
+from repro.cluster import Cluster
 from repro.cluster.node import fiona8_node_spec, fiona_node_spec
-from repro.errors import AdmissionError
 from repro.sim import Environment
-
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 FIONA8 = NodeView(name="fiona8", cpu=24, memory=96 * 2**30, gpu=8)
 DTN = NodeView(name="dtn", cpu=24, memory=96 * 2**30, gpu=0)
@@ -191,136 +181,43 @@ def test_spec008_numeric_priority_counts_as_classed():
     assert [f.location.name for f in findings] == ["legacy"]
 
 
-def test_spec008_fixture_and_baseline_grandfather(monkeypatch, capsys):
-    """The shipped mixed-priority fixture trips SPEC008; the shipped
+def test_spec008_fixture_and_baseline_grandfather():
+    """A mixed-priority deployment trips SPEC008 under strict; a
     baseline entry grandfathers the legacy pod."""
-    from repro.cli import main
+    view = ClusterSpecView(
+        nodes=(FIONA8,),
+        pods=(
+            _pod("realtime-infer", cpu=4.0, priority_class="high",
+                 has_priority=True),
+            _pod("legacy-batch", cpu=2.0),
+        ),
+    )
+    report = LintEngine().lint_views(cluster=view)
+    assert report.exit_code(strict=True) == 1
+    (finding,) = report.findings
+    assert finding.code == "SPEC008"
+    assert "legacy-batch" in finding.message
 
-    repo = pathlib.Path(__file__).resolve().parents[2]
-    monkeypatch.chdir(repo)
-    fixture = "tests/analysis/fixtures/mixed_priority.json"
-    baseline = "tests/analysis/fixtures/spec008_baseline.json"
-
-    code = main(["lint", "--strict", fixture])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "SPEC008" in out and "legacy-batch" in out
-
-    code = main(["lint", "--strict", "--baseline", baseline, fixture])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "SPEC008" not in out
+    baseline = Baseline()
+    baseline.add(finding, justification="predates priority classes")
+    report = LintEngine(baseline=baseline).lint_views(cluster=view)
+    assert report.exit_code(strict=True) == 0
+    assert report.findings == []
+    assert [f.code for f in report.suppressed] == ["SPEC008"]
 
 
 # ----------------------------------------------------------- live adapter
 
 
-def _live_cluster() -> Cluster:
+def test_cluster_view_adapter_and_lint_cluster():
     cluster = Cluster(Environment(), name="test")
     cluster.add_node(fiona8_node_spec("fiona8-00", site="UCSD"))
     cluster.add_node(fiona_node_spec("dtn-00", site="UCSD"))
-    return cluster
-
-
-def _spec(cpu=1, memory="1G", gpu=0) -> PodSpec:
-    def main(ctx):
-        yield ctx.env.timeout(1.0)
-
-    return PodSpec(
-        containers=[
-            ContainerSpec(
-                name="c",
-                image="img",
-                main=main,
-                resources=ResourceRequirements(cpu=cpu, memory=memory, gpu=gpu),
-            )
-        ]
-    )
-
-
-def test_cluster_view_adapter_and_lint_cluster():
-    cluster = _live_cluster()
     view = cluster_view(cluster)
-    assert {n.name for n in view.nodes} == {"fiona8-00", "dtn-00"}
+    assert view.nodes == node_views(cluster)
+    assert [n.name for n in view.nodes] == ["dtn-00", "fiona8-00"]
     assert max(n.gpu for n in view.nodes) == 8
-    assert lint_cluster(cluster) == []
-
-
-# -------------------------------------------------------- admission hook
-
-
-def test_admission_rejects_unschedulable_pod():
-    cluster = _live_cluster()
-    cluster.enable_admission_lint()
-    with pytest.raises(AdmissionError) as excinfo:
-        cluster.create_pod("huge", _spec(gpu=16))
-    assert "SPEC001" in str(excinfo.value)
-    assert excinfo.value.findings
-    # The pod was never admitted.
-    assert ("default", "huge") not in cluster.pods
-
-
-def test_admission_allows_schedulable_pod():
-    cluster = _live_cluster()
-    cluster.enable_admission_lint()
-    pod = cluster.create_pod("fine", _spec(gpu=1))
-    assert pod.meta.name == "fine"
-
-
-def test_admission_warns_without_rejecting():
-    cluster = _live_cluster()
-    cluster.enable_admission_lint()
-    # No requests at all -> SPEC002 warning, recorded as an event.
-    def main(ctx):
-        yield ctx.env.timeout(1.0)
-
-    bare = PodSpec(
-        containers=[ContainerSpec(name="c", image="img", main=main)]
-    )
-    cluster.create_pod("bare", bare)
-    events = [
-        e for e in cluster.events if e.reason == "AdmissionLintWarning"
-    ]
-    assert events and "SPEC002" in events[0].message
-
-
-def test_admission_rejects_oversized_job_template():
-    from repro.cluster import JobSpec
-
-    cluster = _live_cluster()
-    cluster.enable_admission_lint()
-    with pytest.raises(AdmissionError):
-        cluster.create_job(
-            "huge-job",
-            JobSpec(template=lambda i: _spec(gpu=16), completions=2,
-                    parallelism=2),
-        )
-    assert ("default", "huge-job") not in cluster.jobs
-
-
-def test_admission_disabled_by_default_and_toggleable():
-    cluster = _live_cluster()
-    pod = cluster.create_pod("huge", _spec(gpu=16))  # only Pending forever
-    assert pod in cluster.pending_pods() or pod is not None
-    cluster.enable_admission_lint()
-    with pytest.raises(AdmissionError):
-        cluster.create_pod("huge2", _spec(gpu=16))
-    cluster.disable_admission_lint()
-    cluster.create_pod("huge3", _spec(gpu=16))
-
-
-def test_admission_unknown_code_fails_loudly():
-    cluster = _live_cluster()
-    with pytest.raises(KeyError):
-        cluster.enable_admission_lint(codes=("SPEC999",))
-
-
-def test_testbed_admission_lint_param():
-    from repro.testbed import build_nautilus_testbed
-
-    testbed = build_nautilus_testbed(seed=1, scale=0.001, admission_lint=True)
-    with pytest.raises(AdmissionError):
-        testbed.cluster.create_pod("huge", _spec(gpu=16))
+    assert run_spec_rules(view) == []
 
 
 def test_registry_spec_pack_complete():

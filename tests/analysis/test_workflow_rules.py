@@ -1,9 +1,6 @@
-"""DAG pack (DAG001–DAG007) over views, fixtures, and live workflows."""
+"""DAG pack (DAG001–DAG007) over views and live workflows."""
 
 from __future__ import annotations
-
-import json
-import pathlib
 
 from repro.analysis import (
     Severity,
@@ -12,12 +9,9 @@ from repro.analysis import (
     lint_workflow,
     registry,
     workflow_view,
-    workflow_views_from_dict,
 )
 from repro.analysis.graph import concurrent_pairs, find_cycle, format_cycle
 from repro.analysis.workflow_rules import STRUCTURAL_DAG_CODES, run_dag_rules
-
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def codes_of(findings):
@@ -221,16 +215,31 @@ def test_workflow_view_adapter_over_connect():
 
 
 def test_cyclic_fixture_produces_dag001():
-    data = json.loads((FIXTURES / "cyclic_workflow.json").read_text())
-    (view,) = workflow_views_from_dict(data, source="cyclic_workflow.json")
+    # The CONNECT chain with its first step wired back to its last.
+    view = view_of(
+        StepView("download", depends_on=("visualization",)),
+        StepView("training", depends_on=("download",)),
+        StepView("inference", depends_on=("training",)),
+        StepView("visualization", depends_on=("inference",)),
+        name="tangled",
+    )
     findings = run_dag_rules(view)
     assert codes_of(findings) == {"DAG001"}
     assert "->" in findings[0].message
 
 
 def test_good_fixture_is_clean():
-    data = json.loads((FIXTURES / "good_deploy.json").read_text())
-    (view,) = workflow_views_from_dict(data, source="good_deploy.json")
+    # A CONNECT-shaped chain: the network step has a retry budget and
+    # the widest step fits the 16 GPUs of two FIONA8s.
+    view = view_of(
+        StepView("download", network_bound=True, max_retries=1,
+                 image="chase-ci/thredds-downloader:1.2"),
+        StepView("training", depends_on=("download",), gpus=1),
+        StepView("inference", depends_on=("training",), gpus=8),
+        StepView("visualization", depends_on=("inference",), gpus=1),
+        total_gpus=16,
+        name="connect",
+    )
     assert run_dag_rules(view) == []
 
 

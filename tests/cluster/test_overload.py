@@ -16,6 +16,8 @@ Three properties the multi-tenant story depends on:
 import numpy as np
 import pytest
 
+from repro.analysis import ClusterSpecView, node_views, pod_view_from_spec
+from repro.analysis.cluster_rules import run_spec_rules
 from repro.cluster import (
     Cluster,
     PodPhase,
@@ -308,6 +310,21 @@ class TestGateway:
         assert decision.outcome == REJECTED
         assert decision.reason == "AdmissionLint:SPEC001"
         assert ("acme", "huge") not in gw_cluster.pods
+
+    def test_lint_admits_spec_with_only_warnings(self, env, gw_cluster):
+        # No requests at all draws a SPEC002 warning; warnings never
+        # reject, so SPEC001 (above) is the gateway's only lint reject.
+        bare = sleeper_spec(duration=5, cpu=0, memory=0)
+        view = ClusterSpecView(
+            nodes=node_views(gw_cluster),
+            pods=(pod_view_from_spec("bare", bare, "acme"),),
+        )
+        assert [f.code for f in run_spec_rules(view)] == ["SPEC002"]
+        gateway = AdmissionGateway(gw_cluster, GatewayConfig())
+        gateway.register_tenant("acme", TenantPolicy(rate=10.0, burst=10.0))
+        decision = gateway.submit("bare", bare, tenant="acme")
+        assert (decision.outcome, decision.reason) == (ADMITTED, "")
+        assert ("acme", "bare") in gw_cluster.pods
 
     def test_scheduling_timeout_sheds_and_trips_breaker(self, env, gw_cluster):
         gateway = AdmissionGateway(
