@@ -63,7 +63,6 @@ from repro.analysis.model import (
 )
 from repro.analysis.registry import Rule, RuleRegistry, registry
 from repro.analysis.taint import run_taint_analysis
-from repro.analysis.workflow_rules import STRUCTURAL_DAG_CODES
 
 __all__ = [
     "Baseline",
@@ -82,7 +81,6 @@ __all__ = [
     "PodView",
     "Rule",
     "RuleRegistry",
-    "STRUCTURAL_DAG_CODES",
     "ServiceView",
     "Severity",
     "StepView",

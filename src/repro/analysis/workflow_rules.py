@@ -4,9 +4,12 @@ The CONNECT workflow is a chain, but the DAG is general (fan-out
 extensions, §III-E) — and general DAGs fail in general ways: cycles,
 steps nothing can reach, network steps with no failure budget, resume
 points that don't exist, and sibling branches that together want more
-GPUs than CHASE-CI has.  Structural rules (DAG001–DAG003) are *also*
-enforced at ``Workflow.__init__`` time with identical messages; the
-rest are pre-flight hygiene surfaced by ``repro lint``.
+GPUs than CHASE-CI has.  ``Workflow.__init__`` runs the whole pack and
+raises on every error-severity finding, DAG007 included.  It passes no
+GPU total, so DAG007 (which needs the testbed's GPU count) stays
+silent there and fires under ``repro lint``, which supplies one.  The
+warnings (DAG004-DAG006) are pre-flight hygiene surfaced by
+``repro lint``.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ from repro.analysis.graph import concurrent_pairs, find_cycle, format_cycle
 from repro.analysis.model import WorkflowView
 from repro.analysis.registry import rule
 
-__all__ = ["run_dag_rules", "STRUCTURAL_DAG_CODES"]
-
-#: Codes whose violation makes a workflow unconstructable (enforced by
-#: ``Workflow.__init__``, not just reported by the linter).
-STRUCTURAL_DAG_CODES = ("DAG001", "DAG002", "DAG003")
+__all__ = ["run_dag_rules"]
 
 
 def _loc(view: WorkflowView, name: str = "", kind: str = "WorkflowStep") -> Location:

@@ -43,6 +43,17 @@ from repro._version import __version__
 __all__ = ["build_parser", "main"]
 
 
+def _scale(text: str) -> float:
+    """``--scale`` type: an archive fraction in (0, 1], else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid scale {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"scale must be in (0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -57,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="root seed")
         p.add_argument(
             "--scale",
-            type=float,
+            type=_scale,
             default=0.005,
             help="archive fraction (1.0 = the paper's 112,249 files)",
         )

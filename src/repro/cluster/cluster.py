@@ -673,7 +673,16 @@ class Cluster:
         old = pod.phase
         pod.phase = phase
         if phase is PodPhase.RUNNING:
-            self._pod_span_open(pod, "running", node=pod.node_name or "")
+            # The driver sweeps Table I's pod/CPU/GPU/memory from these.
+            request = pod.request
+            self._pod_span_open(
+                pod,
+                "running",
+                node=pod.node_name or "",
+                cpu=request.cpu,
+                gpu=request.gpu,
+                memory=request.memory,
+            )
         elif phase.is_terminal():
             self._pod_span_close(
                 pod, status="ok" if phase is PodPhase.SUCCEEDED else "error"

@@ -1,16 +1,18 @@
 """End-to-end workflow tracing: spans, critical paths, exporters.
 
-The paper's contribution 5 is *step-by-step measurement* — but a peak
-table cannot answer **why** a step was slow.  This package threads a
-span-based trace through every layer of the reproduction:
+The paper's contribution 5 is *step-by-step measurement*.  This package
+threads a span-based trace through every layer of the reproduction: the
+one record of what each step used, and of **why** a step was slow:
 
 - :class:`~repro.tracing.span.Tracer` / :class:`~repro.tracing.span.Span`
   — the span tree, recorded against the **virtual** clock (never wall
   time, so traces are deterministic and replayable).
 - The :class:`~repro.workflow.driver.WorkflowDriver` opens a root span
-  per run and a child span per step; the cluster emits queueing
-  (created→bound), scheduling (bound→running), and running
-  (running→terminal) spans per pod; :mod:`repro.transfer` and
+  per run and a child span per step (as Kepler sessions do per step);
+  the cluster emits queueing (created→bound), scheduling (bound→running),
+  and running (running→terminal, with the pod's ``cpu``/``gpu``/
+  ``memory``, which :func:`~repro.workflow.driver.step_usage` sweeps for
+  Table I) spans per pod; :mod:`repro.transfer` and
   :mod:`repro.netsim` wrap transfers in spans carrying bytes/rate
   attributes; the ML engines emit flood/kernel/shard spans.
 - :mod:`repro.tracing.critical_path` — the longest causal step chain of

@@ -193,7 +193,7 @@ class DownloadStep(WorkflowStep):
                     metrics=tb.registry,
                     on_progress=pod_ctx.heartbeat,
                     seed=tb.seed,
-                    tracer=getattr(tb, "tracer", None),
+                    tracer=tb.tracer,
                     span_parent=ctx.span,
                 )
                 resolve_rng = np.random.default_rng(
@@ -707,7 +707,7 @@ class InferenceStep(WorkflowStep):
                 n_workers=int(p["real_shards"]),
                 halo=int(p["real_halo"]),
                 max_workers=int(p["real_max_workers"]),
-                tracer=getattr(tb, "tracer", None),
+                tracer=tb.tracer,
                 span_parent=ctx.span,
             )
             scores = voxel_metrics(labels, truth)

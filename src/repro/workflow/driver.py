@@ -4,17 +4,17 @@
 to Kubernetes, and Kubernetes creates the specified state in its system"
 (§V): the driver never places pods itself — steps declare Jobs and the
 cluster's scheduler/controllers do the rest.  What the driver *does* own
-is contribution 5: per-step measurement.  While a step runs, every pod
-phase transition in the step's namespace updates peak pod/CPU/GPU/memory
-usage, producing the Table-I rows and the series behind Figures 3–6.
+is contribution 5: per-step measurement, read from the trace.  Each
+step's pods run under its ``step`` span, and :func:`step_usage` sweeps
+their ``running`` spans for the peak pods/CPU/GPU/memory of Table I.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import typing as _t
 
-from repro.cluster.pod import Pod, PodPhase
 from repro.errors import ProcessKilled, StepFailedError, StepTimeoutError, WorkflowError
 from repro.testbed import NautilusTestbed
 from repro.workflow.step import StepContext, StepReport
@@ -22,10 +22,11 @@ from repro.workflow.stream import StreamChannel
 from repro.workflow.workflow import Workflow
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.tracing.span import Span, Tracer
     from repro.workflow.degradation import DegradationPolicy
     from repro.workflow.persistence import WorkflowCheckpoint
 
-__all__ = ["WorkflowDriver", "WorkflowReport"]
+__all__ = ["WorkflowDriver", "WorkflowReport", "step_usage", "traced_step"]
 
 
 #: Serialization format shared by reports and checkpoints (see
@@ -91,39 +92,71 @@ class WorkflowReport:
         return out
 
 
-class _NamespaceMeter:
-    """Tracks peak concurrent pods/CPU/GPU/memory in one namespace."""
-
-    def __init__(self, namespace: str):
-        self.namespace = namespace
-        self.running: dict[str, Pod] = {}
-        self.peak_pods = 0
-        self.peak_cpu = 0.0
-        self.peak_gpu = 0
-        self.peak_memory = 0.0
-        self.pods_seen: set[str] = set()
-
-    def on_phase(self, pod: Pod, _old: PodPhase, new: PodPhase) -> None:
-        if pod.meta.namespace != self.namespace:
-            return
-        if new is PodPhase.RUNNING:
-            self.running[pod.meta.uid] = pod
-            self.pods_seen.add(pod.meta.uid)
-        elif new.is_terminal():
-            self.running.pop(pod.meta.uid, None)
-        self._update_peaks()
-
-    def _update_peaks(self) -> None:
-        pods = len(self.running)
+def step_usage(tracer: Tracer, step: Span) -> tuple[int, float, int, float]:
+    """Peak concurrent ``(pods, cpus, gpus, memory_bytes)`` of one step,
+    swept over the ``running`` spans under ``step`` (each carries its
+    pod's admitted ``cpu``/``gpu``/``memory``).  At one timestamp starts
+    count before ends, so a zero-length span counts; an open span runs to
+    the step's end.  Each start re-sums the live set in start order, so a
+    peak is always the same float sum of the same requests."""
+    running = [s for s in tracer.children(step) if s.category == "running"]
+    # (time, 0 = start | 1 = end, index): starts sort first at a tie.
+    events = sorted(
+        [(s.start, 0, i) for i, s in enumerate(running)]
+        + [(s.end, 1, i) for i, s in enumerate(running) if s.end is not None]
+    )
+    live: dict[int, Span] = {}
+    pods = gpus = 0
+    cpus = memory = 0.0
+    for _, is_end, i in events:
+        if is_end:
+            del live[i]
+            continue
+        live[i] = running[i]
         cpu = gpu = mem = 0.0
-        for pod in self.running.values():
-            cpu += pod.request.cpu
-            gpu += pod.request.gpu
-            mem += pod.request.memory
-        self.peak_pods = max(self.peak_pods, pods)
-        self.peak_cpu = max(self.peak_cpu, cpu)
-        self.peak_gpu = max(self.peak_gpu, int(gpu))
-        self.peak_memory = max(self.peak_memory, mem)
+        for span in live.values():
+            cpu += span.attributes["cpu"]
+            gpu += span.attributes["gpu"]
+            mem += span.attributes["memory"]
+        pods = max(pods, len(live))
+        cpus = max(cpus, cpu)
+        gpus = max(gpus, int(gpu))
+        memory = max(memory, mem)
+    return pods, cpus, gpus, memory
+
+
+@contextlib.contextmanager
+def traced_step(testbed: NautilusTestbed, step, namespace: str, report: StepReport):
+    """Run one step execution in its namespace under a ``step`` span.
+
+    The span (a child of the tracer's root, if one is bound) is bound to
+    the namespace, so the cluster parents the step's pod spans under it.
+    On exit the report gets its times and, from :func:`step_usage`, its
+    pod/CPU/GPU/memory cells.
+    """
+    tracer = testbed.tracer
+    if namespace not in testbed.cluster.namespaces:
+        testbed.cluster.create_namespace(namespace)
+    span = tracer.start(
+        step.name,
+        "step",
+        attributes={
+            "step": step.name,
+            "depends_on": list(step.depends_on),
+            "namespace": namespace,
+        },
+    )
+    tracer.bind_scope(namespace, span)
+    report.start_time = testbed.env.now
+    try:
+        yield span
+    finally:
+        report.end_time = testbed.env.now
+        tracer.unbind_scope(namespace)
+        status = "ok" if report.succeeded else "error"
+        tracer.finish(span, status=status, attributes={"retries": report.retries})
+        cells = step_usage(tracer, span)
+        report.pods, report.cpus, report.gpus, report.memory_bytes = cells
 
 
 class WorkflowDriver:
@@ -147,9 +180,10 @@ class WorkflowDriver:
         Steps whose dependencies are all satisfied run **concurrently**
         (independent DAG branches overlap; the CONNECT chain still runs
         sequentially because each step depends on its predecessor).
-        Each step runs in its own namespace ``<workflow>-<step>``; the
-        report's resource columns are the measured peaks, not the
-        declared requests.
+        Each step runs in its own namespace ``<workflow>-<step>`` under
+        a ``step`` span; the report's pod/CPU/GPU/memory columns are the
+        peaks of the ``running`` pod spans under that span
+        (:func:`step_usage`), not the declared requests.
 
         Parameters
         ----------
@@ -187,13 +221,9 @@ class WorkflowDriver:
         """
         env = self.testbed.env
         start = env.now
-        tracer = getattr(self.testbed, "tracer", None)
-        root_span = (
-            tracer.start_root(
-                workflow.name, "workflow", attributes={"workflow": workflow.name}
-            )
-            if tracer is not None
-            else None
+        tracer = self.testbed.tracer
+        root_span = tracer.start_root(
+            workflow.name, "workflow", attributes={"workflow": workflow.name}
         )
         reports: list[StepReport] = []
         reports_by_name: dict[str, StepReport] = {}
@@ -224,39 +254,19 @@ class WorkflowDriver:
             """Run one step with retries; returns (name, error|None)."""
             report = reports_by_name[step.name]
             namespace = f"{workflow.name}-{step.name}".lower()
-            if namespace not in self.testbed.cluster.namespaces:
-                self.testbed.cluster.create_namespace(namespace)
-            meter = _NamespaceMeter(namespace)
-            self.testbed.cluster.phase_hooks.append(meter.on_phase)
-            step_span = None
-            if tracer is not None:
-                step_span = tracer.start(
-                    step.name,
-                    "step",
-                    parent=root_span,
-                    attributes={
-                        "step": step.name,
-                        "depends_on": list(step.depends_on),
-                        "namespace": namespace,
-                    },
-                )
-                # Components that only know the namespace (the cluster's
-                # pod lifecycle) parent their spans under this step.
-                tracer.bind_scope(namespace, step_span)
-            ctx = StepContext(
-                testbed=self.testbed,
-                params=dict(step.params),
-                artifacts=artifacts,
-                report=report,
-                namespace=namespace,
-                span=step_span,
-                degradation=degradation,
-                streams=streams if overlap else None,
-            )
             produces_stream = overlap and getattr(step, "streams_output", False)
-            report.start_time = env.now
             error: str | None = None
-            try:
+            with traced_step(self.testbed, step, namespace, report) as step_span:
+                ctx = StepContext(
+                    testbed=self.testbed,
+                    params=dict(step.params),
+                    artifacts=artifacts,
+                    report=report,
+                    namespace=namespace,
+                    span=step_span,
+                    degradation=degradation,
+                    streams=streams if overlap else None,
+                )
                 for attempt in range(step.max_retries + 1):
                     if produces_stream and attempt > 0:
                         # The retry attempt streams into a fresh channel;
@@ -316,18 +326,6 @@ class WorkflowDriver:
                             f"attempt {attempt + 1} failed: {exc!r}",
                         )
                         yield env.timeout(step.retry_delay_s)
-            finally:
-                report.end_time = env.now
-                self._absorb_meter(report, meter)
-                if meter.on_phase in self.testbed.cluster.phase_hooks:
-                    self.testbed.cluster.phase_hooks.remove(meter.on_phase)
-                if tracer is not None and step_span is not None:
-                    tracer.unbind_scope(namespace)
-                    tracer.finish(
-                        step_span,
-                        status="ok" if report.succeeded else "error",
-                        attributes={"retries": report.retries},
-                    )
             artifacts[step.name] = dict(report.artifacts)
             if error is None and checkpoint is not None:
                 checkpoint.record(report, artifacts[step.name])
@@ -449,18 +447,8 @@ class WorkflowDriver:
             steps=reports,
             total_duration_s=env.now - start,
         )
-        if tracer is not None and root_span is not None:
-            tracer.finish_root(
-                root_span, status="ok" if report.succeeded else "error"
-            )
+        tracer.finish_root(root_span, status="ok" if report.succeeded else "error")
         return report
-
-    @staticmethod
-    def _absorb_meter(report: StepReport, meter: _NamespaceMeter) -> None:
-        report.pods = meter.peak_pods
-        report.cpus = meter.peak_cpu
-        report.gpus = meter.peak_gpu
-        report.memory_bytes = meter.peak_memory
 
 
 def run_single_step(

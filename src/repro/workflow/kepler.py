@@ -23,9 +23,9 @@ import typing as _t
 
 from repro.errors import StepFailedError, ValidationError
 from repro.testbed import NautilusTestbed
-from repro.workflow.driver import WorkflowDriver
+from repro.workflow.driver import traced_step
 from repro.workflow.ppods import PPoDSSession
-from repro.workflow.step import StepReport
+from repro.workflow.step import StepContext, StepReport
 from repro.workflow.workflow import Workflow
 
 __all__ = ["KeplerSession", "StepCell"]
@@ -54,7 +54,6 @@ class KeplerSession:
     def __init__(self, testbed: NautilusTestbed, workflow: Workflow):
         self.testbed = testbed
         self.workflow = workflow
-        self.driver = WorkflowDriver(testbed)
         self.cells: dict[str, StepCell] = {
             name: StepCell(name=name) for name in workflow.order
         }
@@ -85,35 +84,25 @@ class KeplerSession:
         env = self.testbed.env
         report = StepReport(name=name)
         namespace = f"kepler-{self.workflow.name}-{name}".lower()
-        if namespace not in self.testbed.cluster.namespaces:
-            self.testbed.cluster.create_namespace(namespace)
-        from repro.workflow.driver import _NamespaceMeter
-        from repro.workflow.step import StepContext
-
-        meter = _NamespaceMeter(namespace)
-        self.testbed.cluster.phase_hooks.append(meter.on_phase)
-        ctx = StepContext(
-            testbed=self.testbed,
-            params=dict(step.params),
-            artifacts=self.artifacts,
-            report=report,
-            namespace=namespace,
-        )
         cell = self.cells[name]
-        report.start_time = env.now
-        try:
-            proc = env.process(step.execute(ctx), name=f"kepler:{name}")
-            env.run(until=proc)
-            report.succeeded = True
-            cell.status = "ran"
-        except Exception as exc:  # noqa: BLE001 - shown in the cell
-            report.succeeded = False
-            report.error = repr(exc)
-            cell.status = "failed"
-        finally:
-            report.end_time = env.now
-            self.driver._absorb_meter(report, meter)
-            self.testbed.cluster.phase_hooks.remove(meter.on_phase)
+        with traced_step(self.testbed, step, namespace, report) as span:
+            ctx = StepContext(
+                testbed=self.testbed,
+                params=dict(step.params),
+                artifacts=self.artifacts,
+                report=report,
+                namespace=namespace,
+                span=span,
+            )
+            try:
+                proc = env.process(step.execute(ctx), name=f"kepler:{name}")
+                env.run(until=proc)
+                report.succeeded = True
+                cell.status = "ran"
+            except Exception as exc:  # noqa: BLE001 - shown in the cell
+                report.succeeded = False
+                report.error = repr(exc)
+                cell.status = "failed"
         cell.runs += 1
         cell.last_report = report
         self.artifacts[name] = dict(report.artifacts)

@@ -10,7 +10,6 @@ declared resources, measured every time it runs.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing as _t
 
@@ -157,7 +156,7 @@ class StepContext:
         artifacts: dict[str, dict],
         report: StepReport,
         namespace: str,
-        span: "Span | None" = None,
+        span: "Span",
         degradation: object | None = None,
         streams: dict | None = None,
     ):
@@ -166,7 +165,7 @@ class StepContext:
         self.artifacts = artifacts
         self.report = report
         self.namespace = namespace
-        #: this step's trace span (None when the run is untraced)
+        #: this step's trace span
         self.span = span
         #: the run's :class:`~repro.workflow.degradation.
         #: DegradationPolicy`, or None when degradation is off
@@ -204,17 +203,16 @@ class StepContext:
         return self.testbed.env
 
     def trace(self, name: str, category: str = "compute", **attributes):
-        """A child span of this step, or a no-op when untraced.
+        """A child span of this step.
 
         Usable as a context manager around any phase of the step body::
 
             with ctx.trace("training", "compute", epochs=n):
                 yield env.timeout(training_seconds)
         """
-        tracer = getattr(self.testbed, "tracer", None)
-        if tracer is None or self.span is None:
-            return contextlib.nullcontext()
-        return tracer.span(name, category, parent=self.span, attributes=attributes)
+        return self.testbed.tracer.span(
+            name, category, parent=self.span, attributes=attributes
+        )
 
     def gauge(self, name: str, value: float, labels: dict | None = None) -> None:
         """Record a step-scoped gauge (labelled with the step name)."""

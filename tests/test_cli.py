@@ -21,6 +21,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explode"])
 
+    @pytest.mark.parametrize(
+        "command, scale",
+        [("run", "2"), ("lint", "2"), ("inventory", "0"), ("trace", "nan")],
+    )
+    def test_scale_out_of_range_is_usage_error(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scale", scale])
+        assert exc.value.code == 2
+        assert "scale must be in (0, 1]" in capsys.readouterr().err
+
+    def test_scale_bounds(self):
+        assert build_parser().parse_args(["run", "--scale", "1"]).scale == 1.0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--scale", "abc"])
+
 
 class TestCommands:
     def test_version(self, capsys):

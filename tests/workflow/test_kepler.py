@@ -93,3 +93,37 @@ class TestCollaboration:
         board = session.board()
         assert "ran" in board
         assert "runs=1" in board
+
+
+class TestMeasurement:
+    def test_cells_match_driver_and_pods_sit_under_step_spans(self):
+        from repro.workflow import WorkflowDriver, build_connect_workflow
+
+        kepler_tb = build_nautilus_testbed(seed=42, scale=0.0005)
+        session = KeplerSession(
+            kepler_tb, build_connect_workflow(kepler_tb, real_ml=False)
+        )
+        kepler = session.run_until("visualization")
+        driver_tb = build_nautilus_testbed(seed=42, scale=0.0005)
+        driven = WorkflowDriver(driver_tb).run(
+            build_connect_workflow(driver_tb, real_ml=False)
+        )
+
+        def cells(reports):
+            return [(r.pods, r.cpus, r.gpus, r.memory_bytes) for r in reports]
+
+        assert cells(kepler) == cells(driven.steps)
+        assert [r.pods for r in kepler] == [14, 1, 50, 1]
+
+        tracer = kepler_tb.tracer
+        for report in kepler:
+            (step_span,) = tracer.find(category="step", name=report.name)
+            namespace = f"kepler-connect-{report.name}"
+            assert step_span.attributes["namespace"] == namespace
+            pods = [
+                s
+                for s in tracer.find(category="running")
+                if s.attributes["namespace"] == namespace
+            ]
+            assert len(pods) >= report.pods
+            assert {s.parent_id for s in pods} == {step_span.span_id}
