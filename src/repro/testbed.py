@@ -176,7 +176,7 @@ def build_nautilus_testbed(
         transiently at its seeded rates, exercising the download
         retry/backoff machinery.
     """
-    if scale <= 0 or scale > 1.0:
+    if not 0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
     env = Environment()
     rng = SeededRNG(seed)

@@ -14,7 +14,8 @@ one record of what each step used, and of **why** a step was slow:
   ``memory``, which :func:`~repro.workflow.driver.step_usage` sweeps for
   Table I) spans per pod; :mod:`repro.transfer` and
   :mod:`repro.netsim` wrap transfers in spans carrying bytes/rate
-  attributes; the ML engines emit flood/kernel/shard spans.
+  attributes (a step's reads marked ``input``, which ``step_usage`` sums
+  for Table I's data cell); the ML engines emit flood/kernel/shard spans.
 - :mod:`repro.tracing.critical_path` — the longest causal step chain of
   a run, and a per-layer time-attribution table (queueing / scheduling /
   transfer / compute / orchestration) that partitions the root span

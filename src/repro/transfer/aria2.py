@@ -156,7 +156,7 @@ class Aria2Downloader:
             name,
             "transfer",
             parent=self.span_parent,
-            attributes={"bytes": float(nbytes), "host": self.host},
+            attributes={"bytes": float(nbytes), "host": self.host, "input": True},
         )
 
     def _span_close(

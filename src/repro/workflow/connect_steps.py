@@ -40,7 +40,7 @@ from repro.cluster import (
     ResourceRequirements,
 )
 from repro.data.merra import PAPER_GRID
-from repro.errors import ProcessKilled, QueueEmptyError
+from repro.errors import QueueEmptyError
 from repro.ml import (
     FFNConfig,
     FFNModel,
@@ -72,7 +72,7 @@ __all__ = [
 #: ~2 bits/voxel), sized so paper-scale results land at ~5.8 GB (§III-D).
 RESULT_BYTES_PER_VOXEL = 0.25
 
-#: The paper's training file: 381 MB for the 576x361x240 training volume.
+#: Size of the staged training file: 381 MB for the 576x361x240 volume.
 TRAIN_DATA_BYTES = 381e6
 
 
@@ -248,21 +248,13 @@ class DownloadStep(WorkflowStep):
                             {"worker": worker},
                         )
                         ctx.gauge("step1_worker_cpu_cores", 0.5, {"worker": worker})
-                except ProcessKilled:
-                    # Crash/NodeLost/LivenessFailed: put unacked work back
+                except Exception:
+                    # Crash/NodeLost/LivenessFailed (ProcessKilled) or a
+                    # terminal transfer failure: put the unacked chunk back
                     # for the replacement pod (§III-A's fault tolerance).
                     queue.recover(worker)
                     raise
-                except Exception:
-                    # A terminal transfer failure crashes this pod; its
-                    # in-flight chunk must go back on the queue or the
-                    # restarted worker would never see it again.
-                    queue.recover(worker)
-                    raise
                 ctx.gauge("step1_worker_cpu_cores", 0.0, {"worker": worker})
-                return stats_total(worker)
-
-            def stats_total(worker: str) -> float:
                 return queue.acked_total
 
             return PodSpec(
@@ -333,7 +325,6 @@ class DownloadStep(WorkflowStep):
         else:
             content = yield from self._materialize(ctx, subset_vars, policy)
 
-        ctx.report.data_processed_bytes = bytes_downloaded[0]
         ctx.report.artifacts.update(
             {
                 "merged_objects": sorted(merged_objects),
@@ -451,9 +442,8 @@ class TrainingStep(WorkflowStep):
             worker = pod_ctx.pod.meta.name
             # Pull the training volume (the 381 MB merged HDF) from Ceph.
             ctx.gauge("step2_phase", 0.0, {"pod": worker})  # 0 = fetching
-            with ctx.trace(
-                "fetch-training-volume", "transfer", bytes=TRAIN_DATA_BYTES
-            ):
+            with ctx.trace("fetch-training-volume", "transfer",
+                           bytes=TRAIN_DATA_BYTES, input=True):
                 yield tb.cephfs.cluster.put(
                     "merra", "training/connect-labels-30d.h5", TRAIN_DATA_BYTES
                 )
@@ -576,7 +566,6 @@ class TrainingStep(WorkflowStep):
         )
         yield job.completion_event
 
-        ctx.report.data_processed_bytes = TRAIN_DATA_BYTES
         ctx.report.artifacts.update(
             {
                 "model_object": p["model_object"],
@@ -631,9 +620,8 @@ class InferenceStep(WorkflowStep):
                 host = pod_ctx.node.spec.name
                 worker = f"inf-{index}"
                 # Fetch the model + this shard's data from the store.
-                with ctx.trace(
-                    f"fetch-shard:{index}", "transfer", bytes=shard_bytes
-                ):
+                with ctx.trace(f"fetch-shard:{index}", "transfer",
+                               bytes=shard_bytes, input=True):
                     yield tb.ceph.get(
                         "models", str(training.get("model_object",
                                                    "ffn/checkpoint-v1")),
@@ -721,7 +709,6 @@ class InferenceStep(WorkflowStep):
                 "real_shard_count": len(real_shards),
             }
 
-        ctx.report.data_processed_bytes = subset_bytes
         ctx.report.artifacts.update(
             {
                 "result_objects": sorted(result_objects),
@@ -769,12 +756,12 @@ class VisualizationStep(WorkflowStep):
         def main(pod_ctx):
             host = pod_ctx.node.spec.name
             # Mount the store; load the most recent results (§III-D).
-            with ctx.trace("load-results", "transfer", bytes=result_bytes):
+            with ctx.trace("load-results", "transfer",
+                           bytes=result_bytes, input=True):
                 for name in list(inference.get("result_objects", []))[:8]:
                     yield tb.ceph.get("results", name, client_host=host)
                 if result_bytes:
-                    remaining = result_bytes
-                    yield from _timed_ceph_read(tb, remaining, host, "viz")
+                    yield from _timed_ceph_read(tb, result_bytes, host, "viz")
             # Real analysis: object statistics over the FFN labels via
             # CONNECT's life-cycle machinery.
             if p["real_ml"] and "label_volume" in inference:
@@ -810,7 +797,6 @@ class VisualizationStep(WorkflowStep):
         )
         yield job.completion_event
         ctx.report.interactive = True  # Table I: "NA"
-        ctx.report.data_processed_bytes = result_bytes
         ctx.report.artifacts.update(stats)
 
 

@@ -4,15 +4,17 @@
 to Kubernetes, and Kubernetes creates the specified state in its system"
 (§V): the driver never places pods itself — steps declare Jobs and the
 cluster's scheduler/controllers do the rest.  What the driver *does* own
-is contribution 5: per-step measurement, read from the trace.  Each
-step's pods run under its ``step`` span, and :func:`step_usage` sweeps
-their ``running`` spans for the peak pods/CPU/GPU/memory of Table I.
+is contribution 5: per-step measurement, read from the trace, so a step
+body writes only its artifacts.  :func:`step_usage` sweeps the ``running``
+spans under a step's span for Table I's peak pods/CPU/GPU/memory and
+sums the ``bytes`` of its ``input`` spans for the data-processed cell.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import typing as _t
 
 from repro.errors import ProcessKilled, StepFailedError, StepTimeoutError, WorkflowError
@@ -92,14 +94,18 @@ class WorkflowReport:
         return out
 
 
-def step_usage(tracer: Tracer, step: Span) -> tuple[int, float, int, float]:
-    """Peak concurrent ``(pods, cpus, gpus, memory_bytes)`` of one step,
-    swept over the ``running`` spans under ``step`` (each carries its
-    pod's admitted ``cpu``/``gpu``/``memory``).  At one timestamp starts
-    count before ends, so a zero-length span counts; an open span runs to
-    the step's end.  Each start re-sums the live set in start order, so a
-    peak is always the same float sum of the same requests."""
-    running = [s for s in tracer.children(step) if s.category == "running"]
+def step_usage(tracer: Tracer, step: Span) -> tuple[int, float, int, float, float]:
+    """Table I's ``(pods, cpus, gpus, memory_bytes, data_processed_bytes)``
+    of one step, read from the step span's direct children.  The peaks
+    sweep the ``running`` spans (each carries its pod's admitted
+    ``cpu``/``gpu``/``memory``).  At one timestamp starts count before
+    ends, so a zero-length span counts; an open span runs to the step's
+    end.  Each start re-sums the live set in start order, so a peak is
+    always the same float sum of the same requests.  Data processed is
+    the exact ``math.fsum`` of ``bytes`` over the finished ``ok`` spans
+    marked ``input``, every attempt's, whatever order they finished in."""
+    children = tracer.children(step)
+    running = [s for s in children if s.category == "running"]
     # (time, 0 = start | 1 = end, index): starts sort first at a tie.
     events = sorted(
         [(s.start, 0, i) for i, s in enumerate(running)]
@@ -122,7 +128,12 @@ def step_usage(tracer: Tracer, step: Span) -> tuple[int, float, int, float]:
         cpus = max(cpus, cpu)
         gpus = max(gpus, int(gpu))
         memory = max(memory, mem)
-    return pods, cpus, gpus, memory
+    data = math.fsum(
+        s.attributes["bytes"]
+        for s in children
+        if s.attributes.get("input") and s.finished and s.status == "ok"
+    )
+    return pods, cpus, gpus, memory, data
 
 
 @contextlib.contextmanager
@@ -132,7 +143,7 @@ def traced_step(testbed: NautilusTestbed, step, namespace: str, report: StepRepo
     The span (a child of the tracer's root, if one is bound) is bound to
     the namespace, so the cluster parents the step's pod spans under it.
     On exit the report gets its times and, from :func:`step_usage`, its
-    pod/CPU/GPU/memory cells.
+    pod/CPU/GPU/memory and data-processed cells.
     """
     tracer = testbed.tracer
     if namespace not in testbed.cluster.namespaces:
@@ -155,8 +166,8 @@ def traced_step(testbed: NautilusTestbed, step, namespace: str, report: StepRepo
         tracer.unbind_scope(namespace)
         status = "ok" if report.succeeded else "error"
         tracer.finish(span, status=status, attributes={"retries": report.retries})
-        cells = step_usage(tracer, span)
-        report.pods, report.cpus, report.gpus, report.memory_bytes = cells
+        *peaks, report.data_processed_bytes = step_usage(tracer, span)
+        report.pods, report.cpus, report.gpus, report.memory_bytes = peaks
 
 
 class WorkflowDriver:
@@ -182,8 +193,9 @@ class WorkflowDriver:
         sequentially because each step depends on its predecessor).
         Each step runs in its own namespace ``<workflow>-<step>`` under
         a ``step`` span; the report's pod/CPU/GPU/memory columns are the
-        peaks of the ``running`` pod spans under that span
-        (:func:`step_usage`), not the declared requests.
+        peaks of the ``running`` pod spans under that span, not the
+        declared requests, and its data column sums the step's ``input``
+        spans (:func:`step_usage`).
 
         Parameters
         ----------

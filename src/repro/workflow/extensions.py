@@ -86,14 +86,15 @@ class DistributedPreprocessing(WorkflowStep):
             def main(pod_ctx):
                 worker = pod_ctx.pod.meta.name
                 host = pod_ctx.node.spec.name
-                converted = 0.0
                 while True:
                     try:
                         msg = queue.try_pop(worker)
                     except QueueEmptyError:
                         break
                     nbytes = float(msg.body)
-                    yield env.timeout(tb.perf.prep_seconds(nbytes))
+                    with ctx.trace(f"convert:{msg.id}", "compute",
+                                   bytes=nbytes, input=True):
+                        yield env.timeout(tb.perf.prep_seconds(nbytes))
                     name = f"{p['output_prefix']}/{worker}-{msg.id:04d}.pb"
                     # Protobufs land "in the attached CephFS directory
                     # that all nodes in the namespace can see" (§III-E.1).
@@ -102,8 +103,6 @@ class DistributedPreprocessing(WorkflowStep):
                     )
                     outputs.append(name)
                     queue.ack(worker, msg)
-                    converted += nbytes
-                return converted
 
             return PodSpec(
                 containers=[
@@ -126,7 +125,6 @@ class DistributedPreprocessing(WorkflowStep):
             namespace=ctx.namespace,
         )
         yield job.completion_event
-        ctx.report.data_processed_bytes = total_bytes
         ctx.report.artifacts.update(
             {
                 "protobuf_objects": sorted(outputs),

@@ -320,8 +320,9 @@ class WorkflowStep:
     def execute(self, ctx: StepContext):
         """Generator body run on the simulation kernel.
 
-        Must ``yield`` simulation events; fills ``ctx.report`` fields
-        the driver doesn't infer (data processed, artifacts).
+        Must ``yield`` simulation events; fills ``ctx.report.artifacts``
+        only (and ``interactive``).  The driver reads every measured cell
+        from the trace, data processed from child spans marked ``input``.
         """
         raise NotImplementedError
         yield  # pragma: no cover

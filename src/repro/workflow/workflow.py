@@ -24,7 +24,9 @@ class Workflow:
     unknown dependencies — raise :class:`ValidationError`; advisory
     findings (orphan steps, network steps without retry budgets, ...)
     are kept on :attr:`lint_findings` for ``repro lint`` and callers to
-    inspect.
+    inspect.  DAG007 (GPU oversubscription, error severity) stays silent
+    here, since no GPU total is known at construction; only ``repro
+    lint`` reports it, passing ``testbed.total_gpus()``.
     """
 
     def __init__(self, name: str, steps: _t.Sequence[WorkflowStep]):

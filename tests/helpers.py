@@ -1,7 +1,11 @@
-"""Shared test helpers for pinning simulator outputs."""
+"""Shared test helpers for pinning and checking simulator outputs."""
 
 import hashlib
 import re
+
+import pytest
+
+from repro.workflow.connect_steps import TRAIN_DATA_BYTES
 
 _METRIC_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -21,3 +25,21 @@ def assert_prometheus_names(registry) -> None:
         assert _METRIC_NAME.fullmatch(name), name
         if registry.counter_sum(name) > 0:
             assert name.endswith("_total"), name
+
+
+def assert_data_cells_match_their_sources(report, testbed):
+    """Table I's data cells, summed from each step's ``input`` spans,
+    against the quantities the steps read: the staged training file,
+    the archive subset the shards fetch, and the inference results."""
+    subset = testbed.archive.total_subset_bytes
+    inference = report.step("inference")
+    assert report.step("training").data_processed_bytes == TRAIN_DATA_BYTES
+    assert inference.data_processed_bytes == subset
+    assert (
+        report.step("visualization").data_processed_bytes
+        == inference.artifacts["result_bytes"]
+    )
+    assert report.step("download").data_processed_bytes == pytest.approx(
+        subset, rel=1e-15
+    )
+

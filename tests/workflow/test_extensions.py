@@ -35,10 +35,10 @@ class TestTestbedBuilder:
         assert len(tb.archive) == round(112_249 * 0.01)
 
     def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            build_nautilus_testbed(scale=0.0)
-        with pytest.raises(ValueError):
-            build_nautilus_testbed(scale=2.0)
+        # NaN fails both halves of ``scale <= 0 or scale > 1``.
+        for scale in (float("nan"), 0.0, 1.5, 2.0):
+            with pytest.raises(ValueError, match=r"scale must be in \(0, 1\]"):
+                build_nautilus_testbed(scale=scale)
 
     def test_cluster_nodes_attached_to_network(self):
         tb = build_nautilus_testbed(seed=1, scale=0.001)
@@ -67,6 +67,15 @@ class TestDistributedPreprocessing:
         assert report.artifacts["protobuf_objects"]
         for name in report.artifacts["protobuf_objects"]:
             assert testbed.cephfs.exists(name)
+
+    def test_data_cell_sums_the_converted_chunks(self, testbed):
+        # Chunks of 4, 4 and 2.5 GB, each converted under an input span.
+        step = DistributedPreprocessing(
+            params={"n_workers": 2, "bytes_to_convert": 10.5e9}
+        )
+        report = run_single_step(testbed, step)
+        assert report.artifacts["n_chunks"] == 3
+        assert report.data_processed_bytes == 10.5e9
 
     def test_single_worker_approximates_serial(self, testbed):
         step = DistributedPreprocessing(

@@ -110,7 +110,10 @@ class TestMeasurement:
         )
 
         def cells(reports):
-            return [(r.pods, r.cpus, r.gpus, r.memory_bytes) for r in reports]
+            return [
+                (r.pods, r.cpus, r.gpus, r.memory_bytes, r.data_processed_bytes)
+                for r in reports
+            ]
 
         assert cells(kepler) == cells(driven.steps)
         assert [r.pods for r in kepler] == [14, 1, 50, 1]

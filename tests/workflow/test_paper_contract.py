@@ -13,7 +13,11 @@ import pytest
 from perf.workloads import digest
 from repro.testbed import build_nautilus_testbed
 from repro.workflow import WorkflowDriver, build_connect_workflow
-from tests.helpers import assert_prometheus_names, registry_digest
+from tests.helpers import (
+    assert_data_cells_match_their_sources,
+    assert_prometheus_names,
+    registry_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +33,7 @@ def test_connect_paper_outputs_pinned(paper_run):
     report, testbed = paper_run
     artifacts = {step.name: step.artifacts for step in report.steps}
     assert report.succeeded, [s.error for s in report.steps]
-    assert digest((report.to_dict(), artifacts)) == "6965c40ef3e71ead"
+    assert digest((report.to_dict(), artifacts)) == "9d5c80568d5bd279"
     assert report.total_duration_s == 93459.2050363148
     assert testbed.thredds.requests_served == 112273
 
@@ -45,3 +49,10 @@ def test_connect_paper_registry_pinned(paper_run):
     assert testbed.flowsim.completed_count == 4227
     assert testbed.flowsim.bytes_moved == 1250521863152.0027
     assert testbed.thredds.bytes_served == 246007858176.003
+
+
+def test_connect_paper_data_cells_match_their_sources(paper_run):
+    report, testbed = paper_run
+    assert_data_cells_match_their_sources(report, testbed)
+    # The download cell is the exact sum of its 2,260 stream spans.
+    assert report.step("download").data_processed_bytes == 245999999999.99997

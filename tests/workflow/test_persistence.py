@@ -19,8 +19,8 @@ class ArtifactStep(SleepStep):
     """Produces every artifact flavour the sanitizer must handle."""
 
     def execute(self, ctx):
-        yield ctx.env.timeout(1.0)
-        ctx.report.data_processed_bytes = 42.0
+        with ctx.trace("read-input", "transfer", bytes=42.0, input=True):
+            yield ctx.env.timeout(1.0)
         ctx.report.artifacts.update(
             {
                 "number": 7,
@@ -49,7 +49,7 @@ class TestSerialization:
         assert back.total_duration_s == pytest.approx(report.total_duration_s)
         step, orig = back.steps[0], report.steps[0]
         assert step.duration_s == pytest.approx(orig.duration_s)
-        assert step.data_processed_bytes == orig.data_processed_bytes
+        assert step.data_processed_bytes == orig.data_processed_bytes == 42.0
 
     def test_scalar_artifacts_roundtrip_exactly(self, report, tmp_path):
         path = tmp_path / "report.json"

@@ -23,6 +23,7 @@ from repro.workflow import (
     build_connect_workflow,
 )
 from repro.workflow.step import StepContext, WorkflowStep
+from tests.helpers import assert_data_cells_match_their_sources
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,15 @@ class TestConnectOverlap:
         a = {s.name: s.to_dict()["artifacts"] for s in both_runs[False].steps}
         b = {s.name: s.to_dict()["artifacts"] for s in both_runs[True].steps}
         assert a == b
+
+    def test_data_cells_match_their_sources_in_both_modes(self, traced_runs):
+        for tb, report in traced_runs.values():
+            assert_data_cells_match_their_sources(report, tb)
+        cells = {
+            overlap: [s.data_processed_bytes for s in report.steps]
+            for overlap, (_, report) in traced_runs.items()
+        }
+        assert cells[True] == cells[False]
 
     def test_real_ml_scores_preserved(self, both_runs):
         for report in both_runs.values():

@@ -14,11 +14,26 @@ class SleepStep(WorkflowStep):
     default_params = {"duration": 10.0, "fail": False}
 
     def execute(self, ctx: StepContext):
-        yield ctx.env.timeout(float(ctx.params["duration"]))
+        with ctx.trace("read-input", "transfer", bytes=42.0, input=True):
+            yield ctx.env.timeout(float(ctx.params["duration"]))
         if ctx.params["fail"]:
             raise RuntimeError("step exploded")
-        ctx.report.data_processed_bytes = 42.0
         ctx.report.artifacts["out"] = ctx.params["duration"]
+
+
+class FlakyReadStep(WorkflowStep):
+    """Reads 10 bytes per attempt; the first attempt fails after its read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.attempts = 0
+
+    def execute(self, ctx: StepContext):
+        self.attempts += 1
+        with ctx.trace("read-input", "transfer", bytes=10.0, input=True):
+            yield ctx.env.timeout(1.0)
+        if self.attempts == 1:
+            raise RuntimeError("lost the connection after the read")
 
 
 class ConsumerStep(WorkflowStep):
@@ -76,6 +91,13 @@ class TestDriver:
         step = report.step("only")
         assert step.duration_s == pytest.approx(10.0)
         assert step.data_processed_bytes == 42.0
+
+    def test_input_of_every_attempt_counts(self, testbed):
+        step = FlakyReadStep(name="flaky", max_retries=1, retry_delay_s=1.0)
+        report = WorkflowDriver(testbed).run(Workflow("w", [step]))
+        assert report.succeeded
+        assert report.step("flaky").retries == 1
+        assert report.step("flaky").data_processed_bytes == 20.0
 
     def test_steps_run_sequentially(self, testbed):
         wf = Workflow(
