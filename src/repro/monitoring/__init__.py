@@ -10,6 +10,6 @@ performance measurements were presented using the CHASE-CI dashboard
 visualizations in Grafana" (§VIII).
 
 The implementations live in the submodules (``repro.monitoring.metrics``,
-``.sampler``, ``.promql``, ``.grafana``, ``.alerts``); import each name
-from its submodule.
+``.sampler``, ``.promql``, ``.grafana``); import each name from its
+submodule.
 """

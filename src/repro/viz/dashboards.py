@@ -2,7 +2,7 @@
 
 "Grafana ... graphs cluster health and performance data" (§II-A); admins
 don't assemble panels by hand every time — they load the standard
-cluster dashboard.  These builders produce the equivalents for a
+cluster dashboard.  This builder produces the equivalent for a
 :class:`~repro.testbed.NautilusTestbed`.
 """
 
@@ -15,7 +15,7 @@ from repro.monitoring.grafana import Dashboard, Panel
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.testbed import NautilusTestbed
 
-__all__ = ["build_cluster_dashboard", "build_workflow_dashboard"]
+__all__ = ["build_cluster_dashboard"]
 
 
 def build_cluster_dashboard(testbed: "NautilusTestbed") -> Dashboard:
@@ -38,20 +38,3 @@ def build_cluster_dashboard(testbed: "NautilusTestbed") -> Dashboard:
                          unit="MB/s", scale=1e-6))
     return dash
 
-
-def build_workflow_dashboard(testbed: "NautilusTestbed") -> Dashboard:
-    """The workflow view: the per-step series Figures 3/5/6 are built on."""
-    dash = Dashboard("CONNECT workflow", testbed.registry)
-    dash.add_panel(Panel(title="Step 1 worker CPU (per worker)",
-                         metric="step1_worker_cpu_cores", unit="cores"))
-    dash.add_panel(Panel(title="Step 1 bytes downloaded",
-                         metric="step1_downloaded_bytes_total", unit="GB",
-                         scale=1e-9, kind="stat"))
-    dash.add_panel(Panel(title="Step 2 phase (0 fetch/1 prep/2 train/3 done)",
-                         metric="step2_phase"))
-    dash.add_panel(Panel(title="Step 3 GPU busy (per worker)",
-                         metric="step3_gpu_busy"))
-    dash.add_panel(Panel(title="Step 3 voxels segmented",
-                         metric="step3_voxels_done_total", kind="stat",
-                         unit="voxels"))
-    return dash

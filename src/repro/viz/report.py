@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import typing as _t
 
+import numpy as np
+
 import repro.monitoring.promql as promql
 from repro.monitoring.grafana import sparkline
 from repro.viz.ascii import bar_chart, text_table
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.testbed import NautilusTestbed
-    from repro.workflow import Workflow, WorkflowReport
+    from repro.tracing import Span
+    from repro.workflow import StepReport, Workflow, WorkflowReport
 
 __all__ = [
     "render_figure1",
@@ -76,14 +79,40 @@ def _step_window(report: "WorkflowReport", step: str) -> tuple[float, float]:
     return s.start_time, s.end_time
 
 
+def _step_children(testbed: "NautilusTestbed", step: "StepReport") -> list["Span"]:
+    """The direct children of the ``step`` span that ran ``step`` (its
+    times are the report's); empty when no such span is in the trace,
+    as for a step restored from a checkpoint."""
+    tracer = testbed.tracer
+    for span in tracer.find("step", step.name):
+        if span.start == step.start_time and span.end == step.end_time:
+            return tracer.children(span)
+    return []
+
+
+def _download_workers(
+    testbed: "NautilusTestbed", report: "WorkflowReport"
+) -> list["Span"]:
+    """The ``running`` span of every download-worker pod (the pods of the
+    ``download-workers-<n>`` Job, not the step's Redis, manifest-builder
+    and monitor pods)."""
+    children = _step_children(testbed, report.step("download"))
+    return [
+        s
+        for s in children
+        if s.category == "running" and s.name.startswith("download-workers-")
+    ]
+
+
 def figure3_stats(
     testbed: "NautilusTestbed", report: "WorkflowReport"
 ) -> dict[str, float]:
     """Download-job orchestration numbers (paper: 10 workers, 37 min,
-    246 GB, 112,249 files)."""
+    246 GB, 112,249 files).  ``workers`` counts the distinct
+    download-worker pods with a ``running`` span under the download step
+    span."""
     step = report.step("download")
-    series = testbed.registry.all_series("step1_worker_cpu_cores")
-    workers = {dict(ts.labels).get("worker") for ts in series}
+    workers = {s.attributes["pod"] for s in _download_workers(testbed, report)}
     return {
         "workers": float(len(workers)),
         "minutes": step.duration_minutes,
@@ -95,7 +124,10 @@ def figure3_stats(
 
 
 def render_figure3(testbed: "NautilusTestbed", report: "WorkflowReport") -> str:
-    """Figure 3: per-worker CPU/memory during the download job."""
+    """Figure 3: per-worker CPU/memory during the download job.  Each
+    worker's row marks the time buckets its ``running`` span overlaps
+    and ends with the pod's admitted ``cpu``, the cores it holds while
+    running (0 outside)."""
     stats = figure3_stats(testbed, report)
     start, end = _step_window(report, "download")
     lines = [
@@ -105,10 +137,15 @@ def render_figure3(testbed: "NautilusTestbed", report: "WorkflowReport") -> str:
         f"({stats['files']:,.0f} NetCDF files)",
         "  per-worker CPU (cores):",
     ]
-    for ts in testbed.registry.all_series("step1_worker_cpu_cores"):
-        worker = dict(ts.labels).get("worker", "?")
-        times, values = ts.window(start, end)
-        lines.append(f"    {worker:<26} {sparkline(values, width=48)}")
+    # 48 buckets over the step; a bucket the span overlaps at all is
+    # live, so a worker shorter than a bucket still shows.
+    edges = np.linspace(start, end, 49)
+    for span in _download_workers(testbed, report):
+        stop = end if span.end is None else span.end
+        live = (edges[:-1] < stop) & (edges[1:] > span.start)
+        bar = "".join("█" if x else "▁" for x in live)
+        pod, cpu = span.attributes["pod"], span.attributes["cpu"]
+        lines.append(f"    {pod:<26} {bar} {cpu:g}")
     mem = [
         ts
         for ts in testbed.registry.all_series("node_memory_allocated_bytes")
@@ -173,21 +210,35 @@ def render_figure4(testbed: "NautilusTestbed", report: "WorkflowReport") -> str:
 # ------------------------------------------------------------------ figure 5
 
 
+#: The training step's phase spans ``(name, category)``: the step span
+#: itself is also named ``training``.
+_TRAINING_PHASES = (
+    ("data-prep", "compute"),
+    ("training", "compute"),
+    ("save-checkpoint", "transfer"),
+)
+
+
 def figure5_stats(
     testbed: "NautilusTestbed", report: "WorkflowReport"
 ) -> dict[str, float]:
-    """Training job phases (paper: 306 min total; prep then training)."""
+    """Training job phases (paper: 306 min total; prep then training),
+    from the training step's spans: prep runs from the ``data-prep``
+    start to the ``training`` compute start, training from there to the
+    ``save-checkpoint`` end (the last attempt's spans)."""
     step = report.step("training")
-    phases = testbed.registry.all_series("step2_phase")
-    prep_s = train_s = 0.0
-    if phases:
-        times, values = phases[0].as_arrays()
-        # Phases: 0 fetch, 1 prep, 2 training, 3 done (see TrainingStep).
-        marks = {v: t for t, v in zip(times, values)}
-        if 1.0 in marks and 2.0 in marks:
-            prep_s = marks[2.0] - marks[1.0]
-        if 2.0 in marks and 3.0 in marks:
-            train_s = marks[3.0] - marks[2.0]
+    phases = {
+        span.name: span
+        for span in _step_children(testbed, step)
+        if (span.name, span.category) in _TRAINING_PHASES
+    }
+    prep = phases.get("data-prep")
+    train = phases.get("training")
+    save = phases.get("save-checkpoint")
+    prep_s = train.start - prep.start if prep and train else 0.0
+    train_s = (
+        save.end - train.start if train and save and save.end is not None else 0.0
+    )
     return {
         "total_minutes": step.duration_minutes,
         "prep_minutes": prep_s / 60.0,

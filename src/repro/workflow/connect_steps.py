@@ -217,14 +217,8 @@ class DownloadStep(WorkflowStep):
                             policy,
                             resolve_rng,
                         )
-                        ctx.gauge("step1_worker_cpu_cores", 0.5, {"worker": worker})
                         stats = yield from downloader.download_batch(requests)
                         sizes = dict(zip(indices, requests.nbytes))
-                        ctx.gauge(
-                            "step1_worker_cpu_cores",
-                            float(p["worker_cpu"]),
-                            {"worker": worker},
-                        )
                         for plan in planner.plan(indices, sizes, worker):
                             yield env.timeout(plan.cpu_seconds)
                             yield tb.ceph.put(
@@ -237,25 +231,12 @@ class DownloadStep(WorkflowStep):
                             pod_ctx.heartbeat()
                         queue.ack(worker, msg)
                         bytes_downloaded[0] += stats.bytes
-                        ctx.counter(
-                            "step1_downloaded_bytes_total",
-                            stats.bytes,
-                            {"worker": worker},
-                        )
-                        ctx.counter(
-                            "step1_downloaded_files_total",
-                            stats.files,
-                            {"worker": worker},
-                        )
-                        ctx.gauge("step1_worker_cpu_cores", 0.5, {"worker": worker})
                 except Exception:
                     # Crash/NodeLost/LivenessFailed (ProcessKilled) or a
                     # terminal transfer failure: put the unacked chunk back
                     # for the replacement pod (§III-A's fault tolerance).
                     queue.recover(worker)
                     raise
-                ctx.gauge("step1_worker_cpu_cores", 0.0, {"worker": worker})
-                return queue.acked_total
 
             return PodSpec(
                 containers=[
@@ -441,7 +422,6 @@ class TrainingStep(WorkflowStep):
             host = pod_ctx.node.spec.name
             worker = pod_ctx.pod.meta.name
             # Pull the training volume (the 381 MB merged HDF) from Ceph.
-            ctx.gauge("step2_phase", 0.0, {"pod": worker})  # 0 = fetching
             with ctx.trace("fetch-training-volume", "transfer",
                            bytes=TRAIN_DATA_BYTES, input=True):
                 yield tb.cephfs.cluster.put(
@@ -450,7 +430,6 @@ class TrainingStep(WorkflowStep):
                 yield tb.ceph.get("merra", "training/connect-labels-30d.h5",
                                   client_host=host)
             # Data prep: partition volumes + coordinates (Figure 5, purple).
-            ctx.gauge("step2_phase", 1.0, {"pod": worker})
             with ctx.trace("data-prep", "compute", voxels=train_voxels):
                 yield env.timeout(tb.perf.train_prep_seconds(train_voxels))
             # Real ML: train the FFN — preferably on the data step 1
@@ -527,7 +506,6 @@ class TrainingStep(WorkflowStep):
             else:
                 checkpoint_bytes = 4e6
             # Paper-scale training time (Figure 5, green).
-            ctx.gauge("step2_phase", 2.0, {"pod": worker})
             with ctx.trace("training", "compute", voxels=train_voxels):
                 yield env.timeout(
                     tb.perf.training_seconds(
@@ -546,7 +524,6 @@ class TrainingStep(WorkflowStep):
                     payload=results.get("model_state"),
                     client_host=host,
                 )
-            ctx.gauge("step2_phase", 3.0, {"pod": worker})
             return "trained"
 
         spec = PodSpec(
@@ -628,7 +605,6 @@ class InferenceStep(WorkflowStep):
                         client_host=host,
                     )
                     yield from _timed_ceph_read(tb, shard_bytes, host, worker)
-                ctx.gauge("step3_gpu_busy", 1.0, {"worker": worker})
                 with ctx.trace(
                     f"infer-shard:{index}", "compute", voxels=shard_voxels
                 ):
@@ -637,7 +613,6 @@ class InferenceStep(WorkflowStep):
                             shard_voxels, worker=worker, seed=tb.seed
                         )
                     )
-                ctx.gauge("step3_gpu_busy", 0.0, {"worker": worker})
                 result_name = f"{p['results_prefix']}/shard-{index:03d}.labels"
                 result_bytes = shard_voxels * RESULT_BYTES_PER_VOXEL
                 with ctx.trace(
@@ -648,7 +623,6 @@ class InferenceStep(WorkflowStep):
                     )
                 result_objects.append(result_name)
                 total_result_bytes[0] += result_bytes
-                ctx.counter("step3_voxels_done_total", shard_voxels, {"worker": worker})
                 return shard_voxels
 
             return PodSpec(

@@ -142,8 +142,9 @@ def traced_step(testbed: NautilusTestbed, step, namespace: str, report: StepRepo
 
     The span (a child of the tracer's root, if one is bound) is bound to
     the namespace, so the cluster parents the step's pod spans under it.
-    On exit the report gets its times and, from :func:`step_usage`, its
-    pod/CPU/GPU/memory and data-processed cells.
+    The report's times are the span's start and end; on exit it gets,
+    from :func:`step_usage`, its pod/CPU/GPU/memory and data-processed
+    cells.
     """
     tracer = testbed.tracer
     if namespace not in testbed.cluster.namespaces:
@@ -158,14 +159,14 @@ def traced_step(testbed: NautilusTestbed, step, namespace: str, report: StepRepo
         },
     )
     tracer.bind_scope(namespace, span)
-    report.start_time = testbed.env.now
+    report.start_time = span.start
     try:
         yield span
     finally:
-        report.end_time = testbed.env.now
         tracer.unbind_scope(namespace)
         status = "ok" if report.succeeded else "error"
         tracer.finish(span, status=status, attributes={"retries": report.retries})
+        report.end_time = span.end
         *peaks, report.data_processed_bytes = step_usage(tracer, span)
         report.pods, report.cpus, report.gpus, report.memory_bytes = peaks
 

@@ -134,6 +134,11 @@ class StepReport:
 class StepContext:
     """What a running step can touch.
 
+    A step body is measured from the outside: it marks its phases with
+    :meth:`trace` spans, and the report's cells and the figures are read
+    from those spans and the pod spans the cluster opens.  It writes no
+    metric series of its own.
+
     Attributes
     ----------
     testbed:
@@ -213,15 +218,6 @@ class StepContext:
         return self.testbed.tracer.span(
             name, category, parent=self.span, attributes=attributes
         )
-
-    def gauge(self, name: str, value: float, labels: dict | None = None) -> None:
-        """Record a step-scoped gauge (labelled with the step name)."""
-        merged = {"step": self.report.name, **(labels or {})}
-        self.testbed.registry.set_gauge(name, value, merged)
-
-    def counter(self, name: str, amount: float, labels: dict | None = None) -> None:
-        merged = {"step": self.report.name, **(labels or {})}
-        self.testbed.registry.inc_counter(name, amount, merged)
 
 
 class WorkflowStep:

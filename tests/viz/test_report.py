@@ -69,6 +69,17 @@ class TestFigures:
         assert stats["pods"] == 14
         out = render_figure3(testbed, report)
         assert "Redis queue" in out
+        # One row per download worker, each showing when it ran (even a
+        # worker shorter than one time bucket); the step's other pods
+        # draw none.
+        rows = [
+            line.split()
+            for line in out.splitlines()
+            if line.strip().startswith("download-workers-")
+        ]
+        assert len({pod for pod, _, _ in rows}) == len(rows) == stats["workers"]
+        assert all("█" in bar and cpu == "4" for _, bar, cpu in rows)
+        assert "redis" not in out.split("per-worker CPU")[1]
 
     def test_figure4_peaks_positive(self, executed):
         testbed, _, report = executed

@@ -12,6 +12,7 @@ import pytest
 
 from perf.workloads import digest
 from repro.testbed import build_nautilus_testbed
+from repro.viz import figure3_stats, figure5_stats
 from repro.workflow import WorkflowDriver, build_connect_workflow
 from tests.helpers import (
     assert_data_cells_match_their_sources,
@@ -44,7 +45,7 @@ def test_connect_paper_registry_pinned(paper_run):
     report but moves one sample (a link rate, a bytes gauge) fails here.
     Every series it writes follows the Prometheus naming conventions."""
     _, testbed = paper_run
-    assert registry_digest(testbed.registry) == "e3ec740ebbe21264"
+    assert registry_digest(testbed.registry) == "c46af44e328713e5"
     assert_prometheus_names(testbed.registry)
     assert testbed.flowsim.completed_count == 4227
     assert testbed.flowsim.bytes_moved == 1250521863152.0027
@@ -56,3 +57,24 @@ def test_connect_paper_data_cells_match_their_sources(paper_run):
     assert_data_cells_match_their_sources(report, testbed)
     # The download cell is the exact sum of its 2,260 stream spans.
     assert report.step("download").data_processed_bytes == 245999999999.99997
+
+
+def test_connect_paper_figures_pinned(paper_run):
+    """Figures 3 and 5 read the trace: the download Job's ``running``
+    spans and the training step's ``data-prep``, ``training`` and
+    ``save-checkpoint`` spans."""
+    report, testbed = paper_run
+    assert figure3_stats(testbed, report) == {
+        "workers": 10.0,
+        "minutes": 34.30888970186084,
+        "gigabytes": 245.99999999999997,
+        "files": 112249.0,
+        "pods": 14.0,
+        "cpus": 42.0,
+    }
+    assert figure5_stats(testbed, report) == {
+        "total_minutes": 313.36262535248846,
+        "prep_minutes": 61.20000000000001,
+        "train_minutes": 251.81579201915514,
+        "train_voxels": 49904640.0,
+    }

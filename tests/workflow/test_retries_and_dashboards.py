@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.background import BackgroundTraffic
 from repro.testbed import build_nautilus_testbed
-from repro.viz.dashboards import build_cluster_dashboard, build_workflow_dashboard
+from repro.viz.dashboards import build_cluster_dashboard
 from repro.workflow import Workflow, WorkflowDriver
 from repro.workflow.step import StepContext, WorkflowStep
 
@@ -76,19 +76,6 @@ class TestDashboards:
         assert "CPU allocated" in out
         assert "Ceph bytes stored" in out
         assert "(no data)" not in out.split("THREDDS")[0]  # node panels live
-
-    def test_workflow_dashboard_after_run(self, testbed):
-        from repro.workflow import build_connect_workflow
-
-        report = WorkflowDriver(testbed).run(
-            build_connect_workflow(testbed, real_ml=False)
-        )
-        assert report.succeeded
-        out = build_workflow_dashboard(testbed).render()
-        assert "Step 1 worker CPU" in out
-        assert "Step 3 GPU busy" in out
-        # Stat panel shows the downloaded volume.
-        assert "Step 1 bytes downloaded" in out
 
 
 class TestBackgroundTraffic:

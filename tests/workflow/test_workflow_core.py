@@ -112,6 +112,13 @@ class TestDriver:
         assert second.start_time >= first.end_time
         assert report.total_duration_s == pytest.approx(12.0)
 
+    def test_step_times_are_its_span_times(self, testbed):
+        wf = Workflow("w", [SleepStep(name="a", params={"duration": 5.0})])
+        report = WorkflowDriver(testbed).run(wf)
+        (span,) = testbed.tracer.find("step", "a")
+        step = report.step("a")
+        assert (step.start_time, step.end_time) == (span.start, span.end)
+
     def test_artifacts_flow_downstream(self, testbed):
         wf = Workflow(
             "w",
