@@ -166,8 +166,12 @@ class Node:
     # -- conditions -----------------------------------------------------------
 
     def gpu_in_use(self) -> int:
-        """Number of GPUs currently allocated to pods."""
-        return sum(1 for d in self.devices if d.allocated_to is not None)
+        """Number of GPUs currently allocated to pods.
+
+        :meth:`allocate` assigns exactly ``request.gpu`` devices and
+        :meth:`release` frees them, so this is ``allocated.gpu``.
+        """
+        return self.allocated.gpu
 
     def extended_resources(self) -> dict[str, int]:
         """Extended resources advertised by device plugins."""

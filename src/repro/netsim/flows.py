@@ -16,7 +16,6 @@ mechanism.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import operator
 import typing as _t
@@ -119,8 +118,72 @@ class Flow:
         return f"<Flow {self.name or self.id} {self.remaining:.3g}B left @ {self.rate:.3g}B/s>"
 
 
-_resources_of = operator.attrgetter("resources")
 _rate_of = operator.attrgetter("rate")
+
+
+class _Route:
+    """The live flows on one route, in start order, and its distinct hops."""
+
+    __slots__ = ("hops", "flows")
+
+    def __init__(self, resources: tuple[CapacityResource, ...]):
+        #: a route that repeats a resource crosses it once
+        self.hops = tuple(dict.fromkeys(resources))
+        self.flows: dict[Flow, None] = {}
+
+
+class _FlowTable(dict):
+    """Live flows in start order (``Flow -> None``) plus the fill's input.
+
+    :meth:`add` and :meth:`remove` keep, between solves:
+
+    - ``routes``: each route (a ``resources`` tuple, keyed by equality)
+      -> its :class:`_Route`;
+    - ``members``: each resource -> the live flows crossing it, in start
+      order (a route that repeats the resource counts its flows once);
+    - ``crossing``: each resource -> the routes crossing it.
+
+    No entry of the three is ever empty.
+    """
+
+    __slots__ = ("routes", "members", "crossing")
+
+    def __init__(self, flows: _t.Iterable[Flow] = ()):
+        super().__init__()
+        self.routes: dict[tuple[CapacityResource, ...], _Route] = {}
+        self.members: dict[CapacityResource, dict[Flow, None]] = {}
+        self.crossing: dict[CapacityResource, dict[_Route, None]] = {}
+        for flow in flows:
+            self.add(flow)
+
+    def add(self, flow: Flow) -> None:
+        self[flow] = None
+        route = self.routes.get(flow.resources)
+        if route is None:
+            route = self.routes[flow.resources] = _Route(flow.resources)
+            for res in route.hops:
+                self.crossing.setdefault(res, {})[route] = None
+        route.flows[flow] = None
+        for res in route.hops:
+            self.members.setdefault(res, {})[flow] = None
+
+    def remove(self, flow: Flow) -> None:
+        del self[flow]
+        route = self.routes[flow.resources]
+        del route.flows[flow]
+        emptied = not route.flows
+        if emptied:
+            del self.routes[flow.resources]
+        for res in route.hops:
+            members = self.members[res]
+            del members[flow]
+            if not members:
+                del self.members[res]
+            if emptied:
+                crossing = self.crossing[res]
+                del crossing[route]
+                if not crossing:
+                    del self.crossing[res]
 
 
 def max_min_rates(flows: _t.Collection[Flow]) -> dict[Flow, float]:
@@ -130,49 +193,38 @@ def max_min_rates(flows: _t.Collection[Flow]) -> dict[Flow, float]:
     list are unconstrained (rate ``inf`` — local copies); flows crossing
     a ``blocked`` resource are stalled at rate 0.
 
-    Flows on one route always get the same rate, so the fill runs per
-    route: each resource keeps the count of unfrozen flows crossing it,
-    and a route that repeats a resource counts once there.  A route is
-    one ``resources`` tuple *object* (:class:`FlowSimulator` gives every
-    flow on a path the same tuple); equal tuples that are distinct
-    objects fill as separate routes, with the same rates.  The fill is
-    one pass: every unfrozen flow has the same rate, the running fill
-    ``level``, so a route's rate is the level at the round its tightest
-    resource saturates.
+    Flows on one route (equal ``resources`` tuples) always get the same
+    rate, so the fill runs per route: each resource keeps the count of
+    unfrozen flows crossing it, and a route that repeats a resource
+    counts once there.  The fill is one pass: every unfrozen flow has
+    the same rate, the running fill ``level``, so a route's rate is the
+    level at the round its tightest resource saturates.
+
+    :class:`FlowSimulator` passes its live-flow table, which holds the
+    route groups and each resource's crossing flows and routes between
+    solves; any other collection is first loaded into a fresh table.
     """
-    routes = list(map(_resources_of, flows))
-    keys = list(map(id, routes))
-    route_of = dict(zip(keys, routes))
-    rate_of: dict[int, float] = {}
-    #: unfrozen route -> (its flow count, its distinct resources)
-    live: dict[int, tuple[int, tuple[CapacityResource, ...]]] = {}
+    table = flows if isinstance(flows, _FlowTable) else _FlowTable(flows)
+    rate_of: dict[_Route, float] = {}
+    #: unfrozen route -> its flow count
+    live: dict[_Route, int] = {}
+    for route in table.routes.values():
+        if route.hops:
+            live[route] = len(route.flows)
+        else:
+            rate_of[route] = float("inf")
     #: resource -> unfrozen flows crossing it (no zero entries)
-    counts: dict[CapacityResource, int] = {}
-    crossing: dict[CapacityResource, list[int]] = {}
-    for key, n in collections.Counter(keys).items():
-        route = route_of[key]
-        if not route:
-            rate_of[key] = float("inf")
-            continue
-        hops = tuple(dict.fromkeys(route))
-        live[key] = (n, hops)
-        for res in hops:
-            if res in counts:
-                counts[res] += n
-                crossing[res].append(key)
-            else:
-                counts[res] = n
-                crossing[res] = [key]
+    counts = {res: len(members) for res, members in table.members.items()}
+    crossing = table.crossing
 
     def freeze(res: CapacityResource, rate: float) -> None:
         """Fix every route still crossing ``res`` at ``rate``."""
-        for key in crossing[res]:
-            frozen = live.pop(key, None)
-            if frozen is None:
+        for route in crossing[res]:
+            n = live.pop(route, None)
+            if n is None:
                 continue
-            rate_of[key] = rate
-            n, hops = frozen
-            for hop in hops:
+            rate_of[route] = rate
+            for hop in route.hops:
                 left = counts[hop] - n
                 if left:
                     counts[hop] = left
@@ -198,7 +250,7 @@ def max_min_rates(flows: _t.Collection[Flow]) -> dict[Flow, float]:
             saturated = list(counts)
         for res in saturated:
             freeze(res, level)
-    return dict(zip(flows, map(rate_of.__getitem__, keys)))
+    return {flow: rate for route, rate in rate_of.items() for flow in route.flows}
 
 
 class FlowSimulator:
@@ -213,16 +265,16 @@ class FlowSimulator:
     keeps every resource's ``allocated_rate`` equal to the summed rate of
     the flows crossing it.  Flows live in start order, so flows that
     finish at the same instant complete in the order they started.
+
+    The live-flow table holds the solver's input between solves: the
+    flows grouped by route and each resource's crossing flows and
+    routes, updated as flows start and end rather than rebuilt per solve.
     """
 
     def __init__(self, env: Environment):
         self.env = env
-        self._flows: dict[Flow, None] = {}
-        #: resource -> the live flows crossing it (no empty entries)
-        self._members: dict[CapacityResource, dict[Flow, None]] = {}
+        self._flows = _FlowTable()
         self._handles: dict[Event, Flow] = {}
-        #: one tuple object per distinct path: the solver groups by identity
-        self._routes: dict[tuple[CapacityResource, ...], tuple[CapacityResource, ...]] = {}
         self._wake: Event | None = None
         self._proc = env.process(self._coordinator(), name="flowsim")
         self.completed_count = 0
@@ -260,10 +312,8 @@ class FlowSimulator:
             return done
 
         flow_done = self.env.event()
-        route = tuple(resources)
-        route = self._routes.setdefault(route, route)
-        flow = Flow(name, route, nbytes, flow_done, self.env.now)
-        self._add(flow)
+        flow = Flow(name, resources, nbytes, flow_done, self.env.now)
+        self._flows.add(flow)
         if self.tracer is not None:
             self._flow_spans[flow.id] = self.tracer.start(
                 name or f"flow-{flow.id}",
@@ -347,41 +397,27 @@ class FlowSimulator:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
-    def _add(self, flow: Flow) -> None:
-        self._flows[flow] = None
-        for res in flow.resources:
-            members = self._members.get(res)
-            if members is None:
-                self._members[res] = {flow: None}
-            else:
-                members[flow] = None
-
     def _remove(self, flow: Flow) -> None:
-        del self._flows[flow]
+        self._flows.remove(flow)
+        members = self._flows.members
         for res in flow.resources:
-            members = self._members.get(res)
-            if members is None or flow not in members:  # a repeated hop
-                continue
-            del members[flow]
-            if not members:
-                del self._members[res]
+            if res not in members:
                 res.allocated_rate = 0.0
 
     def _rate_through(self, res: CapacityResource) -> float:
-        return sum(map(_rate_of, self._members.get(res, ())), 0.0)
+        return sum(map(_rate_of, self._flows.members.get(res, ())), 0.0)
 
     def _recompute(self) -> float:
         """Re-plan every rate; return the time to the next completion."""
-        rates = max_min_rates(self._flows)
         horizon = float("inf")
-        for flow in self._flows:
-            rate = flow.rate = rates[flow]
+        for flow, rate in max_min_rates(self._flows).items():
+            flow.rate = rate
             if rate > 0:
                 left = flow.remaining / rate
                 if left < horizon:
                     horizon = left
         # Summed per flow in start order: sampled series see this rounding.
-        for res, members in self._members.items():
+        for res, members in self._flows.members.items():
             res.allocated_rate = sum(map(_rate_of, members), 0.0)
         return horizon
 
@@ -413,11 +449,12 @@ class FlowSimulator:
             # and the loop would spin without advancing time.
             time_eps = max(1e-9, 8.0 * np.spacing(self.env.now))
             finished: list[Flow] = []
+            # Per flow, not per route: a flow that started since the last
+            # solve has rate 0 while its route's older flows move bytes.
             for flow in self._flows:
-                flow.remaining -= flow.rate * elapsed
-                if flow.remaining <= flow.done_below or (
-                    flow.rate > 0 and flow.remaining / flow.rate <= time_eps
-                ):
+                rate = flow.rate
+                left = flow.remaining = flow.remaining - rate * elapsed
+                if left <= flow.done_below or (rate > 0 and left / rate <= time_eps):
                     finished.append(flow)
             for flow in finished:
                 self._remove(flow)

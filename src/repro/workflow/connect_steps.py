@@ -524,7 +524,6 @@ class TrainingStep(WorkflowStep):
                     payload=results.get("model_state"),
                     client_host=host,
                 )
-            return "trained"
 
         spec = PodSpec(
             containers=[
@@ -623,7 +622,6 @@ class InferenceStep(WorkflowStep):
                     )
                 result_objects.append(result_name)
                 total_result_bytes[0] += result_bytes
-                return shard_voxels
 
             return PodSpec(
                 containers=[

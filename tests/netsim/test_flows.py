@@ -197,8 +197,8 @@ class TestMaxMinParity:
     def test_many_flows_on_few_routes(self, resources, paths, picks):
         """Flows drawn from a few shared routes: the per-route fill gives
         the per-flow reference's rates, and one rate per route.  A pick
-        with its flag set copies the route into a new tuple, so equal
-        routes that are distinct objects are covered too."""
+        with its flag set copies the route into a new tuple: routes group
+        by equality, so it joins the same group."""
         pool = []
         for i, (cap, blocked) in enumerate(resources):
             res = CapacityResource(f"r{i}", cap)

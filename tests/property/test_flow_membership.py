@@ -1,21 +1,29 @@
-"""Property test: the flow engine's per-resource membership stays exact.
+"""Property test: the flow engine's held state stays exact.
 
-Random starts, cancels, link failures and restores drive a
-:class:`FlowSimulator`; after every kernel step each resource's
-``allocated_rate`` and ``sample_rates`` must equal the summed rate of
-the live flows crossing it, and the membership map must hold exactly
-the live flows.
+Random starts, cancels, link failures, restores and capacity changes
+drive a :class:`FlowSimulator`.  After every kernel step:
+
+- each resource's ``allocated_rate`` and ``sample_rates`` equal the
+  summed rate of the live flows crossing it;
+- the live-flow table's route groups, per-resource members and crossing
+  routes equal a rebuild from the live flows, with no empty entries;
+- every live flow's rate is the per-flow reference fill's rate as of
+  the last solve, or 0 for a flow that started after it.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netsim import flows as flows_mod
 from repro.netsim.flows import CapacityResource, FlowSimulator
 from repro.sim import Environment
+from tests.netsim.test_flows import _reference_max_min_rates
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["start", "start", "cancel", "fail", "restore"]),
+        st.sampled_from(["start", "start", "cancel", "fail", "restore", "capacity"]),
         st.integers(min_value=0, max_value=10_000),
     ),
     min_size=1,
@@ -30,11 +38,29 @@ def _check(sim: FlowSimulator, resources: list[CapacityResource]) -> None:
         expected = sum((f.rate for f in live if res in f.resources), 0.0)
         assert res.allocated_rate == expected, res
         assert sampled[res.name] == expected, res
-    for res, members in sim._members.items():
-        assert members, f"empty membership entry for {res.name}"
-        assert all(flow in sim._flows for flow in members)
-    for flow in live:
-        assert all(flow in sim._members[res] for res in flow.resources)
+
+
+def _check_held_state(sim: FlowSimulator) -> None:
+    table = sim._flows
+    groups: dict = {}
+    members: dict = {}
+    for flow in table:
+        groups.setdefault(flow.resources, []).append(flow)
+        for res in dict.fromkeys(flow.resources):
+            members.setdefault(res, []).append(flow)
+    crossing: dict = {}
+    for route in groups:
+        for res in dict.fromkeys(route):
+            crossing.setdefault(res, set()).add(route)
+    assert {route: list(g.flows) for route, g in table.routes.items()} == groups
+    assert all(g.hops == tuple(dict.fromkeys(r)) for r, g in table.routes.items())
+    assert {res: list(m) for res, m in table.members.items()} == members
+    route_of = {id(g): route for route, g in table.routes.items()}
+    held = {
+        res: {route_of.get(id(g)) for g in routes}
+        for res, routes in table.crossing.items()
+    }
+    assert held == crossing
 
 
 @settings(max_examples=60, deadline=None)
@@ -44,6 +70,14 @@ def test_allocated_rate_tracks_live_flows(ops):
     sim = FlowSimulator(env)
     resources = [CapacityResource(f"r{i}", 50.0 * (i + 1)) for i in range(4)]
     handles = []
+    #: the reference rates of the last solve's flows
+    solved: dict = {}
+    solve = flows_mod.max_min_rates
+
+    def recording_solve(flows):
+        solved.clear()
+        solved.update(_reference_max_min_rates(list(flows)))
+        return solve(flows)
 
     def driver(env):
         for op, k in ops:
@@ -63,15 +97,57 @@ def test_allocated_rate_tracks_live_flows(ops):
             elif op == "restore":
                 res.blocked = False
                 sim.recompute()
+            elif op == "capacity":
+                res.set_capacity(25.0 * (1 + k % 8))
+                sim.recompute()
             yield env.timeout((k % 4) * 0.5)
         for res in resources:
             res.blocked = False
         sim.recompute()
 
     env.process(driver(env))
-    while env.peek() < float("inf"):
-        env.step()
-        _check(sim, resources)
+    with mock.patch.object(flows_mod, "max_min_rates", recording_solve):
+        while env.peek() < float("inf"):
+            env.step()
+            _check(sim, resources)
+            _check_held_state(sim)
+            for flow in sim._flows:
+                assert flow.rate == solved.get(flow, 0.0), flow
     assert sim.active_flows == 0
-    assert not sim._members
+    assert not (sim._flows.routes or sim._flows.members or sim._flows.crossing)
     assert all(res.allocated_rate == 0.0 for res in resources)
+
+
+def test_flow_joining_a_busy_route_keeps_its_bytes_until_solved():
+    """A flow that starts on a route between solves has rate 0 until the
+    solve that includes it: the wake that precedes that solve charges it
+    nothing, while the route's older flow is charged its full rate."""
+    env = Environment()
+    sim = FlowSimulator(env)
+    link = CapacityResource("l", 100.0)
+    remaining_at_solve = []
+    solve = flows_mod.max_min_rates
+
+    def recording_solve(flows):
+        remaining_at_solve.append({f.name: f.remaining for f in flows})
+        return solve(flows)
+
+    first = sim.transfer([link], 1000.0, name="first")
+    late = []
+
+    def joiner(env):
+        yield env.timeout(5.0)
+        late.append(sim.transfer([link], 1000.0, name="late"))
+
+    env.process(joiner(env))
+    with mock.patch.object(flows_mod, "max_min_rates", recording_solve):
+        env.run(until=first)
+        assert env.now == 15.0
+        env.run(until=late[0])
+    assert env.now == 20.0
+    assert remaining_at_solve == [
+        {"first": 1000.0},
+        {"first": 500.0, "late": 1000.0},
+        {"late": 500.0},
+    ]
+    assert sim.bytes_moved == 2000.0
