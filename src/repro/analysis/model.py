@@ -3,12 +3,14 @@
 Rules never touch live :class:`~repro.cluster.cluster.Cluster` or
 :class:`~repro.workflow.Workflow` objects directly — they see small
 frozen view dataclasses built from live objects by the adapters below.
-That buys two things: the same rule runs at the admission gateway (one
-pod against the cluster's nodes), over the built testbed and the CONNECT
-workflow (``repro lint``), and over in-memory workflow objects
+That buys two things: the same rule runs over the built testbed and the
+CONNECT workflow (``repro lint``) and over in-memory workflow objects
 (``Workflow.__init__``); and the analysis package never imports the
 workflow layer, so the workflow layer is free to import the analysis
-engine without a cycle.
+engine without a cycle.  The one cluster import is the admission-fit
+predicate :func:`~repro.cluster.objects.fits_empty_node`, which SPEC001
+and the admission gateway share, so the gateway judges live nodes
+without building views.
 
 Adapters here are duck-typed: any object with the right attributes
 (``depends_on``, ``timeout_s``, ``spec.total_request()``...) converts.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import typing as _t
+
+from repro.cluster.objects import fits_empty_node
 
 __all__ = [
     "NodeView",
@@ -53,12 +57,9 @@ class NodeView:
 
     def fits(self, pod: "PodView") -> bool:
         """Could the pod's request ever fit on an *empty* copy of this
-        node?  (Admission feasibility, not current free capacity.)"""
-        return (
-            pod.cpu <= self.cpu + 1e-9
-            and pod.memory <= self.memory
-            and pod.gpu <= self.gpu
-        )
+        node?  (Admission feasibility, not current free capacity; the
+        admission gateway asks the same :func:`fits_empty_node`.)"""
+        return fits_empty_node(pod, self)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -24,7 +24,12 @@ those semantics from scratch on the :mod:`repro.sim` kernel:
 """
 
 from repro.cluster.quantity import Quantity, parse_cpu, parse_memory, format_memory
-from repro.cluster.objects import ObjectMeta, ResourceRequirements, ClusterEvent
+from repro.cluster.objects import (
+    ObjectMeta,
+    ResourceRequirements,
+    ClusterEvent,
+    fits_empty_node,
+)
 from repro.cluster.node import Node, NodeSpec, fiona_node_spec, fiona8_node_spec
 from repro.cluster.pod import (
     Pod,
@@ -57,6 +62,7 @@ __all__ = [
     "ObjectMeta",
     "ResourceRequirements",
     "ClusterEvent",
+    "fits_empty_node",
     "Node",
     "NodeSpec",
     "fiona_node_spec",

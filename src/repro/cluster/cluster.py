@@ -53,6 +53,16 @@ __all__ = ["Cluster"]
 POD_STARTUP_SECONDS = 2.0
 
 
+def _capacity_of(nodes: _t.Iterable[Node]) -> dict[str, float]:
+    """Aggregate CPU/memory/GPU capacity of ``nodes``, summed in order."""
+    cpu = mem = gpu = 0.0
+    for node in nodes:
+        cpu += node.capacity.cpu
+        mem += node.capacity.memory
+        gpu += node.capacity.gpu
+    return {"cpu": cpu, "memory": mem, "gpu": gpu}
+
+
 class Cluster:
     """A Kubernetes-like cluster running on a simulation environment.
 
@@ -312,12 +322,7 @@ class Cluster:
 
     def total_capacity(self) -> dict[str, float]:
         """Aggregate CPU/memory/GPU across ready nodes."""
-        cpu = mem = gpu = 0.0
-        for node in self.ready_nodes():
-            cpu += node.capacity.cpu
-            mem += node.capacity.memory
-            gpu += node.capacity.gpu
-        return {"cpu": cpu, "memory": mem, "gpu": gpu}
+        return _capacity_of(self.ready_nodes())
 
     def utilization(self) -> dict[str, float]:
         """Fraction of each resource dimension currently allocated."""
@@ -565,17 +570,17 @@ class Cluster:
         self._requeue_pending = False
         if not self._pending:
             return
+        nodes = self.ready_nodes()
         # Priority tiers first (so freed/preempted capacity goes to the
         # pods preemption was performed for), weighted fair-share across
         # namespaces within a tier.
         queue = self.scheduler.order_queue(
             self._pending,
             usage={name: ns.used for name, ns in self.namespaces.items()},
-            capacity=self.total_capacity(),
+            capacity=_capacity_of(nodes),
             weights={name: ns.weight for name, ns in self.namespaces.items()},
         )
         self._pending = []
-        nodes = self.ready_nodes()
         # Pod shapes that found neither a node nor a preemption plan in
         # this pass.  select and preemption_plan read only the shape, a
         # bind only shrinks free capacity, and the queue is priority-
@@ -586,24 +591,14 @@ class Cluster:
         for pod in queue:
             if pod.is_terminal:  # deleted while queued
                 continue
-            spec = pod.spec
-            request = pod.request
-            shape = (
-                request.cpu,
-                request.memory,
-                request.gpu,
-                request.ephemeral_storage,
-                spec.priority,
-                tuple(sorted(spec.node_selector.items())),
-                frozenset(spec.tolerations),
-            )
+            shape = pod.shape
             if shape in failed:
                 self._unschedulable.append(pod)
                 continue
             node = self.scheduler.select(pod, nodes)
             if node is None:
                 plan = None
-                if spec.priority > 0:
+                if pod.spec.priority > 0:
                     plan = self.scheduler.preemption_plan(pod, nodes)
                     if plan is not None:
                         target, victims = plan

@@ -8,7 +8,13 @@ import typing as _t
 
 from repro.cluster.quantity import parse_cpu, parse_memory
 
-__all__ = ["ObjectMeta", "ResourceRequirements", "ClusterEvent", "GPU_RESOURCE"]
+__all__ = [
+    "ObjectMeta",
+    "ResourceRequirements",
+    "ClusterEvent",
+    "GPU_RESOURCE",
+    "fits_empty_node",
+]
 
 #: Extended-resource name for GPUs, as exposed by the device plugin (§II-A).
 GPU_RESOURCE = "nvidia.com/gpu"
@@ -115,6 +121,24 @@ class ResourceRequirements:
             f"ResourceRequirements(cpu={self.cpu}, memory={self.memory}, "
             f"gpu={self.gpu})"
         )
+
+
+def fits_empty_node(request: _t.Any, capacity: _t.Any) -> bool:
+    """Could ``request`` ever fit on an *empty* node of ``capacity``?
+
+    Admission feasibility, not current free capacity: CPU within the
+    ``1e-9``-core tolerance of :meth:`ResourceRequirements.fits_within`,
+    memory and GPUs.  Both arguments need only ``cpu``, ``memory`` and
+    ``gpu`` attributes, so a :class:`ResourceRequirements` and the lint
+    model's node and pod views (``repro.analysis.model``) share this one
+    test: the admission gateway asks it of every node's capacity, and
+    the spec rule SPEC001 of every node view.
+    """
+    return (
+        request.cpu <= capacity.cpu + 1e-9
+        and request.memory <= capacity.memory
+        and request.gpu <= capacity.gpu
+    )
 
 
 @dataclasses.dataclass(frozen=True)

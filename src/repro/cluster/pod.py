@@ -189,6 +189,21 @@ class Pod:
         #: cannot change once it exists).  Quota, node accounting and the
         #: scheduler all charge this one object.
         self.request: ResourceRequirements = spec.total_request()
+        #: The pod's scheduling shape, fixed with :attr:`request`: the
+        #: request's dimensions, priority, sorted node-selector items and
+        #: tolerations.  ``Scheduler.select`` and ``preemption_plan`` read
+        #: nothing else from the pod, so the scheduling pass memoises
+        #: failed placements by this key.
+        request = self.request
+        self.shape: tuple = (
+            request.cpu,
+            request.memory,
+            request.gpu,
+            request.ephemeral_storage,
+            spec.priority,
+            tuple(sorted(spec.node_selector.items())),
+            frozenset(spec.tolerations),
+        )
         self.phase = PodPhase.PENDING
         self.node_name: str | None = None
         self.assigned_gpus: tuple[str, ...] = ()

@@ -23,17 +23,20 @@ Multi-tenant ordering
 :meth:`Scheduler.order_queue` decides *which pod goes first* when many
 are pending: strictly by priority tier, and inside a tier by **weighted
 fair-share** — each pod is keyed by its namespace's projected
-dominant-resource share (current usage plus this namespace's
-earlier-queued pods, divided by the namespace weight), so a tenant
-flooding the queue sees its own pods' projected shares climb and other
-tenants' first pods sort ahead of the flood's tail.  This is
-dominant-resource fairness in the spirit of DRF, computed against total
-cluster capacity.
+dominant-resource share divided by the namespace weight.  The
+projection is the namespace's charged usage (``Namespace.used``, which
+already includes its pending pods) plus the requests of its queued pods
+up to and including this one, so pending pods are counted twice.  A
+tenant flooding the queue sees its own pods' projected shares climb and
+other tenants' first pods sort ahead of the flood's tail.  This is
+dominant-resource fairness in the spirit of DRF, computed against the
+ready nodes' total capacity.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import typing as _t
 
 from repro.cluster.node import Node
@@ -44,20 +47,10 @@ __all__ = [
     "SchedulingStrategy",
     "Scheduler",
     "FilterResult",
-    "dominant_share",
 ]
 
 
-def dominant_share(
-    used: ResourceRequirements, capacity: _t.Mapping[str, float]
-) -> float:
-    """The DRF dominant share: max fraction of any capacity dimension."""
-    fractions = []
-    for dim in ("cpu", "memory", "gpu"):
-        cap = capacity.get(dim, 0.0)
-        if cap > 0:
-            fractions.append(getattr(used, dim) / cap)
-    return max(fractions) if fractions else 0.0
+_ZERO = ResourceRequirements()
 
 
 class SchedulingStrategy(enum.Enum):
@@ -167,31 +160,51 @@ class Scheduler:
     ) -> list[Pod]:
         """Order pending pods: priority tiers, then weighted fair-share.
 
-        ``usage`` is each namespace's currently-admitted request total,
-        ``capacity`` the cluster's aggregate capacity, ``weights`` the
-        namespaces' fair-share weights (missing -> 1.0).  Within a
-        priority tier each pod is keyed by its namespace's *projected*
-        weighted dominant share — usage after every earlier-queued pod
-        of the same namespace (arrival order) would bind, including this
-        one — so pods from namespaces with low shares interleave ahead
-        of a single namespace's long backlog.  Ties break on arrival
-        order, keeping the ordering deterministic.
+        ``usage`` is each namespace's charged request total
+        (``Namespace.used``: every admitted, not yet terminated pod,
+        pending ones included), ``capacity`` the cluster's aggregate
+        capacity, ``weights`` the namespaces' fair-share weights
+        (missing -> 1.0).  Within a priority tier each pod is keyed by
+        its namespace's projected weighted dominant share: ``usage``
+        plus the requests of this namespace's pods up to and including
+        this one, in ``pods`` order.  Pods in ``pods`` are already in
+        ``usage``, so the key counts them twice.  Pods from namespaces
+        with low shares interleave ahead of a single namespace's long
+        backlog.  Ties break on position in ``pods``, keeping the
+        ordering deterministic.
+
+        The projection is summed in plain numbers, one accumulator per
+        dimension and namespace: float CPU, integer memory and GPUs.
         """
-        zero = ResourceRequirements()
-        projected: dict[str, ResourceRequirements] = {}
-        keyed: list[tuple[float, float, int, Pod]] = []
+        # A dimension with no capacity counts as infinite: its fraction
+        # is 0.0, which changes no maximum (usage is never negative).
+        cpu_cap = capacity.get("cpu", 0.0)
+        cpu_cap = cpu_cap if cpu_cap > 0 else math.inf
+        memory_cap = capacity.get("memory", 0.0)
+        memory_cap = memory_cap if memory_cap > 0 else math.inf
+        gpu_cap = capacity.get("gpu", 0.0)
+        gpu_cap = gpu_cap if gpu_cap > 0 else math.inf
+        # namespace -> [cpu, memory, gpu, weight], the first three the
+        # projected usage so far.
+        projected: dict[str, list] = {}
+        keyed: list[tuple[float, float, int]] = []
         for index, pod in enumerate(pods):
             ns = pod.meta.namespace
             acc = projected.get(ns)
             if acc is None:
-                acc = usage.get(ns, zero)
-            acc = acc + pod.request
-            projected[ns] = acc
-            weight = max(float(weights.get(ns, 1.0)), 1e-9)
-            share = dominant_share(acc, capacity) / weight
-            keyed.append((-float(pod.spec.priority), share, index, pod))
-        keyed.sort(key=lambda item: item[:3])
-        return [pod for _prio, _share, _idx, pod in keyed]
+                used = usage.get(ns, _ZERO)
+                weight = max(float(weights.get(ns, 1.0)), 1e-9)
+                acc = projected[ns] = [used.cpu, used.memory, used.gpu, weight]
+            request = pod.request
+            cpu = acc[0] = acc[0] + request.cpu
+            memory = acc[1] = acc[1] + request.memory
+            gpu = acc[2] = acc[2] + request.gpu
+            share = max(cpu / cpu_cap, memory / memory_cap, gpu / gpu_cap)
+            keyed.append((-float(pod.spec.priority), share / acc[3], index))
+        # Indices are distinct, so plain tuple order is (priority, share,
+        # index) order.
+        keyed.sort()
+        return [pods[index] for _prio, _share, index in keyed]
 
     # -- preemption --------------------------------------------------------------
 
@@ -207,6 +220,7 @@ class Scheduler:
         Returns ``None`` when no preemption can help.
         """
         request = pod.request
+        priority = pod.spec.priority
         best: tuple[int, str, Node, list[Pod]] | None = None
         for node in nodes:
             if not node.ready or node.unschedulable:
@@ -218,14 +232,12 @@ class Scheduler:
                 continue
             if set(node.spec.taints) - pod.spec.tolerations:
                 continue
-            victims_pool = sorted(
-                (
-                    p
-                    for p in node.pods.values()
-                    if p.spec.priority < pod.spec.priority
-                ),
-                key=lambda p: (p.spec.priority, p.meta.name),
-            )
+            victims_pool = [
+                p for p in node.pods.values() if p.spec.priority < priority
+            ]
+            if not victims_pool:  # nothing to evict: no plan on this node
+                continue
+            victims_pool.sort(key=lambda p: (p.spec.priority, p.meta.name))
             free = node.free
             chosen: list[Pod] = []
             for victim in victims_pool:

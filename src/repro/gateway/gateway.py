@@ -11,9 +11,10 @@ flood of pods from one of them.  The gateway sits in front of
 - **Backpressure** — when the queue is full the submission is *rejected*
   with a structured reason and a ``retry_after_s`` hint instead of
   growing the queue without bound.
-- **Admission lint** — the static-analysis rule SPEC001 runs
-  synchronously against every spec: a pod no node could ever fit is
-  rejected before any state changes.
+- **Admission lint** — the check of the static-analysis rule SPEC001
+  runs synchronously against every spec: a pod no node could ever fit
+  (:func:`~repro.cluster.objects.fits_empty_node` over every node,
+  ready or not) is rejected before any state changes.
 - **Quotas** — each tenant's namespace carries a ResourceQuota; quota
   breaches are structured rejections.
 - **Scheduling-timeout shedding** — an admitted pod that cannot bind
@@ -37,9 +38,8 @@ import collections
 import dataclasses
 import typing as _t
 
-from repro.analysis.cluster_rules import check_unschedulable
-from repro.analysis.model import ClusterSpecView, node_views, pod_view_from_spec
 from repro.cluster.namespace import ResourceQuota
+from repro.cluster.objects import fits_empty_node
 from repro.cluster.pod import PRIORITY_CLASSES, Pod, PodPhase, PodSpec
 from repro.errors import (
     ClusterError,
@@ -283,7 +283,7 @@ class AdmissionGateway:
             )
 
         # 2. Synchronous spec lint: structurally-bad specs never queue.
-        lint_reason = self._lint(name, spec, tenant, labels)
+        lint_reason = self._lint(spec)
         if lint_reason is not None:
             t.breaker.record_failure()
             return self._finish(
@@ -366,24 +366,20 @@ class AdmissionGateway:
             spec.priority_class = policy.priority_class
             spec.priority = PRIORITY_CLASSES[policy.priority_class]
 
-    def _lint(
-        self,
-        name: str,
-        spec: PodSpec,
-        tenant: str,
-        labels: dict[str, str] | None,
-    ) -> str | None:
-        """Run SPEC001 (unschedulable request) over one pod; a reason
-        string means reject.  It is the one spec rule that can fail a
-        single pod: the other error rule, SPEC005, judges a namespace's
-        pods together, and warnings never reject."""
-        view = ClusterSpecView(
-            nodes=node_views(self.cluster),
-            pods=(pod_view_from_spec(name, spec, tenant, labels),),
-        )
-        if any(check_unschedulable(view)):
-            return "AdmissionLint:SPEC001"
-        return None
+    def _lint(self, spec: PodSpec) -> str | None:
+        """SPEC001 (unschedulable request) for one pod; a reason string
+        means reject.  The rule's verdict, read off the live nodes: with
+        at least one node, ready or not, the spec's total request must
+        fit an empty one of them.  It is the one spec rule that can fail
+        a single pod: the other error rule, SPEC005, judges a
+        namespace's pods together, and warnings never reject."""
+        nodes = self.cluster.nodes
+        if not nodes:
+            return None
+        request = spec.total_request()
+        if any(fits_empty_node(request, n.capacity) for n in nodes.values()):
+            return None
+        return "AdmissionLint:SPEC001"
 
     def _try_create(
         self,

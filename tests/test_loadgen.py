@@ -175,3 +175,24 @@ def test_default_drill_reports_scheduler_queue_depth(default_report):
     """The gateway hands pods straight to the cluster, so the peak depth
     must include the scheduler's pending set to be nonzero."""
     assert default_report.peak_queue_depth > 0
+
+
+def test_default_drill_pod_shapes_match_specs(default_drill):
+    """Each pod's scheduling shape, fixed at creation, still equals the
+    shape rebuilt from its spec once the drill is over."""
+    _report, testbed = default_drill
+    pods = list(testbed.cluster.pods.values())
+    assert len(pods) > 100
+    for pod in pods:
+        spec = pod.spec
+        request = spec.total_request()
+        rebuilt = (
+            request.cpu,
+            request.memory,
+            request.gpu,
+            request.ephemeral_storage,
+            spec.priority,
+            tuple(sorted(spec.node_selector.items())),
+            frozenset(spec.tolerations),
+        )
+        assert pod.shape == rebuilt, pod
