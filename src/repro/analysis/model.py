@@ -77,7 +77,7 @@ class PodView:
     #: pod is meant to run indefinitely (service/replica workloads)
     long_running: bool = False
     has_liveness: bool = False
-    #: "Pod", "Job", "ReplicaSet", "DaemonSet" — what declared this spec
+    #: "Pod", "Job", "ReplicaSet" — what declared this spec
     kind: str = "Pod"
     #: named PriorityClass, when declared ("" otherwise)
     priority_class: str = ""
@@ -304,7 +304,7 @@ def cluster_view(cluster: _t.Any) -> ClusterSpecView:
     """Adapt a live :class:`~repro.cluster.cluster.Cluster`.
 
     Job templates are materialized at index 0 (templates are pure
-    spec-builders in this codebase); ReplicaSet/DaemonSet pods count as
+    spec-builders in this codebase); ReplicaSet pods count as
     long-running for the liveness-probe rule.
     """
     namespaces = tuple(
@@ -317,11 +317,7 @@ def cluster_view(cluster: _t.Any) -> ClusterSpecView:
         )
         for _name, ns in sorted(cluster.namespaces.items())
     )
-    service_owned = {
-        uid
-        for rs in cluster.replicasets.values()
-        for uid in [rs.meta.uid]
-    } | {uid for ds in cluster.daemonsets.values() for uid in [ds.meta.uid]}
+    service_owned = {rs.meta.uid for rs in cluster.replicasets.values()}
     pods = tuple(
         pod_view_from_spec(
             pod.meta.name,

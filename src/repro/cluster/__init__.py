@@ -44,8 +44,6 @@ from repro.cluster.pod import (
 from repro.cluster.namespace import Namespace, ResourceQuota
 from repro.cluster.scheduler import Scheduler, SchedulingStrategy
 from repro.cluster.controllers import (
-    DaemonSet,
-    DaemonSetSpec,
     Job,
     JobSpec,
     ReplicaSet,
@@ -83,8 +81,6 @@ __all__ = [
     "JobSpec",
     "ReplicaSet",
     "ReplicaSetSpec",
-    "DaemonSet",
-    "DaemonSetSpec",
     "Service",
     "Cluster",
 ]

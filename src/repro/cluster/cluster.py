@@ -21,8 +21,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.controllers import (
-    DaemonSet,
-    DaemonSetSpec,
     Job,
     JobSpec,
     ReplicaSet,
@@ -90,7 +88,6 @@ class Cluster:
         self.pods: dict[tuple[str, str], Pod] = {}
         self.jobs: dict[tuple[str, str], Job] = {}
         self.replicasets: dict[tuple[str, str], ReplicaSet] = {}
-        self.daemonsets: dict[tuple[str, str], DaemonSet] = {}
         self.services: dict[tuple[str, str], Service] = {}
         self.events: list[ClusterEvent] = []
         # Incremental scheduling queue: pods land in the *active* list
@@ -193,7 +190,7 @@ class Cluster:
         node = Node(spec)
         self.nodes[spec.name] = node
         self.record_event("Node", spec.name, "NodeJoined", f"site={spec.site}")
-        self._reconcile_all()  # daemonsets cover the new node immediately
+        self._reconcile_all()  # controllers see the new node at once
         self._kick_scheduler(state_changed=True)
         return node
 
@@ -490,29 +487,6 @@ class Cluster:
         self.record_event("ReplicaSet", name, "Created", namespace=namespace)
         rs.reconcile()
         return rs
-
-    def create_daemonset(
-        self,
-        name: str,
-        spec: DaemonSetSpec,
-        namespace: str = "default",
-        labels: dict[str, str] | None = None,
-    ) -> DaemonSet:
-        """Create a DaemonSet: one pod per matching ready node."""
-        key = (namespace, name)
-        if key in self.daemonsets:
-            raise ConflictError(f"daemonset {namespace}/{name} already exists")
-        meta = ObjectMeta(
-            name=name,
-            namespace=namespace,
-            labels=dict(labels or {}),
-            creation_time=self.env.now,
-        )
-        ds = DaemonSet(meta, spec, self)
-        self.daemonsets[key] = ds
-        self.record_event("DaemonSet", name, "Created", namespace=namespace)
-        ds.reconcile()
-        return ds
 
     def create_service(
         self,
@@ -830,8 +804,6 @@ class Cluster:
             job.reconcile()
         for rs in self.replicasets.values():
             rs.reconcile()
-        for ds in self.daemonsets.values():
-            ds.reconcile()
 
     def __repr__(self) -> str:  # pragma: no cover
         running = len(self.list_pods(phase=PodPhase.RUNNING))

@@ -30,8 +30,6 @@ __all__ = [
     "Job",
     "ReplicaSetSpec",
     "ReplicaSet",
-    "DaemonSetSpec",
-    "DaemonSet",
 ]
 
 
@@ -271,98 +269,4 @@ class ReplicaSet:
         return (
             f"<ReplicaSet {self.meta.namespace}/{self.meta.name} "
             f"{self.ready_count}/{self.spec.replicas} ready>"
-        )
-
-
-@dataclasses.dataclass
-class DaemonSetSpec:
-    """One pod on every (matching) ready node.
-
-    The pattern behind per-node agents: Prometheus node exporters, the
-    GPU device plugin itself, log shippers.  ``template(node_name)``
-    builds the pod for a node; ``node_selector`` restricts which nodes
-    get one (e.g. only GPU nodes).
-    """
-
-    template: _t.Callable[[str], PodSpec]
-    node_selector: dict[str, str] = dataclasses.field(default_factory=dict)
-
-
-class DaemonSet:
-    """Keeps exactly one pod per matching ready node.
-
-    Nodes joining the cluster receive a pod on the next reconcile; a
-    failed node's pod is simply dropped (nothing to reschedule — the
-    daemon is node-bound by definition).
-    """
-
-    def __init__(self, meta: ObjectMeta, spec: DaemonSetSpec, cluster: "Cluster"):
-        self.meta = meta
-        self.spec = spec
-        self._cluster = cluster
-        #: node name -> pod
-        self.pods: dict[str, Pod] = {}
-        self.generation = 0
-        self._deleted = False
-
-    def _matching_nodes(self) -> list[str]:
-        out = []
-        for node in self._cluster.ready_nodes():
-            if node.unschedulable:
-                continue
-            if all(
-                node.meta.labels.get(k) == v
-                for k, v in self.spec.node_selector.items()
-            ):
-                out.append(node.spec.name)
-        return out
-
-    def delete(self) -> None:
-        self._deleted = True
-        for pod in self.pods.values():
-            if not pod.is_terminal:
-                self._cluster.delete_pod(pod)
-        self.pods.clear()
-
-    def reconcile(self) -> None:
-        if self._deleted:
-            return
-        wanted = set(self._matching_nodes())
-        # Drop pods for departed nodes / terminated daemons.
-        for node_name, pod in list(self.pods.items()):
-            if pod.is_terminal:
-                del self.pods[node_name]
-            elif node_name not in wanted:
-                self._cluster.delete_pod(pod)
-                del self.pods[node_name]
-        # Add pods for new nodes, pinned via the hostname label.
-        for node_name in sorted(wanted - set(self.pods)):
-            self.generation += 1
-            template = self.spec.template(node_name)
-            spec = dataclasses.replace(
-                template,
-                node_selector={
-                    **template.node_selector,
-                    "kubernetes.io/hostname": node_name,
-                },
-            )
-            pod = self._cluster.create_pod(
-                f"{self.meta.name}-{node_name}-{self.generation}",
-                spec,
-                namespace=self.meta.namespace,
-                labels={"daemonset": self.meta.name, **self.meta.labels},
-            )
-            pod.owner_uid = self.meta.uid
-            self.pods[node_name] = pod
-
-    @property
-    def ready_count(self) -> int:
-        return sum(
-            1 for p in self.pods.values() if p.phase is PodPhase.RUNNING
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<DaemonSet {self.meta.namespace}/{self.meta.name} "
-            f"{self.ready_count}/{len(self._matching_nodes())} ready>"
         )

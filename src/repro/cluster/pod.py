@@ -261,13 +261,3 @@ class PodContext:
     def heartbeat(self) -> None:
         """Signal liveness: resets the pod's liveness-probe watchdog."""
         self.pod.last_heartbeat = self.env.now
-
-    def log_event(self, reason: str, message: str = "") -> None:
-        """Emit a cluster event attributed to this pod."""
-        self.cluster.record_event(
-            kind="Pod",
-            name=self.pod.meta.name,
-            namespace=self.pod.meta.namespace,
-            reason=reason,
-            message=message,
-        )

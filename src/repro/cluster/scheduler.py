@@ -46,7 +46,6 @@ from repro.cluster.pod import Pod
 __all__ = [
     "SchedulingStrategy",
     "Scheduler",
-    "FilterResult",
 ]
 
 
@@ -58,14 +57,6 @@ class SchedulingStrategy(enum.Enum):
     SPREAD = "spread"
 
 
-class FilterResult(_t.NamedTuple):
-    """Outcome of the filter phase for one node (kept for diagnostics)."""
-
-    node: Node
-    feasible: bool
-    reason: str = ""
-
-
 class Scheduler:
     """Stateless placement policy used by the cluster's scheduling loop."""
 
@@ -74,39 +65,22 @@ class Scheduler:
 
     # -- filter ---------------------------------------------------------------
 
-    def filter_node(self, pod: Pod, node: Node) -> FilterResult:
-        """Apply all predicates to one node."""
-        return self._filter(pod, node, pod.request)
-
-    def _filter(
-        self, pod: Pod, node: Node, request: ResourceRequirements
-    ) -> FilterResult:
-        """:meth:`filter_node` with the pod's request passed in."""
-        if not node.ready:
-            return FilterResult(node, False, "node not ready")
-        if node.unschedulable:
-            return FilterResult(node, False, "node cordoned")
-        for key, value in pod.spec.node_selector.items():
-            if node.meta.labels.get(key) != value:
-                return FilterResult(
-                    node, False, f"selector {key}={value} not satisfied"
-                )
-        untolerated = set(node.spec.taints) - pod.spec.tolerations
-        if untolerated:
-            return FilterResult(node, False, f"untolerated taints {untolerated}")
-        if not node.can_fit(request):
-            return FilterResult(node, False, "insufficient resources")
-        return FilterResult(node, True)
-
     def feasible_nodes(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[Node]:
         """All nodes passing the filter phase."""
         request = pod.request
-        return [n for n in nodes if self._filter(pod, n, request).feasible]
+        return [n for n in nodes if not _veto(pod, n) and n.can_fit(request)]
 
-    def explain(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[FilterResult]:
-        """Filter results for every node — the 'why is my pod Pending' view."""
+    def explain(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[tuple[Node, str]]:
+        """``(node, reason)`` for every node, the reason ``""`` where the
+        pod fits — the 'why is my pod Pending' view."""
         request = pod.request
-        return [self._filter(pod, n, request) for n in nodes]
+        explained = []
+        for node in nodes:
+            reason = _veto(pod, node)
+            if not reason and not node.can_fit(request):
+                reason = "insufficient resources"
+            explained.append((node, reason))
+        return explained
 
     # -- score ----------------------------------------------------------------
 
@@ -223,14 +197,7 @@ class Scheduler:
         priority = pod.spec.priority
         best: tuple[int, str, Node, list[Pod]] | None = None
         for node in nodes:
-            if not node.ready or node.unschedulable:
-                continue
-            if any(
-                node.meta.labels.get(k) != v
-                for k, v in pod.spec.node_selector.items()
-            ):
-                continue
-            if set(node.spec.taints) - pod.spec.tolerations:
+            if _veto(pod, node):
                 continue
             victims_pool = [
                 p for p in node.pods.values() if p.spec.priority < priority
@@ -253,6 +220,22 @@ class Scheduler:
         if best is None:
             return None
         return best[2], best[3]
+
+
+def _veto(pod: Pod, node: Node) -> str:
+    """Why ``node`` can never take ``pod`` whatever its load (not ready,
+    cordoned, selector, taints), or ``""`` when only capacity decides."""
+    if not node.ready:
+        return "node not ready"
+    if node.unschedulable:
+        return "node cordoned"
+    for key, value in pod.spec.node_selector.items():
+        if node.meta.labels.get(key) != value:
+            return f"selector {key}={value} not satisfied"
+    untolerated = set(node.spec.taints) - pod.spec.tolerations
+    if untolerated:
+        return f"untolerated taints {untolerated}"
+    return ""
 
 
 def _neg_name(name: str) -> tuple:

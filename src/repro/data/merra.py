@@ -62,9 +62,6 @@ class GridSpec:
     def shape2d(self) -> tuple[int, int]:
         return (self.nlat, self.nlon)
 
-    @property
-    def shape3d(self) -> tuple[int, int, int]:
-        return (self.nlev, self.nlat, self.nlon)
 
 
 PAPER_GRID = GridSpec(nlat=361, nlon=576, nlev=42)

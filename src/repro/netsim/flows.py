@@ -39,22 +39,21 @@ _EPS_BYTES = 1e-6
 class CapacityResource:
     """A shared capacity (bytes/s): a link, a NIC, or a disk.
 
-    ``allocated_rate`` is refreshed by the flow engine on every
-    re-convergence, so monitoring can sample instantaneous utilization.
+    The rate through it is not stored: :meth:`FlowSimulator.sample_rates`
+    sums the live flows crossing it when monitoring reads it.
 
     A ``blocked`` resource (a failed link) pins every flow crossing it to
     rate zero without tearing the flow down — the fluid analog of TCP
     stalling on a dead path and resuming when it heals.
     """
 
-    __slots__ = ("name", "capacity", "allocated_rate", "blocked")
+    __slots__ = ("name", "capacity", "blocked")
 
     def __init__(self, name: str, capacity: float):
         if capacity <= 0:
             raise NetworkError(f"resource {name!r} needs positive capacity")
         self.name = name
         self.capacity = float(capacity)
-        self.allocated_rate = 0.0
         self.blocked = False
 
     def set_capacity(self, capacity: float) -> None:
@@ -67,13 +66,8 @@ class CapacityResource:
             raise NetworkError(f"resource {self.name!r} needs positive capacity")
         self.capacity = float(capacity)
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity currently allocated (0..1)."""
-        return min(1.0, self.allocated_rate / self.capacity)
-
     def __repr__(self) -> str:
-        return f"<CapacityResource {self.name} {self.allocated_rate:.3g}/{self.capacity:.3g} B/s>"
+        return f"<CapacityResource {self.name} {self.capacity:.3g} B/s>"
 
 
 class Flow:
@@ -261,10 +255,10 @@ class FlowSimulator:
         done = flowsim.transfer(resources, nbytes, name="worker3:file42")
         yield done        # fires when the last byte lands
 
-    The engine re-plans rates whenever a flow starts or completes, and
-    keeps every resource's ``allocated_rate`` equal to the summed rate of
-    the flows crossing it.  Flows live in start order, so flows that
-    finish at the same instant complete in the order they started.
+    The engine re-plans rates whenever a flow starts or completes; a
+    resource's rate is summed from its live flows only when
+    :meth:`sample_rates` reads it.  Flows live in start order, so flows
+    that finish at the same instant complete in the order they started.
 
     The live-flow table holds the solver's input between solves: the
     flows grouped by route and each resource's crossing flows and
@@ -354,11 +348,9 @@ class FlowSimulator:
         flow = self._handles.pop(handle, None)
         if flow is None or flow not in self._flows:
             return False
-        self._remove(flow)
+        self._flows.remove(flow)
         self.cancelled_count += 1
         self._finish_flow_span(flow, status="error")
-        for res in flow.resources:
-            res.allocated_rate = self._rate_through(res)
         if not flow.event.triggered:
             flow.event.defuse()
             flow.event.fail(
@@ -397,16 +389,6 @@ class FlowSimulator:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
-    def _remove(self, flow: Flow) -> None:
-        self._flows.remove(flow)
-        members = self._flows.members
-        for res in flow.resources:
-            if res not in members:
-                res.allocated_rate = 0.0
-
-    def _rate_through(self, res: CapacityResource) -> float:
-        return sum(map(_rate_of, self._flows.members.get(res, ())), 0.0)
-
     def _recompute(self) -> float:
         """Re-plan every rate; return the time to the next completion."""
         horizon = float("inf")
@@ -416,18 +398,20 @@ class FlowSimulator:
                 left = flow.remaining / rate
                 if left < horizon:
                     horizon = left
-        # Summed per flow in start order: sampled series see this rounding.
-        for res, members in self._flows.members.items():
-            res.allocated_rate = sum(map(_rate_of, members), 0.0)
         return horizon
 
     def sample_rates(self, resources: _t.Iterable[CapacityResource]) -> dict[str, float]:
         """Accurate instantaneous rates for ``resources`` (monitoring API).
 
-        Every resource's ``allocated_rate`` is the summed rate of the live
-        flows crossing it whenever the kernel is between steps.
+        Each rate is summed when it is read: the rates of the live flows
+        crossing the resource, from ``0.0`` in start order (sampled series
+        see this rounding); ``0.0`` when no flow crosses it.
         """
-        return {res.name: res.allocated_rate for res in resources}
+        members = self._flows.members
+        return {
+            res.name: sum(map(_rate_of, members.get(res, ())), 0.0)
+            for res in resources
+        }
 
     def _coordinator(self):
         while True:
@@ -457,7 +441,7 @@ class FlowSimulator:
                 if left <= flow.done_below or (rate > 0 and left / rate <= time_eps):
                     finished.append(flow)
             for flow in finished:
-                self._remove(flow)
+                self._flows.remove(flow)
                 self._handles.pop(flow.handle, None)
                 self.completed_count += 1
                 self.bytes_moved += flow.nbytes

@@ -35,7 +35,6 @@ class Environment:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Process | None = None
         self._crashes: list[tuple[Process, BaseException]] = []
 
     # -- clock ---------------------------------------------------------------
@@ -44,11 +43,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time (seconds by library convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories ------------------------------------------------------
 

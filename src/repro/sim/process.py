@@ -112,7 +112,6 @@ class Process(Event):
             # This process consumes the failure (it is thrown into the
             # generator below), so the kernel must not treat it as unhandled.
             trigger.defuse()
-        self.env._active_process = self
         try:
             if trigger._ok:
                 result = self.generator.send(trigger._value)
@@ -122,17 +121,14 @@ class Process(Event):
                     _t.cast(BaseException, trigger._value)
                 )
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # generator crashed
-            self.env._active_process = None
             self.fail(exc)
             if not self._defused and not self.callbacks:
                 # Nobody is watching this process; surface the crash.
                 self.env._crashed(self, exc)
             return
-        self.env._active_process = None
 
         if not isinstance(result, Event):
             self.generator.close()

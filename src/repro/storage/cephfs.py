@@ -59,10 +59,6 @@ class CephFS:
             children.add(rest.split("/", 1)[0])
         return sorted(children)
 
-    def glob_files(self, prefix: str = "/") -> list[str]:
-        """All file paths under a prefix."""
-        return self.cluster.list_keys(self.pool, prefix=self._norm(prefix))
-
     def du(self, path: str = "/") -> float:
         """Total bytes stored under a path."""
         prefix = self._norm(path)

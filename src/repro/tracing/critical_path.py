@@ -51,9 +51,6 @@ class CriticalPathReport:
     def critical_path_s(self) -> float:
         return sum(duration for _name, duration in self.chain)
 
-    def layer_fraction(self, layer: str) -> float:
-        return self.layers.get(layer, 0.0) / self.total_s if self.total_s else 0.0
-
     def table(self) -> dict[str, dict[str, float]]:
         """Layer attribution as rows of seconds and fractions."""
         return {

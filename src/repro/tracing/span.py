@@ -250,20 +250,6 @@ class Tracer:
     def children(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    def subtree(self, span: Span) -> list[Span]:
-        """``span`` plus every descendant, in creation order."""
-        by_parent: dict[int, list[Span]] = {}
-        for s in self.spans:
-            if s.parent_id is not None:
-                by_parent.setdefault(s.parent_id, []).append(s)
-        out: list[Span] = []
-        stack = [span]
-        while stack:
-            current = stack.pop()
-            out.append(current)
-            stack.extend(reversed(by_parent.get(current.span_id, ())))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         open_count = sum(1 for s in self.spans if s.end is None)
         return f"<Tracer {len(self.spans)} spans ({open_count} open)>"

@@ -57,9 +57,6 @@ class DownloadStats:
     def duration(self) -> float:
         return self.finished_at - self.started_at
 
-    @property
-    def mean_rate_Bps(self) -> float:
-        return self.bytes / self.duration if self.duration > 0 else 0.0
 
 
 class Aria2Downloader:

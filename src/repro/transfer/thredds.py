@@ -157,9 +157,6 @@ class ThreddsServer:
 
     # -- catalog ------------------------------------------------------------------
 
-    def catalog_size(self) -> int:
-        return len(self.archive)
-
     def catalog_page(self, start: int, count: int) -> list[GranuleInfo]:
         """A page of the catalog (what the manifest builder walks)."""
         end = min(start + count, len(self.archive))

@@ -141,10 +141,6 @@ class PPoDSSession:
             raise ValidationError(f"unknown step {report.name!r}")
         self.measurements[report.name].append(report)
 
-    def record_workflow(self, reports: _t.Iterable[StepReport]) -> None:
-        for report in reports:
-            self.record(report)
-
     def trend(self, step: str, field: str = "duration_s") -> list[float]:
         """A measured quantity across runs — the 'constantly measuring,
         learning, and informing' feedback signal (§VIII)."""

@@ -26,47 +26,55 @@ def scheduler():
     return Scheduler(SchedulingStrategy.SPREAD)
 
 
+def reason_for(scheduler, pod, node):
+    """The filter's reason for one node ("" when the pod fits)."""
+    [(got, reason)] = scheduler.explain(pod, [node])
+    assert got is node
+    return reason
+
+
 class TestFilterPhase:
     def test_not_ready_filtered(self, scheduler):
         node = Node(fiona_node_spec("n"))
         node.ready = False
-        result = scheduler.filter_node(make_pod(), node)
-        assert not result.feasible
-        assert "not ready" in result.reason
+        reason = reason_for(scheduler, make_pod(), node)
+        assert reason
+        assert "not ready" in reason
 
     def test_cordoned_filtered(self, scheduler):
         node = Node(fiona_node_spec("n"))
         node.unschedulable = True
-        result = scheduler.filter_node(make_pod(), node)
-        assert not result.feasible
-        assert "cordoned" in result.reason
+        reason = reason_for(scheduler, make_pod(), node)
+        assert reason
+        assert "cordoned" in reason
 
     def test_selector_mismatch_reason(self, scheduler):
         node = Node(fiona_node_spec("n", site="UCSD"))
         pod = make_pod(node_selector={"site": "UCI"})
-        result = scheduler.filter_node(pod, node)
-        assert not result.feasible
-        assert "site=UCI" in result.reason
+        reason = reason_for(scheduler, pod, node)
+        assert reason
+        assert "site=UCI" in reason
 
     def test_taint_reason(self, scheduler):
         spec = fiona_node_spec("n")
         spec.taints["gpu-only"] = "true"
-        result = scheduler.filter_node(make_pod(), Node(spec))
-        assert not result.feasible
-        assert "taint" in result.reason
+        reason = reason_for(scheduler, make_pod(), Node(spec))
+        assert reason
+        assert "taint" in reason
 
     def test_resource_reason(self, scheduler):
         node = Node(fiona_node_spec("n"))
-        result = scheduler.filter_node(make_pod(cpu=100), node)
-        assert not result.feasible
-        assert "resources" in result.reason
+        reason = reason_for(scheduler, make_pod(cpu=100), node)
+        assert reason
+        assert "resources" in reason
 
     def test_explain_covers_all_nodes(self, scheduler):
         nodes = [Node(fiona_node_spec(f"n{i}")) for i in range(3)]
         nodes[0].ready = False
         results = scheduler.explain(make_pod(cpu=1), nodes)
         assert len(results) == 3
-        assert [r.feasible for r in results] == [False, True, True]
+        assert [node for node, _reason in results] == nodes
+        assert [not reason for _node, reason in results] == [False, True, True]
 
 
 class TestScorePhase:

@@ -1,11 +1,13 @@
-"""Exactness of the scheduler's queue order and preemption plans.
+"""Exactness of the scheduler's queue order, filter and preemption plans.
 
 :meth:`Scheduler.order_queue` sums each namespace's projected usage in
-plain numbers, and :meth:`Scheduler.preemption_plan` skips nodes with no
-lower-priority pod before building their free capacity.  Both must give
-exactly what the ``ResourceRequirements``-based code below gives: the
-same pods in the same order, the same node and the same victims.  The
-oracle is a frozen copy of that code; do not edit it to make a test
+plain numbers, :meth:`Scheduler.preemption_plan` skips nodes with no
+lower-priority pod before building their free capacity, and the filter
+(:meth:`Scheduler.feasible_nodes`, :meth:`Scheduler.select`,
+:meth:`Scheduler.explain`) shares one load-independent predicate with
+the preemption plan.  All must give exactly what the code below gives:
+the same pods in the same order, the same nodes, reasons and victims.
+The oracle is a frozen copy of that code; do not edit it to make a test
 pass.
 """
 
@@ -66,6 +68,38 @@ def oracle_order_queue(
         keyed.append((-float(pod.spec.priority), share, index, pod))
     keyed.sort(key=lambda item: item[:3])
     return [pod for _prio, _share, _idx, pod in keyed]
+
+
+def oracle_filter(pod: Pod, node: Node) -> tuple[bool, str]:
+    """The per-node filter verdict: feasible, and the reason if not."""
+    if not node.ready:
+        return False, "node not ready"
+    if node.unschedulable:
+        return False, "node cordoned"
+    for key, value in pod.spec.node_selector.items():
+        if node.meta.labels.get(key) != value:
+            return False, f"selector {key}={value} not satisfied"
+    untolerated = set(node.spec.taints) - pod.spec.tolerations
+    if untolerated:
+        return False, f"untolerated taints {untolerated}"
+    if not node.can_fit(pod.request):
+        return False, "insufficient resources"
+    return True, ""
+
+
+def oracle_select(
+    scheduler: Scheduler, pod: Pod, nodes: _t.Sequence[Node]
+) -> Node | None:
+    feasible = [n for n in nodes if oracle_filter(pod, n)[0]]
+    if not feasible:
+        return None
+    return max(
+        feasible,
+        key=lambda n: (
+            scheduler.score_node(pod, n),
+            tuple(-ord(ch) for ch in n.spec.name),
+        ),
+    )
 
 
 def oracle_preemption_plan(
@@ -264,6 +298,25 @@ def test_preemption_plan_matches_oracle(case):
     pod, nodes = case
     got = Scheduler().preemption_plan(pod, nodes)
     assert _plan_ids(got) == _plan_ids(oracle_preemption_plan(pod, nodes))
+
+
+# -- filter ---------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(preemption_cases(), st.sampled_from(list(SchedulingStrategy)))
+def test_filter_matches_oracle(case, strategy):
+    pod, nodes = case
+    scheduler = Scheduler(strategy)
+    verdicts = [oracle_filter(pod, node) for node in nodes]
+    feasible = scheduler.feasible_nodes(pod, nodes)
+    assert [id(n) for n in feasible] == [
+        id(n) for n, (ok, _reason) in zip(nodes, verdicts) if ok
+    ]
+    assert scheduler.select(pod, nodes) is oracle_select(scheduler, pod, nodes)
+    explained = scheduler.explain(pod, nodes)
+    assert [id(n) for n, _reason in explained] == [id(n) for n in nodes]
+    assert [reason for _n, reason in explained] == [r for _ok, r in verdicts]
 
 
 # -- a whole scheduling run checked call by call ----------------------------------
