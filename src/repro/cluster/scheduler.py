@@ -234,7 +234,10 @@ def _veto(pod: Pod, node: Node) -> str:
             return f"selector {key}={value} not satisfied"
     untolerated = set(node.spec.taints) - pod.spec.tolerations
     if untolerated:
-        return f"untolerated taints {untolerated}"
+        # Sorted, in a set's own ``{'a', 'b'}`` form: a set's iteration
+        # order depends on the hash seed.
+        names = ", ".join(repr(taint) for taint in sorted(untolerated))
+        return f"untolerated taints {{{names}}}"
     return ""
 
 

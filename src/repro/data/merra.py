@@ -192,7 +192,8 @@ class MerraGenerator:
         # Filaments carry enhanced moisture and along-filament wind.
         qv2 = np.clip(0.004 + 0.003 * self._background("QV", t), 0.0, None) + 0.004 * rivers
         u2 = u2 + 4.0 * rivers
-        t2 = 288.0 + 25.0 * np.cos(np.deg2rad(self._lat2d)) + 3.0 * self._background("T", t)
+        t_bg = self._background("T", t)  # drives both T and SLP
+        t2 = 288.0 + 25.0 * np.cos(np.deg2rad(self._lat2d)) + 3.0 * t_bg
 
         out = {
             "U": (u2[None] * wind_profile).astype(np.float32),
@@ -202,7 +203,7 @@ class MerraGenerator:
             "H": (7000.0 * np.log(1000.0 / levels)[:, None, None]
                   * np.ones(g.shape2d)[None]).astype(np.float32),
             "PS": (101325.0 - 12.0 * self._lat2d**2 / 90.0).astype(np.float32),
-            "SLP": (101325.0 + 200.0 * self._background("T", t)).astype(np.float32),
+            "SLP": (101325.0 + 200.0 * t_bg).astype(np.float32),
         }
         return out
 

@@ -201,7 +201,9 @@ def flood_fill_multi(
         raise MLError(f"unknown flood-fill engine {engine!r}; use {_ENGINES}")
     cfg = model.config
     fov = np.array(cfg.fov)
-    half = fov // 2
+    # Python ints, not numpy: the flood loop below slices and clamps with
+    # them for every candidate neighbour of every step.
+    half = tuple(int(f) // 2 for f in cfg.fov)
     vol_shape = np.array(volume.shape)
     if volume.ndim != 3:
         raise ShapeError(f"volume must be 3-D, got {volume.shape}")
@@ -217,11 +219,12 @@ def flood_fill_multi(
     image = volume if normalized else zscore(volume)
     if window_cache is None:
         window_cache = {}
-    lo_bound = half
-    hi_bound = vol_shape - half - 1
+    bounds = tuple((h, n - h - 1) for h, n in zip(half, volume.shape))
 
-    def clamp_center(center: np.ndarray) -> tuple:
-        return tuple(int(v) for v in np.clip(center, lo_bound, hi_bound))
+    def clamp_center(center: _t.Sequence[int]) -> tuple:
+        return tuple(
+            min(max(int(c), lo), hi) for c, (lo, hi) in zip(center, bounds)
+        )
 
     def image_window(center: tuple, slices: tuple) -> np.ndarray:
         win = window_cache.get(center)
@@ -310,7 +313,7 @@ def flood_fill_multi(
                     for direction in (-1, 1):
                         side = 0 if direction == -1 else 1
                         if face_max[offset + j, axis, side] >= cfg.move_threshold:
-                            nxt = np.array(center)
+                            nxt = list(center)
                             nxt[axis] += direction * half[axis]
                             nxt_t = clamp_center(nxt)
                             if nxt_t not in visited[fi]:

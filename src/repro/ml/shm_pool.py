@@ -55,7 +55,13 @@ from repro.ml.inference import segment_volume
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.ml.ffn import FFNConfig
 
-__all__ = ["SharedMemoryPool", "ShardSpec", "ShardReceipt", "segment_shard"]
+__all__ = [
+    "SharedMemoryPool",
+    "ShardSpec",
+    "ShardReceipt",
+    "segment_shard",
+    "usable_cpus",
+]
 
 #: Dispatcher poll interval while waiting on the result queue (seconds).
 #: Only bounds crash-detection latency; results arrive event-driven.
@@ -99,6 +105,15 @@ class _SegmentRef:
 
     def view(self, shm: shared_memory.SharedMemory) -> np.ndarray:
         return np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=shm.buf)
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    platform exposes one (a ``taskset`` or cgroup cpuset narrows it),
+    else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _tracker_running() -> bool:

@@ -560,7 +560,6 @@ class InferenceStep(WorkflowStep):
         "real_test_timesteps": 16,
         "real_shards": 4,  # logical workers for the real sharded run
         "real_halo": 2,
-        "real_max_workers": 1,  # >1 fans shards out on a process pool
         "results_prefix": "segmentation/v1",
     }
 
@@ -650,9 +649,13 @@ class InferenceStep(WorkflowStep):
         # sharded across logical workers with halo overlap and stitched
         # across shard boundaries — the algorithm the 50-GPU fan-out
         # needs so CONNECT life-cycles spanning shards stay one object.
+        # The shards run on a shared-memory pool over the CPUs this
+        # process may use (in-process on one CPU); the labels and the
+        # shard spans are the same either way.
         real: dict[str, object] = {}
         if p["real_ml"] and "model_state" in training:
             from repro.ml.distributed_inference import distributed_segment
+            from repro.ml.shm_pool import usable_cpus
 
             gen = tb.merra_generator()
             _, train_end = training.get("train_window", (0, 24))
@@ -666,7 +669,7 @@ class InferenceStep(WorkflowStep):
                 volume,
                 n_workers=int(p["real_shards"]),
                 halo=int(p["real_halo"]),
-                max_workers=int(p["real_max_workers"]),
+                max_workers=usable_cpus(),
                 tracer=tb.tracer,
                 span_parent=ctx.span,
             )

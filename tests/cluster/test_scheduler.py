@@ -1,5 +1,10 @@
 """Unit tests for the scheduler's filter/score phases in isolation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cluster import (
@@ -61,6 +66,33 @@ class TestFilterPhase:
         reason = reason_for(scheduler, make_pod(), Node(spec))
         assert reason
         assert "taint" in reason
+
+    def test_two_taint_reason_independent_of_hash_seed(self):
+        """A set's iteration order follows the string hash seed; the
+        reason lists the untolerated taints sorted whatever the seed."""
+        script = (
+            "from repro.cluster import Node, ObjectMeta, Pod, Scheduler, "
+            "fiona_node_spec\n"
+            "from tests.cluster.conftest import sleeper_spec\n"
+            "spec = fiona_node_spec('n')\n"
+            "spec.taints['gpu-only'] = 'true'\n"
+            "spec.taints['dedicated'] = 'x'\n"
+            "pod = Pod(ObjectMeta(name='p'), sleeper_spec())\n"
+            "[(_, reason)] = Scheduler().explain(pod, [Node(spec)])\n"
+            "print(reason)\n"
+        )
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        reasons = set()
+        for hash_seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join([str(repo / "src"), str(repo)])
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=120, cwd=str(repo), env=env,
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            reasons.add(done.stdout)
+        assert reasons == {"untolerated taints {'dedicated', 'gpu-only'}\n"}
 
     def test_resource_reason(self, scheduler):
         node = Node(fiona_node_spec("n"))

@@ -4,12 +4,18 @@ Covers the stream primitive in isolation, the driver's overlap launch
 rule, failure semantics (retry supersession, permanent breakage), and
 the checkpoint/resume contract under a mid-overlap kill — the inverted
 completion order (consumer done, producer still streaming) that only
-pipelining can produce must resume to identical final artifacts.
+pipelining can produce must resume to identical final artifacts.  The
+real chain's inference step must report the same whether its shards
+ran in-process or on the shared-memory pool.
 """
+
+import glob
 
 import numpy as np
 import pytest
 
+import repro.ml.distributed_inference as distributed_inference
+import repro.ml.shm_pool as shm_pool
 from repro.errors import StreamBrokenError
 from repro.sim.environment import Environment
 from repro.testbed import build_nautilus_testbed
@@ -23,7 +29,7 @@ from repro.workflow import (
     build_connect_workflow,
 )
 from repro.workflow.step import StepContext, WorkflowStep
-from tests.helpers import assert_data_cells_match_their_sources
+from tests.helpers import assert_data_cells_match_their_sources, registry_digest
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +372,81 @@ class TestConnectOverlap:
         for report in both_runs.values():
             inference = report.step("inference")
             assert "voxel_f1" in inference.artifacts
+
+
+def _shm_segments() -> set[str]:
+    """Named shared-memory segments: Python's default ``psm_*`` names and
+    the pool's own ``repro-pool-*`` names."""
+    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/*repro-pool*"))
+
+
+def _plain(value):
+    """An artifact with every array as ``(dtype, shape, bytes)``."""
+    if isinstance(value, np.ndarray):
+        return (str(value.dtype), value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(v) for v in value)
+    return value
+
+
+class TestConnectInferenceFanOut:
+    """The inference step runs its real shards on a shared-memory pool
+    over the usable CPUs, or in-process on one CPU; nothing it reports
+    may depend on which."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """usable CPUs -> (testbed, report, pools started) at 1% scale."""
+        out = {}
+        before = _shm_segments()
+        with pytest.MonkeyPatch.context() as mp:
+            started = []
+
+            class CountingPool(shm_pool.SharedMemoryPool):
+                def __init__(self, *args, **kwargs):
+                    started.append(kwargs.get("n_workers"))
+                    super().__init__(*args, **kwargs)
+
+            mp.setattr(distributed_inference, "SharedMemoryPool", CountingPool)
+            for cpus in (1, 2):
+                mp.setattr(shm_pool, "usable_cpus", lambda cpus=cpus: cpus)
+                started.clear()
+                tb = build_nautilus_testbed(seed=42, scale=0.01)
+                report = WorkflowDriver(tb).run(
+                    build_connect_workflow(real_ml=True), overlap=True
+                )
+                out[cpus] = (tb, report, list(started))
+        out["leaked"] = _shm_segments() - before
+        return out
+
+    def test_one_cpu_stays_in_process_two_use_the_pool(self, runs):
+        assert runs[1][1].succeeded and runs[2][1].succeeded
+        assert runs[1][2] == []
+        assert runs[2][2] == [2]
+
+    def test_artifacts_identical(self, runs):
+        def artifacts(report):
+            return {s.name: _plain(s.artifacts) for s in report.steps}
+
+        one, two = artifacts(runs[1][1]), artifacts(runs[2][1])
+        assert "label_volume" in one["inference"]
+        assert one == two
+
+    def test_spans_identical(self, runs):
+        def spans(tb):
+            return [
+                (s.name, s.category, s.start, s.end, s.attributes)
+                for s in tb.tracer.finished_spans()
+            ]
+
+        assert spans(runs[1][0]) == spans(runs[2][0])
+
+    def test_registry_series_identical(self, runs):
+        assert registry_digest(runs[1][0].registry) == registry_digest(
+            runs[2][0].registry
+        )
+
+    def test_no_shared_memory_segment_left(self, runs):
+        assert runs["leaked"] == set()
