@@ -71,9 +71,6 @@ class ChaosMonkey:
     recovery_after:
         Seconds a failed node / degraded link / partitioned site stays
         down before healing.
-    target_busy_nodes:
-        Prefer nodes with running pods (maximizes the blast radius the
-        self-healing machinery must absorb).
     include_osds:
         Also fail storage daemons (Ceph recovery must then re-replicate).
     include_links:
@@ -91,7 +88,6 @@ class ChaosMonkey:
         testbed: "NautilusTestbed",
         mean_interval: float = 300.0,
         recovery_after: float = 120.0,
-        target_busy_nodes: bool = True,
         include_osds: bool = False,
         include_links: bool = False,
         include_partitions: bool = False,
@@ -103,7 +99,6 @@ class ChaosMonkey:
         self.testbed = testbed
         self.mean_interval = mean_interval
         self.recovery_after = recovery_after
-        self.target_busy_nodes = target_busy_nodes
         self.include_osds = include_osds
         self.include_links = include_links
         self.include_partitions = include_partitions
@@ -162,17 +157,16 @@ class ChaosMonkey:
         ready = [n for n in ready if n.spec.name not in protected]
         if not ready:
             return None  # every candidate holds a last replica
+        # Prefer nodes with running pods: that maximizes the blast radius
+        # the self-healing machinery must absorb.
         reason = "random ready node"
-        if self.target_busy_nodes:
-            busy = [
-                n for n in ready
-                if any(
-                    p.phase is PodPhase.RUNNING for p in n.pods.values()
-                )
-            ]
-            if busy:
-                ready = busy
-                reason = "busy node (running pods)"
+        busy = [
+            n for n in ready
+            if any(p.phase is PodPhase.RUNNING for p in n.pods.values())
+        ]
+        if busy:
+            ready = busy
+            reason = "busy node (running pods)"
         name = ready[int(self.rng.integers(0, len(ready)))].spec.name
         if protected:
             reason += f"; spared last-replica hosts {sorted(protected)}"

@@ -188,9 +188,6 @@ class Node:
 def fiona_node_spec(
     name: str,
     site: str = "UCSD",
-    *,
-    nics_gbps: tuple[float, ...] = (10.0, 10.0),
-    labels: dict[str, str] | None = None,
 ) -> NodeSpec:
     """The basic Calit2 FIONA (paper §II): dual 12-core CPUs, 96 GB RAM,
     1 TB SSD, two 10 GbE interfaces, no GPUs."""
@@ -200,19 +197,15 @@ def fiona_node_spec(
         memory=parse_memory(96 * GiB),
         gpus=0,
         local_storage=1 * TiB,
-        nics_gbps=nics_gbps,
+        nics_gbps=(10.0, 10.0),
         site=site,
-        labels={"fiona": "dtn", **(labels or {})},
+        labels={"fiona": "dtn"},
     )
 
 
 def fiona8_node_spec(
     name: str,
     site: str = "UCSD",
-    *,
-    gpu_model: str = "nvidia-1080ti",
-    nics_gbps: tuple[float, ...] = (10.0,),
-    labels: dict[str, str] | None = None,
 ) -> NodeSpec:
     """A multi-tenant FIONA8 (paper §II): eight game GPUs per machine.
 
@@ -223,9 +216,9 @@ def fiona8_node_spec(
         cpu=parse_cpu(24),
         memory=parse_memory(96 * GiB),
         gpus=8,
-        gpu_model=gpu_model,
+        gpu_model="nvidia-1080ti",
         local_storage=2 * TiB,
-        nics_gbps=nics_gbps,
+        nics_gbps=(10.0,),
         site=site,
-        labels={"fiona": "fiona8", **(labels or {})},
+        labels={"fiona": "fiona8"},
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.sim.rng import derive_seed
 
-__all__ = ["GridSpec", "PAPER_GRID", "MerraGenerator"]
+__all__ = ["GridSpec", "PAPER_GRID", "ML_GRID", "MerraGenerator"]
 
 #: Gravitational acceleration, m/s^2 (used by the IVT integral).
 GRAVITY = 9.80665
@@ -65,10 +65,18 @@ class GridSpec:
 
 
 PAPER_GRID = GridSpec(nlat=361, nlon=576, nlev=42)
+#: The laptop-sized grid the real ML runs on.
+ML_GRID = GridSpec(nlat=45, nlon=72, nlev=8)
 
 #: Scale height (hPa) of the moisture profile: humidity concentrates in
 #: the lowest ~3 km of the atmosphere.
 _MOISTURE_SCALE_HPA = 250.0
+
+
+#: Background Fourier modes per field.
+N_MODES = 16
+#: Atmospheric-river-like filaments alive at any time.
+N_RIVERS = 3
 
 
 class MerraGenerator:
@@ -77,31 +85,19 @@ class MerraGenerator:
     Parameters
     ----------
     grid:
-        Resolution (use small grids for tests, :data:`PAPER_GRID` for
-        shape-accurate runs).
+        Resolution (default :data:`ML_GRID`; use small grids for tests,
+        :data:`PAPER_GRID` for shape-accurate runs).
     seed:
         Root seed; two generators with equal seeds emit identical data.
-    n_modes:
-        Background Fourier modes per field.
-    n_rivers:
-        Number of atmospheric-river-like filaments alive at any time.
-    hours_per_step:
-        Temporal spacing (the paper's archive is 3-hourly).
     """
 
     def __init__(
         self,
         grid: GridSpec | None = None,
         seed: int = 0,
-        n_modes: int = 16,
-        n_rivers: int = 3,
-        hours_per_step: float = 3.0,
     ):
-        self.grid = grid or GridSpec(nlat=45, nlon=72, nlev=8)
+        self.grid = grid or ML_GRID
         self.seed = seed
-        self.n_modes = n_modes
-        self.n_rivers = n_rivers
-        self.hours_per_step = hours_per_step
         rng = np.random.default_rng(derive_seed(seed, "merra"))
 
         # Background spectral modes: amplitude decays with wavenumber.
@@ -113,11 +109,11 @@ class MerraGenerator:
             amp = rng.uniform(0.4, 1.0, size=count) / np.sqrt(kx**2 + ky**2)
             return kx, ky, phase, omega, amp
 
-        self._modes = {name: draw_modes(n_modes) for name in ("U", "V", "QV", "T")}
+        self._modes = {name: draw_modes(N_MODES) for name in ("U", "V", "QV", "T")}
 
         # Atmospheric-river filaments.
         self._rivers = []
-        for j in range(n_rivers):
+        for j in range(N_RIVERS):
             r = np.random.default_rng(derive_seed(seed, "river", j))
             self._rivers.append(
                 {

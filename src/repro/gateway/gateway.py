@@ -52,7 +52,6 @@ from repro.gateway.ratelimit import TokenBucket
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.monitoring.metrics import MetricRegistry
     from repro.sim import Event
 
 __all__ = [
@@ -182,12 +181,11 @@ class AdmissionGateway:
         self,
         cluster: "Cluster",
         config: GatewayConfig | None = None,
-        metrics: "MetricRegistry | None" = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
         self.config = config or GatewayConfig()
-        self.metrics = metrics if metrics is not None else cluster.metrics
+        self.metrics = cluster.metrics
         self.tenants: dict[str, _Tenant] = {}
         #: every decision ever made, in submission order (for reports)
         self.decisions: list[AdmissionDecision] = []

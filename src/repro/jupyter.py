@@ -83,41 +83,32 @@ class JupyterHub:
     ----------
     testbed:
         The Nautilus deployment notebooks run on.
-    namespace:
-        Namespace for the single-user pods.
-    default_gpu / default_cpu / default_memory:
-        Single-user server profile ("attached to a GPU on the cluster").
     idle_timeout:
         Servers idle longer than this are culled by the periodic culler.
     """
 
+    #: Namespace for the single-user pods.
+    namespace = "jupyterhub"
+
     def __init__(
         self,
         testbed: "NautilusTestbed",
-        namespace: str = "jupyterhub",
-        default_gpu: int = 1,
-        default_cpu: float = 2.0,
-        default_memory: str = "12G",
         idle_timeout: float = 3600.0,
         cull_interval: float = 300.0,
     ):
         self.testbed = testbed
-        self.namespace = namespace
-        self.default_gpu = default_gpu
-        self.default_cpu = default_cpu
-        self.default_memory = default_memory
         self.idle_timeout = idle_timeout
         self.authenticator = CILogonAuthenticator()
         self.servers: dict[str, NotebookServer] = {}
         self.culled: list[str] = []
-        if namespace not in testbed.cluster.namespaces:
-            testbed.cluster.create_namespace(namespace)
+        if self.namespace not in testbed.cluster.namespaces:
+            testbed.cluster.create_namespace(self.namespace)
         self._serial = 0
         testbed.env.process(self._culler(cull_interval), name="jhub-culler")
 
     # -- spawning -------------------------------------------------------------------
 
-    def spawn(self, identity: str, gpu: int | None = None) -> NotebookServer:
+    def spawn(self, identity: str) -> NotebookServer:
         """Authenticate and start (or return) the user's server."""
         user = self.authenticator.authenticate(identity)
         existing = self.servers.get(user)
@@ -126,7 +117,6 @@ class JupyterHub:
             return existing
 
         env = self.testbed.env
-        hub = self
 
         def notebook_main(ctx):
             # Runs until stopped or culled; activity is driven externally.
@@ -142,10 +132,10 @@ class JupyterHub:
                     name="notebook",
                     image="chase-ci/jupyterlab-gpu:2.0",
                     main=notebook_main,
+                    # Single-user server profile ("attached to a GPU on
+                    # the cluster").
                     resources=ResourceRequirements(
-                        cpu=self.default_cpu,
-                        memory=self.default_memory,
-                        gpu=self.default_gpu if gpu is None else gpu,
+                        cpu=2.0, memory="12G", gpu=1
                     ),
                 )
             ],

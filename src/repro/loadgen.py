@@ -410,9 +410,7 @@ class _TenantRunner:
         self.outcomes.append(outcome)
 
 
-def loadtest_deployment_view(
-    config: "LoadgenConfig | None" = None, cluster=None
-):
+def loadtest_deployment_view(config: "LoadgenConfig | None" = None):
     """The overload drill's config as a lint :class:`DeploymentView`.
 
     This is the cross-layer join ``repro lint`` (no paths) inspects with the
@@ -430,7 +428,6 @@ def loadtest_deployment_view(
         StepView,
         TenantView,
         WorkflowView,
-        cluster_view,
     )
 
     cfg = config or LoadgenConfig()
@@ -481,7 +478,6 @@ def loadtest_deployment_view(
                  timeout_s=cfg.pending_timeout_s)
     )
     return DeploymentView(
-        cluster=cluster_view(cluster) if cluster is not None else None,
         gateway=GatewayView(
             max_queue_depth=cfg.max_queue_depth,
             pending_timeout_s=cfg.pending_timeout_s,

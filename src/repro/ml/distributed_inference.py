@@ -142,7 +142,6 @@ def distributed_segment(
     n_workers: int,
     halo: int = 2,
     max_objects_per_shard: int = 16,
-    seed_percentile: float = 97.0,
     max_workers: int | None = None,
     engine: str = "batched",
     seed_batch: int = 1,
@@ -196,7 +195,6 @@ def distributed_segment(
     ]
     options = {
         "max_objects": max_objects_per_shard,
-        "seed_percentile": seed_percentile,
         "engine": engine,
         "seed_batch": seed_batch,
     }

@@ -292,11 +292,11 @@ class FFNModel:
         self.conv_in.backward_batch(grad)
         self._cache = None
 
-    def sgd_step(self, lr: float, momentum: float = 0.9) -> None:
-        """Apply accumulated gradients to every layer."""
+    def sgd_step(self, lr: float) -> None:
+        """Apply accumulated gradients to every layer (momentum 0.9)."""
         for i, layer in enumerate(self.layers):
             buf = self._momentum.setdefault(i, {})
-            layer.sgd_step(lr, momentum_buf=buf, momentum=momentum)
+            layer.sgd_step(lr, momentum_buf=buf)
 
     # -- loss -----------------------------------------------------------------------
 

@@ -326,11 +326,14 @@ def flood_fill_multi(
     return [sigmoid(mask) for mask in masks]
 
 
+#: Voxels at or above this percentile of the raw volume seed objects.
+SEED_PERCENTILE = 97.0
+
+
 def segment_volume(
     model: FFNModel,
     volume: np.ndarray,
     max_objects: int = 32,
-    seed_percentile: float = 97.0,
     max_steps_per_object: int = 256,
     engine: str = "batched",
     seed_batch: int = 1,
@@ -340,7 +343,7 @@ def segment_volume(
     """Segment a whole volume into labelled objects.
 
     Seeds are taken greedily from the highest-intensity voxels above
-    ``seed_percentile`` that no earlier object claimed; each seed is
+    the :data:`SEED_PERCENTILE` that no earlier object claimed; each seed is
     flooded with :func:`flood_fill_multi` and thresholded at the model's
     ``segment_threshold``.  A z-scored image-window cache is shared
     across floods, so centers revisited by later objects skip the window
@@ -379,7 +382,7 @@ def segment_volume(
             attributes=attributes,
         )
     image = zscore(volume)
-    threshold_value = np.percentile(volume, seed_percentile)
+    threshold_value = np.percentile(volume, SEED_PERCENTILE)
     candidates = np.argwhere(volume >= threshold_value)
     # Brightest first: flood the most confident objects before leftovers.
     order = np.argsort(-volume[tuple(candidates.T)])

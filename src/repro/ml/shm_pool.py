@@ -170,7 +170,6 @@ def segment_shard(
     spec: ShardSpec,
     *,
     max_objects: int,
-    seed_percentile: float,
     engine: str,
     seed_batch: int,
 ) -> tuple[np.ndarray, int]:
@@ -184,7 +183,6 @@ def segment_shard(
         model,
         volume[spec.lo : spec.hi],  # zero-copy view
         max_objects=max_objects,
-        seed_percentile=seed_percentile,
         engine=engine,
         seed_batch=seed_batch,
     )
@@ -364,7 +362,6 @@ class SharedMemoryPool:
         specs: _t.Sequence[ShardSpec],
         *,
         max_objects: int = 16,
-        seed_percentile: float = 97.0,
         engine: str = "batched",
         seed_batch: int = 1,
     ) -> tuple[list[np.ndarray], list[ShardReceipt]]:
@@ -392,7 +389,6 @@ class SharedMemoryPool:
         labels_ref.view(labels_shm)[...] = 0
         options = {
             "max_objects": max_objects,
-            "seed_percentile": seed_percentile,
             "engine": engine,
             "seed_batch": seed_batch,
         }

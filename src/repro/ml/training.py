@@ -36,6 +36,15 @@ class TrainingReport:
         return self.final_loss < self.initial_loss
 
 
+#: Fraction of sampled patches centered on labelled object voxels (the
+#: rest are random background, so the model learns to *not* flood empty
+#: air).
+OBJECT_FRACTION = 0.7
+#: Training steps between recorded batch losses (the last step is
+#: always recorded).
+LOG_EVERY = 10
+
+
 class FFNTrainer:
     """Patch-based SGD trainer.
 
@@ -43,12 +52,8 @@ class FFNTrainer:
     ----------
     model:
         The :class:`FFNModel` to optimize (updated in place).
-    lr / momentum:
-        SGD hyperparameters.
-    object_fraction:
-        Fraction of sampled patches centered on labelled object voxels
-        (the rest are random background, so the model learns to *not*
-        flood empty air).
+    lr:
+        SGD learning rate (momentum is the model's, 0.9).
     seed:
         Sampling RNG seed.
     """
@@ -57,22 +62,16 @@ class FFNTrainer:
         self,
         model: FFNModel,
         lr: float = 0.1,
-        momentum: float = 0.9,
-        object_fraction: float = 0.7,
         fov_steps: int = 3,
         batch_size: int = 4,
         seed: int = 0,
     ):
-        if not 0.0 <= object_fraction <= 1.0:
-            raise MLError("object_fraction must be in [0, 1]")
         if fov_steps < 1:
             raise MLError("fov_steps must be >= 1")
         if batch_size < 1:
             raise MLError("batch_size must be >= 1")
         self.model = model
         self.lr = lr
-        self.momentum = momentum
-        self.object_fraction = object_fraction
         #: FFN steps iterated per patch: later steps see partially flooded
         #: masks, which is exactly what inference produces — training only
         #: on fresh seeds makes the network over-flood at inference time.
@@ -98,7 +97,7 @@ class FFNTrainer:
         interior = labels[tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))]
         object_voxels = np.argwhere(interior > 0) + lo
         centers: list[tuple[int, int, int]] = []
-        n_obj = int(round(count * self.object_fraction))
+        n_obj = int(round(count * OBJECT_FRACTION))
         if len(object_voxels) and n_obj:
             picks = self.rng.integers(0, len(object_voxels), size=n_obj)
             centers.extend(map(tuple, object_voxels[picks]))
@@ -165,7 +164,7 @@ class FFNTrainer:
             self.model.backward_batch(grad * grad_scale)
             # Next pass sees the (detached, saturated) updated masks.
             masks = np.clip(logits, -16.0, 16.0).astype(np.float32)
-        self.model.sgd_step(self.lr, momentum=self.momentum)
+        self.model.sgd_step(self.lr)
         return batch_loss, first_loss
 
     def train(
@@ -173,7 +172,6 @@ class FFNTrainer:
         volume: np.ndarray,
         labels: np.ndarray,
         steps: int = 200,
-        log_every: int = 10,
     ) -> TrainingReport:
         """Run ``steps`` :meth:`train_step` calls of ``batch_size``
         patches each on (volume, labels).
@@ -194,7 +192,7 @@ class FFNTrainer:
             batch_loss, first_loss = self.train_step(image, labels, batch)
             if initial_loss is None:
                 initial_loss = first_loss
-            if step % log_every == 0 or step == steps - 1:
+            if step % LOG_EVERY == 0 or step == steps - 1:
                 losses.append(batch_loss)
         return TrainingReport(
             steps=steps,

@@ -141,14 +141,11 @@ class NetworkFaultInjector:
         down_s: float,
         up_s: float = 0.0,
         cycles: int = 1,
-        initial_delay_s: float = 0.0,
     ) -> "Process":
         """Schedule ``cycles`` down/up cycles on the simulation clock."""
         env = self._require_env()
 
         def _flapper():
-            if initial_delay_s > 0:
-                yield env.timeout(initial_delay_s)
             for cycle in range(cycles):
                 self.fail_link(a, b)
                 yield env.timeout(down_s)

@@ -256,12 +256,13 @@ PRP_SITES: tuple[tuple[str, str], ...] = (
 )
 
 
-def build_prp_topology(
-    *,
-    core_gbps: float = 100.0,
-    regional_gbps: float = 40.0,
-    access_gbps: float = 10.0,
-) -> Topology:
+#: Link tiers of the PRP: "10G, 40G and 100G networks" (§II).
+CORE_GBPS = 100.0
+REGIONAL_GBPS = 40.0
+ACCESS_GBPS = 10.0
+
+
+def build_prp_topology() -> Topology:
     """Build the PRP backbone: a CENIC-like core ring at 100G, regional
     spurs at 40G, and remaining partners at 10G — "10G, 40G and 100G
     networks" (§II)."""
@@ -272,7 +273,7 @@ def build_prp_topology(
     # 100G core ring among supercomputer centers + major hubs.
     core_ring = ["UCSD", "SDSC", "Caltech", "Stanford", "NERSC", "ESnet", "NCAR"]
     for a, b in zip(core_ring, core_ring[1:] + core_ring[:1]):
-        topo.add_link(a, b, core_gbps, latency_s=0.004)
+        topo.add_link(a, b, CORE_GBPS, latency_s=0.004)
 
     # 40G regional spurs into the nearest hub.
     regional = {
@@ -286,7 +287,7 @@ def build_prp_topology(
         "USC": "Caltech",
     }
     for spur, hub in regional.items():
-        topo.add_link(spur, hub, regional_gbps, latency_s=0.003)
+        topo.add_link(spur, hub, REGIONAL_GBPS, latency_s=0.003)
 
     # 10G long-haul partners.
     longhaul = {
@@ -298,6 +299,6 @@ def build_prp_topology(
         "KISTI": ("UW", 0.065),
     }
     for spur, (hub, lat) in longhaul.items():
-        topo.add_link(spur, hub, access_gbps, latency_s=lat)
+        topo.add_link(spur, hub, ACCESS_GBPS, latency_s=lat)
 
     return topo

@@ -11,8 +11,8 @@ The design is a compact, from-scratch SimPy-style engine:
 - :class:`Event` is a one-shot occurrence with success/failure and callbacks.
 - :class:`Process` wraps a generator; ``yield``-ing an event suspends the
   process until the event fires.
-- :class:`Resource`, :class:`Container` and :class:`Store` provide
-  capacity-limited sharing, continuous levels, and object queues.
+- :class:`Resource` and :class:`Store` provide capacity-limited sharing
+  and object queues.
 
 Determinism: all ties at equal simulation time are broken by a monotonically
 increasing sequence number, so a run is exactly reproducible given the same
@@ -35,7 +35,7 @@ Example
 from repro.sim.events import Event, Timeout, AllOf, AnyOf, Interrupt
 from repro.sim.process import Process
 from repro.sim.environment import Environment
-from repro.sim.resources import Resource, PriorityResource, Container, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import SeededRNG, derive_seed
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "Resource",
-    "PriorityResource",
-    "Container",
     "Store",
     "SeededRNG",
     "derive_seed",

@@ -17,12 +17,8 @@ _NORMAL = 1
 
 
 class Environment:
-    """Owns the virtual clock and the pending-event heap.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of :attr:`now` (defaults to ``0.0``).
+    """Owns the virtual clock (starting at ``0.0``) and the pending-event
+    heap.
 
     Notes
     -----
@@ -31,8 +27,8 @@ class Environment:
     two runs of the same program are bit-identical.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []

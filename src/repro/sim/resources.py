@@ -1,11 +1,9 @@
-"""Shared-resource primitives: capacity slots, continuous levels, queues.
+"""Shared-resource primitives: capacity slots and queues.
 
-These mirror the classic SimPy trio but are written from scratch on top of
-:mod:`repro.sim.events`:
+These mirror SimPy's Resource and Store but are written from scratch on
+top of :mod:`repro.sim.events`:
 
 - :class:`Resource` — a pool of identical slots (e.g. CPU cores on a node).
-- :class:`PriorityResource` — slots granted lowest-priority-number first.
-- :class:`Container` — a continuous quantity (e.g. bytes of disk).
 - :class:`Store` — a FIFO queue of Python objects (e.g. a message queue).
 
 All ``request``/``get``/``put`` calls return events; processes ``yield``
@@ -24,7 +22,7 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
-__all__ = ["Request", "Resource", "PriorityResource", "Container", "Store"]
+__all__ = ["Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -133,98 +131,6 @@ def _heapify(heap: list) -> None:
     import heapq
 
     heapq.heapify(heap)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` that grants waiters lowest ``priority`` first.
-
-    Identical mechanics — :class:`Resource` already orders its wait-heap by
-    ``(priority, arrival)`` — this alias exists so call sites read clearly.
-    """
-
-
-class Container:
-    """A continuous quantity with ``put``/``get`` events.
-
-    Used for byte-capacity modelling (disk space, memory pools).
-
-    Parameters
-    ----------
-    env:
-        Owning environment.
-    capacity:
-        Maximum level (default: unbounded).
-    init:
-        Initial level.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = float(capacity)
-        self._level = float(init)
-        self._getters: list[tuple[int, float, Event]] = []
-        self._putters: list[tuple[int, float, Event]] = []
-        self._seq = 0
-
-    @property
-    def level(self) -> float:
-        """Current quantity held."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; fires when it fits under ``capacity``."""
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        event = Event(self.env)
-        self._seq += 1
-        self._putters.append((self._seq, float(amount), event))
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; fires when that much is available."""
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        if amount > self.capacity:
-            raise SimulationError("get amount exceeds capacity; would never fire")
-        event = Event(self.env)
-        self._seq += 1
-        self._getters.append((self._seq, float(amount), event))
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Drop waiters abandoned by interrupted processes.
-            while self._putters and self._putters[0][2].defused:
-                self._putters.pop(0)
-            while self._getters and self._getters[0][2].defused:
-                self._getters.pop(0)
-            if self._putters:
-                _seq, amount, event = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.pop(0)
-                    self._level += amount
-                    event.succeed(amount)
-                    progress = True
-            if self._getters:
-                _seq, amount, event = self._getters[0]
-                if self._level >= amount:
-                    self._getters.pop(0)
-                    self._level -= amount
-                    event.succeed(amount)
-                    progress = True
 
 
 class Store:

@@ -41,14 +41,12 @@ def place(
     pg: int,
     osds: _t.Sequence["OSD"],
     replicas: int,
-    *,
-    separate_hosts: bool = True,
 ) -> list["OSD"]:
     """Choose ``replicas`` OSDs for a placement group.
 
     Uses weighted rendezvous hashing (``-weight / ln(score)`` keys, the
-    standard weighted-HRW construction) and, when ``separate_hosts``,
-    takes at most one replica per host while distinct hosts remain.
+    standard weighted-HRW construction) and takes at most one replica
+    per host while distinct hosts remain.
 
     Raises
     ------
@@ -69,15 +67,14 @@ def place(
     )
     chosen: list["OSD"] = []
     used_hosts: set[str] = set()
-    if separate_hosts:
-        for osd in scored:
-            if osd.host not in used_hosts:
-                chosen.append(osd)
-                used_hosts.add(osd.host)
-                if len(chosen) == replicas:
-                    return chosen
-    # Not enough distinct hosts (or separation disabled): fill remaining
-    # slots with the best unchosen OSDs regardless of host.
+    for osd in scored:
+        if osd.host not in used_hosts:
+            chosen.append(osd)
+            used_hosts.add(osd.host)
+            if len(chosen) == replicas:
+                return chosen
+    # Not enough distinct hosts: fill remaining slots with the best
+    # unchosen OSDs regardless of host.
     for osd in scored:
         if osd not in chosen:
             chosen.append(osd)
@@ -91,11 +88,10 @@ def place(
 class CrushMap:
     """Placement policy for a cluster: pg count + replica placement."""
 
-    def __init__(self, pg_num: int = 128, separate_hosts: bool = True):
+    def __init__(self, pg_num: int = 128):
         if pg_num < 1:
             raise ValueError("pg_num must be >= 1")
         self.pg_num = pg_num
-        self.separate_hosts = separate_hosts
 
     def pg_of(self, pool: str, key: str) -> int:
         """Hash an object key into a placement group."""
@@ -107,4 +103,4 @@ class CrushMap:
     ) -> list["OSD"]:
         """Replica set for an object (primary first)."""
         pg = self.pg_of(pool, key)
-        return place(pg, osds, replicas, separate_hosts=self.separate_hosts)
+        return place(pg, osds, replicas)

@@ -61,6 +61,10 @@ class Pool:
             raise StorageError("replication must be >= 1")
 
 
+#: Parallel background re-replication streams.
+RECOVERY_WORKERS = 4
+
+
 class CephCluster:
     """A replicated object store over a set of OSDs.
 
@@ -71,10 +75,6 @@ class CephCluster:
     flowsim / topology:
         When both are given, timed ``put``/``get`` move bytes through the
         network and disks; otherwise only disk bandwidth limits apply.
-    crush:
-        Placement policy (defaults to 128 PGs with host separation).
-    recovery_workers:
-        Parallel background re-replication streams.
     """
 
     def __init__(
@@ -82,13 +82,12 @@ class CephCluster:
         env: Environment,
         flowsim: FlowSimulator | None = None,
         topology: Topology | None = None,
-        crush: CrushMap | None = None,
-        recovery_workers: int = 4,
     ):
         self.env = env
         self.flowsim = flowsim
         self.topology = topology
-        self.crush = crush or CrushMap()
+        #: placement policy: 128 PGs, replicas on distinct hosts
+        self.crush = CrushMap()
         self.osds: dict[int, OSD] = {}
         self.pools: dict[str, Pool] = {}
         self._objects: dict[tuple[str, str], ObjectRef] = {}
@@ -96,7 +95,7 @@ class CephCluster:
         self.lost_objects: list[tuple[str, str]] = []
         self.recovered_objects = 0
         self._recovery_queue: Store = Store(env)
-        for i in range(recovery_workers):
+        for i in range(RECOVERY_WORKERS):
             env.process(self._recovery_worker(), name=f"ceph-recovery-{i}")
 
     # ------------------------------------------------------------------- admin

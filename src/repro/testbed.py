@@ -13,8 +13,8 @@ Scale model
 while the infrastructure stays paper-shaped, so a laptop can run the
 whole workflow end-to-end in simulated minutes at ``scale=0.01`` and the
 benchmarks can run byte-exact at ``scale=1.0``.  The ML components always
-run for real on a laptop-sized synthetic grid (``ml_grid``); paper-scale
-ML *timing* comes from the calibrated GPU performance model.
+run for real on a laptop-sized synthetic grid (``ML_GRID``);
+paper-scale ML *timing* comes from the calibrated GPU performance model.
 
 Calibration note: the THREDDS server attaches at 1 GbE.  The paper's
 step 1 moves 246 GB in 37 minutes (≈111 MB/s sustained), which is a
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.cluster import Cluster, Scheduler, SchedulingStrategy
+from repro.cluster import Cluster
 from repro.cluster.node import fiona8_node_spec, fiona_node_spec
 from repro.data.catalog import PAPER_FILE_COUNT, MerraArchive
-from repro.data.merra import GridSpec, MerraGenerator
+from repro.data.merra import ML_GRID, GridSpec, MerraGenerator
 from repro.ml.perfmodel import GTX1080TI, GPUPerfModel
 from repro.monitoring.metrics import MetricRegistry
 from repro.monitoring.sampler import Sampler
@@ -46,6 +46,14 @@ __all__ = ["NautilusTestbed", "build_nautilus_testbed"]
 _GPU_SITES = ("UCSD", "UCI", "Stanford", "Caltech")
 #: Sites that host Ceph storage machines.
 _STORAGE_SITES = ("UCSD", "SDSC", "UCI")
+#: The Ceph layout: 6 hosts x 4 OSDs x 50 TB = 1.2 PB, "over a petabyte
+#: of storage" (§II), each OSD disk streaming 200 MB/s.
+N_STORAGE_HOSTS = 6
+OSDS_PER_HOST = 4
+OSD_CAPACITY = 50e12
+OSD_DISK_BPS = 200e6
+#: Archive-server egress (see the module calibration note).
+THREDDS_NIC_GBPS = 1.0
 
 
 @dataclasses.dataclass
@@ -69,9 +77,9 @@ class NautilusTestbed:
     ml_grid: GridSpec
     seed: int
 
-    def merra_generator(self, seed_offset: int = 0) -> MerraGenerator:
+    def merra_generator(self) -> MerraGenerator:
         """A generator for laptop-scale synthetic MERRA data."""
-        return MerraGenerator(self.ml_grid, seed=self.seed + seed_offset)
+        return MerraGenerator(self.ml_grid, seed=self.seed)
 
     @property
     def gpu_nodes(self) -> list[str]:
@@ -142,14 +150,7 @@ def build_nautilus_testbed(
     scale: float = 0.01,
     n_fiona8: int = 8,
     n_dtn: int = 4,
-    n_storage_hosts: int = 6,
-    osds_per_host: int = 4,
-    osd_capacity: float = 50e12,
-    osd_disk_Bps: float = 200e6,
-    thredds_nic_gbps: float = 1.0,
     sampler_interval: float = 15.0,
-    ml_grid: GridSpec | None = None,
-    scheduler_strategy: SchedulingStrategy = SchedulingStrategy.SPREAD,
     transfer_faults: TransientFaultInjector | None = None,
 ) -> NautilusTestbed:
     """Assemble a Nautilus deployment.
@@ -163,13 +164,11 @@ def build_nautilus_testbed(
     n_fiona8:
         GPU appliances (8 GPUs each); the paper's step 3 wants
         ``ceil(50/8) = 7`` of them minimum, default 8.
-    n_dtn / n_storage_hosts / osds_per_host / osd_capacity:
-        CPU nodes and the Ceph layout.  Defaults give 6x4 = 24 OSDs x
-        50 TB = 1.2 PB — "over a petabyte of storage" (§II).
-    thredds_nic_gbps:
-        Archive-server egress (see module calibration note).
-    ml_grid:
-        Grid for the real (laptop-scale) ML runs.
+    n_dtn:
+        CPU nodes.  The Ceph layout is fixed (:data:`N_STORAGE_HOSTS` x
+        :data:`OSDS_PER_HOST` OSDs of :data:`OSD_CAPACITY` bytes).
+    sampler_interval:
+        Seconds between monitoring scrapes.
     transfer_faults:
         Optional :class:`~repro.transfer.TransientFaultInjector` wired
         into the THREDDS server: catalog and stream requests then fail
@@ -182,7 +181,7 @@ def build_nautilus_testbed(
     rng = SeededRNG(seed)
     topology = build_prp_topology()
     flowsim = FlowSimulator(env)
-    cluster = Cluster(env, name="nautilus", scheduler=Scheduler(scheduler_strategy))
+    cluster = Cluster(env, name="nautilus")
     registry = MetricRegistry(env)
     sampler = Sampler(env, registry, interval=sampler_interval)
     tracer = Tracer.for_env(env)
@@ -205,12 +204,12 @@ def build_nautilus_testbed(
 
     # -- storage -------------------------------------------------------------------
     ceph = CephCluster(env, flowsim=flowsim, topology=topology)
-    for i in range(n_storage_hosts):
+    for i in range(N_STORAGE_HOSTS):
         site = _STORAGE_SITES[i % len(_STORAGE_SITES)]
         host = f"stor-{site.lower()}-{i:02d}"
         topology.attach_host(host, site, nic_gbps=10.0)
-        for _ in range(osds_per_host):
-            ceph.add_osd(host=host, capacity=osd_capacity, disk_Bps=osd_disk_Bps)
+        for _ in range(OSDS_PER_HOST):
+            ceph.add_osd(host=host, capacity=OSD_CAPACITY, disk_Bps=OSD_DISK_BPS)
     cephfs = CephFS(ceph)
     ceph.create_pool("merra", replication=3)
     ceph.create_pool("models", replication=3)
@@ -219,17 +218,16 @@ def build_nautilus_testbed(
     # -- archive + THREDDS -----------------------------------------------------------
     n_files = max(1, int(round(PAPER_FILE_COUNT * scale)))
     archive = MerraArchive(n_files=n_files, seed=seed)
-    grid = ml_grid or GridSpec(nlat=45, nlon=72, nlev=8)
     # The server can serve real (laptop-scale) granule content too.
     thredds = ThreddsServer(
         archive,
         host="its-dtn-02",
-        generator=MerraGenerator(grid, seed=seed),
+        generator=MerraGenerator(ML_GRID, seed=seed),
         fault_injector=transfer_faults,
     )
     if transfer_faults is not None and transfer_faults.env is None:
         transfer_faults.env = env
-    topology.attach_host("its-dtn-02", "UCSD", nic_gbps=thredds_nic_gbps)
+    topology.attach_host("its-dtn-02", "UCSD", nic_gbps=THREDDS_NIC_GBPS)
     # Cluster-level resilience counters (liveness restarts, lease
     # expirations) land in the shared registry.
     cluster.metrics = registry
@@ -292,6 +290,6 @@ def build_nautilus_testbed(
         thredds=thredds,
         perf=GTX1080TI,
         scale=scale,
-        ml_grid=grid,
+        ml_grid=ML_GRID,
         seed=seed,
     )

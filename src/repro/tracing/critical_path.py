@@ -86,7 +86,7 @@ def critical_chain(step_spans: _t.Sequence[Span]) -> list[tuple[str, float]]:
     Each step span carries ``attributes["step"]`` (its name) and
     ``attributes["depends_on"]`` (upstream step names) — recorded by the
     workflow driver.  Dependencies without a span (steps restored from a
-    checkpoint, skipped steps) simply end the chain there.
+    checkpoint, steps never launched) simply end the chain there.
     """
     by_name: dict[str, Span] = {}
     for span in step_spans:

@@ -28,7 +28,12 @@ from repro.netsim.topology import Topology
 from repro.sim import Environment, Resource
 from repro.sim.rng import derive_seed
 from repro.transfer.retry import RetryPolicy, TransientFaultInjector
-from repro.transfer.thredds import ResolvedChunk, SubsetRequest, ThreddsServer
+from repro.transfer.thredds import (
+    REQUEST_OVERHEAD_S,
+    ResolvedChunk,
+    SubsetRequest,
+    ThreddsServer,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.monitoring.metrics import MetricRegistry
@@ -278,7 +283,7 @@ class Aria2Downloader:
                 yield from self._fetch(
                     request.nbytes,
                     f"aria2:{self.host}:{request.granule.name}",
-                    self.server.request_overhead_s,
+                    REQUEST_OVERHEAD_S,
                 )
         except BaseException:
             self._span_close(span, request.nbytes, status="error")
@@ -302,7 +307,7 @@ class Aria2Downloader:
                 yield from self._fetch(
                     total,
                     f"aria2-stream:{self.host}:{len(requests)}f",
-                    self.server.request_overhead_s * len(requests),
+                    REQUEST_OVERHEAD_S * len(requests),
                 )
         except BaseException:
             self._span_close(span, total, status="error")

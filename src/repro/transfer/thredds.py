@@ -109,6 +109,10 @@ class ResolvedChunk(collections.abc.Sequence):
         return f"<ResolvedChunk {len(self)} granules from {self.host}>"
 
 
+#: Server-side latency per request (catalog lookup + subset setup).
+REQUEST_OVERHEAD_S = 0.05
+
+
 class ThreddsServer:
     """Catalog + subset service for the MERRA archive.
 
@@ -119,8 +123,6 @@ class ThreddsServer:
     host:
         Hostname on the network topology (a PRP DTN: the paper's server
         lived at ``its-dtn-02.prism.optiputer.net``).
-    request_overhead_s:
-        Server-side latency per request (catalog lookup + subset setup).
     fault_injector:
         Optional :class:`~repro.transfer.retry.TransientFaultInjector`;
         when armed, catalog/subset calls raise
@@ -135,13 +137,11 @@ class ThreddsServer:
         self,
         archive: MerraArchive,
         host: str = "its-dtn-02",
-        request_overhead_s: float = 0.05,
         generator: object | None = None,
         fault_injector: "TransientFaultInjector | None" = None,
     ):
         self.archive = archive
         self.host = host
-        self.request_overhead_s = request_overhead_s
         #: Optional :class:`~repro.data.merra.MerraGenerator` enabling
         #: :meth:`open_granule` to serve real array content.
         self.generator = generator

@@ -36,15 +36,13 @@ def flame_summary(
     spans: _t.Sequence["Span"],
     *,
     width: int = 48,
-    max_depth: int | None = None,
     min_fraction: float = 0.0,
 ) -> str:
     """Render finished ``spans`` as an indented ASCII timeline.
 
     ``min_fraction`` drops spans shorter than that fraction of the root
-    (children of a dropped span are dropped with it); ``max_depth``
-    truncates the tree below that depth.  Sibling order is by start time
-    (ties by span_id), so the rendering is deterministic.
+    (children of a dropped span are dropped with it).  Sibling order is
+    by start time (ties by span_id), so the rendering is deterministic.
     """
     finished = [s for s in spans if s.end is not None]
     if not finished:
@@ -70,8 +68,6 @@ def flame_summary(
     ]
 
     def walk(span: "Span", depth: int) -> None:
-        if max_depth is not None and depth > max_depth:
-            return
         if extent > 0 and span.duration < min_fraction * extent:
             return
         label = ("  " * depth + span.name)[:name_w]

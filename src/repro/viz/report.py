@@ -162,13 +162,12 @@ def render_figure3(testbed: "NautilusTestbed", report: "WorkflowReport") -> str:
 
 
 def figure4_stats(
-    testbed: "NautilusTestbed", report: "WorkflowReport",
-    sample_interval: float | None = None,
+    testbed: "NautilusTestbed", report: "WorkflowReport"
 ) -> dict[str, float]:
     """Network usage during the download (paper: IOPS max 593 MB/s,
     throughput max 2.64 GB per sample)."""
     start, end = _step_window(report, "download")
-    interval = sample_interval or testbed.sampler.interval
+    interval = testbed.sampler.interval
     egress = testbed.registry.all_series("thredds_egress_bytes_per_second")
     disk = testbed.registry.all_series("ceph_disk_write_bytes_per_second")
     peak_egress = max(

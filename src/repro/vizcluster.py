@@ -60,21 +60,16 @@ class VisualizationCluster:
     input_host:
         Hostname of the machine holding the motion-tracked wand (the
         SunCAVE at UCSD in the paper).
-    namespace:
-        Namespace for the render pods.
     """
 
-    def __init__(
-        self,
-        testbed: "NautilusTestbed",
-        input_host: str,
-        namespace: str = "calvr",
-    ):
+    #: Namespace for the render pods.
+    namespace = "calvr"
+
+    def __init__(self, testbed: "NautilusTestbed", input_host: str):
         self.testbed = testbed
         self.input_host = input_host
-        self.namespace = namespace
-        if namespace not in testbed.cluster.namespaces:
-            testbed.cluster.create_namespace(namespace)
+        if self.namespace not in testbed.cluster.namespaces:
+            testbed.cluster.create_namespace(self.namespace)
         self._rs = None
         self.render_nodes: list[str] = []
         self.events: list[WandEvent] = []

@@ -4,17 +4,15 @@ When the cluster is saturated, finishing the essential work late beats
 finishing all the work never.  A :class:`DegradationPolicy` turns a
 saturation signal (typically the admission gateway's
 :meth:`~repro.gateway.AdmissionGateway.saturated`, or a cluster
-pending-queue threshold) into two concrete behaviours:
+pending-queue threshold) into two concrete behaviours of the overload
+drill (:mod:`repro.loadgen`):
 
-- **Drop optional steps** — workflow steps constructed with
-  ``optional=True`` (visualization, report rendering, non-essential
-  post-processing) are *skipped* instead of executed; their reports
-  carry ``skipped=True`` and count as succeeded so downstream steps
-  still run.
-- **Coarser shard fan-out** — steps that fan work out over N shards ask
-  :meth:`effective_fanout` first; under saturation the fan-out shrinks
-  by ``fanout_factor`` (never below ``min_fanout``), so each workflow
-  holds fewer concurrent pods while the queue drains.
+- **Drop optional work** — the drill asks :meth:`saturated` before its
+  visualization stage and records a dropped stage with
+  :meth:`note_skip`.
+- **Coarser shard fan-out** — :meth:`effective_fanout` halves a
+  requested fan-out under saturation (never below one shard), so each
+  workflow holds fewer concurrent pods while the queue drains.
 
 The policy records everything it dropped or coarsened, so a loadtest
 report can state exactly what degradation cost.
@@ -27,6 +25,11 @@ import typing as _t
 
 __all__ = ["DegradationPolicy"]
 
+#: Multiplier on a requested fan-out while saturated (half the shards).
+FANOUT_FACTOR = 0.5
+#: Floor for a coarsened fan-out.
+MIN_FANOUT = 1
+
 
 class DegradationPolicy:
     """Decide what to shed when the control plane reports saturation.
@@ -37,30 +40,10 @@ class DegradationPolicy:
         Zero-arg callable returning truthy while the cluster is
         saturated.  Evaluated at each decision point, so the policy
         reacts as load rises and falls.
-    drop_optional:
-        Skip steps marked ``optional=True`` while saturated.
-    fanout_factor:
-        Multiplier applied to requested shard fan-outs while saturated
-        (0.5 = half as many shards).
-    min_fanout:
-        Floor for a coarsened fan-out.
     """
 
-    def __init__(
-        self,
-        saturation: _t.Callable[[], bool],
-        drop_optional: bool = True,
-        fanout_factor: float = 0.5,
-        min_fanout: int = 1,
-    ):
-        if not 0.0 < fanout_factor <= 1.0:
-            raise ValueError("fanout_factor must be in (0, 1]")
-        if min_fanout < 1:
-            raise ValueError("min_fanout must be >= 1")
+    def __init__(self, saturation: _t.Callable[[], bool]):
         self._saturation = saturation
-        self.drop_optional = drop_optional
-        self.fanout_factor = float(fanout_factor)
-        self.min_fanout = int(min_fanout)
         #: names of optional steps skipped under saturation
         self.dropped_steps: list[str] = []
         #: (step name, requested, granted) fan-outs that were coarsened
@@ -69,22 +52,14 @@ class DegradationPolicy:
     def saturated(self) -> bool:
         return bool(self._saturation())
 
-    def should_skip(self, step: object) -> bool:
-        """Skip this step right now?  (Only ever true for optional steps.)"""
-        return (
-            self.drop_optional
-            and bool(getattr(step, "optional", False))
-            and self.saturated()
-        )
-
     def note_skip(self, step_name: str) -> None:
         self.dropped_steps.append(step_name)
 
     def effective_fanout(self, requested: int, step_name: str = "") -> int:
         """The shard fan-out to actually use for ``requested`` shards."""
-        if requested <= self.min_fanout or not self.saturated():
+        if requested <= MIN_FANOUT or not self.saturated():
             return requested
-        granted = max(self.min_fanout, math.ceil(requested * self.fanout_factor))
+        granted = max(MIN_FANOUT, math.ceil(requested * FANOUT_FACTOR))
         if granted < requested:
             self.coarsened_fanouts.append((step_name, requested, granted))
         return granted

@@ -25,7 +25,6 @@ from repro.workflow.workflow import Workflow
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tracing.span import Span, Tracer
-    from repro.workflow.degradation import DegradationPolicy
     from repro.workflow.persistence import WorkflowCheckpoint
 
 __all__ = ["WorkflowDriver", "WorkflowReport", "step_usage", "traced_step"]
@@ -184,7 +183,6 @@ class WorkflowDriver:
         checkpoint: "WorkflowCheckpoint | None" = None,
         resume_from: "WorkflowCheckpoint | None" = None,
         deadline_s: float | None = None,
-        degradation: "DegradationPolicy | None" = None,
         overlap: bool = False,
     ) -> WorkflowReport:
         """Execute the workflow and return the report.
@@ -215,12 +213,6 @@ class WorkflowDriver:
             expires, every running step is interrupted and the partial
             report is returned; combined with ``checkpoint`` this models
             "the job got killed — resume it".
-        degradation:
-            A :class:`~repro.workflow.degradation.DegradationPolicy`:
-            while it reports saturation, steps marked ``optional=True``
-            are skipped (``skipped=True`` in their reports) and steps
-            that consult :meth:`~repro.workflow.step.StepContext.
-            effective_fanout` get a coarser shard fan-out.
         overlap:
             Pipelined launch: a step may start while a dependency is
             still **running**, provided that dependency is listed in the
@@ -277,7 +269,6 @@ class WorkflowDriver:
                     report=report,
                     namespace=namespace,
                     span=step_span,
-                    degradation=degradation,
                     streams=streams if overlap else None,
                 )
                 for attempt in range(step.max_retries + 1):
@@ -386,27 +377,6 @@ class WorkflowDriver:
                             for dep in step.depends_on
                         ):
                             pending.remove(name)
-                            if degradation is not None and degradation.should_skip(
-                                step
-                            ):
-                                # Graceful degradation: drop the optional
-                                # step; it counts as done so downstream
-                                # steps still run.
-                                report = StepReport(
-                                    name=name, skipped=True, succeeded=True
-                                )
-                                report.start_time = report.end_time = env.now
-                                reports.append(report)
-                                reports_by_name[name] = report
-                                done.add(name)
-                                degradation.note_skip(name)
-                                self.testbed.cluster.record_event(
-                                    "Workflow",
-                                    name,
-                                    "StepSkipped",
-                                    "optional step dropped under saturation",
-                                )
-                                continue
                             report = StepReport(name=name)
                             reports.append(report)
                             reports_by_name[name] = report

@@ -137,17 +137,19 @@ class DistributedPreprocessing(WorkflowStep):
 # ---------------------------------------------------------------- training
 
 
-def allreduce_seconds(
-    model_bytes: float, n_workers: int, nic_Bps: float = 1.25e9
-) -> float:
+#: A FIONA8's 10 GbE NIC in bytes per second, the allreduce link rate.
+ALLREDUCE_NIC_BPS = 1.25e9
+
+
+def allreduce_seconds(model_bytes: float, n_workers: int) -> float:
     """Ring-allreduce time for one gradient exchange.
 
-    Each worker sends/receives ``2 * (K-1)/K * model_bytes`` — the
-    standard ring cost; zero for a single worker.
+    Each worker sends/receives ``2 * (K-1)/K * model_bytes`` over a
+    10 GbE NIC — the standard ring cost; zero for a single worker.
     """
     if n_workers <= 1:
         return 0.0
-    return 2.0 * (n_workers - 1) / n_workers * model_bytes / nic_Bps
+    return 2.0 * (n_workers - 1) / n_workers * model_bytes / ALLREDUCE_NIC_BPS
 
 
 def data_parallel_train(
@@ -156,7 +158,6 @@ def data_parallel_train(
     labels: np.ndarray,
     n_workers: int,
     steps: int = 40,
-    lr: float = 0.1,
     seed: int = 0,
 ) -> tuple[FFNModel, float]:
     """Real data-parallel SGD: each of ``n_workers`` logical workers draws
@@ -171,9 +172,7 @@ def data_parallel_train(
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
     model = FFNModel(config)
-    trainer = FFNTrainer(
-        model, lr=lr, batch_size=n_workers, fov_steps=1, seed=seed
-    )
+    trainer = FFNTrainer(model, batch_size=n_workers, fov_steps=1, seed=seed)
     streams = [
         FFNTrainer(model, seed=seed + worker)._patch_centers(labels, steps)
         for worker in range(n_workers)

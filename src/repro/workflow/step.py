@@ -73,7 +73,7 @@ class StepReport:
     error: str = ""
     retries: int = 0  # step-level re-executions that were needed
     resumed: bool = False  # restored from a checkpoint, not re-executed
-    skipped: bool = False  # optional step dropped under saturation
+    skipped: bool = False  # kept in report format 1; the driver never sets it
     artifacts: dict[str, object] = dataclasses.field(default_factory=dict)
 
     @property
@@ -162,7 +162,6 @@ class StepContext:
         report: StepReport,
         namespace: str,
         span: "Span",
-        degradation: object | None = None,
         streams: dict | None = None,
     ):
         self.testbed = testbed
@@ -172,9 +171,6 @@ class StepContext:
         self.namespace = namespace
         #: this step's trace span
         self.span = span
-        #: the run's :class:`~repro.workflow.degradation.
-        #: DegradationPolicy`, or None when degradation is off
-        self.degradation = degradation
         #: live stream channels by producer step name — populated only
         #: when the driver runs with ``overlap=True``
         self._streams = streams
@@ -189,19 +185,11 @@ class StepContext:
 
     def stream_in(self, producer: str):
         """The named producer's live channel (consumer side), or None in
-        barrier mode / when the producer was skipped.  Wait on it with
+        barrier mode / when the producer does not stream.  Wait on it with
         ``yield from chan.wait_milestone(...)`` or ``chan.next_item``."""
         if self._streams is None:
             return None
         return self._streams.get(producer)
-
-    def effective_fanout(self, requested: int) -> int:
-        """Shard fan-out after graceful degradation (identity when off)."""
-        if self.degradation is None:
-            return int(requested)
-        return self.degradation.effective_fanout(  # type: ignore[attr-defined]
-            int(requested), self.report.name
-        )
 
     @property
     def env(self):
@@ -276,7 +264,6 @@ class WorkflowStep:
         max_retries: int = 0,
         retry_delay_s: float = 30.0,
         timeout_s: float | None = None,
-        optional: bool = False,
     ):
         if not name:
             raise ValidationError("step needs a non-empty name")
@@ -297,10 +284,6 @@ class WorkflowStep:
         #: ``timeout_s`` sim-seconds is killed and counts as a failure
         #: (so it retries under ``max_retries`` like any crash).
         self.timeout_s = timeout_s
-        #: optional steps may be dropped (skipped, not failed) when a
-        #: :class:`~repro.workflow.degradation.DegradationPolicy` reports
-        #: the cluster saturated — graceful degradation over queueing.
-        self.optional = optional
         #: names of steps whose artifacts this step consumes
         self.depends_on: list[str] = []
 

@@ -98,7 +98,6 @@ def run_robustness_suite(
     workflow_factory: _t.Callable[[object], object],
     seeds: _t.Sequence[int] = (41, 42, 43),
     scale: float = 0.002,
-    testbed_kwargs: dict | None = None,
 ) -> RobustnessReport:
     """Run ``workflow_factory(testbed)`` once per seed on fresh testbeds.
 
@@ -109,7 +108,7 @@ def run_robustness_suite(
         ``lambda tb: build_connect_workflow(tb, real_ml=False)``).
     seeds:
         At least two seeds, all distinct.
-    scale / testbed_kwargs:
+    scale:
         Forwarded to :func:`build_nautilus_testbed`.
     """
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
@@ -118,9 +117,7 @@ def run_robustness_suite(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seed in seeds:
-            testbed = build_nautilus_testbed(
-                seed=seed, scale=scale, **(testbed_kwargs or {})
-            )
+            testbed = build_nautilus_testbed(seed=seed, scale=scale)
             workflow = workflow_factory(testbed)
             reports.append(WorkflowDriver(testbed).run(workflow))
 

@@ -1,9 +1,9 @@
-"""Unit tests for Resource / Container / Store primitives."""
+"""Unit tests for Resource / Store primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -133,60 +133,6 @@ class TestResource:
         assert res.queue_len == 1
         req.cancel()
         assert res.queue_len == 0
-
-
-class TestContainer:
-    def test_init_level(self, env):
-        c = Container(env, capacity=100, init=40)
-        assert c.level == 40
-
-    def test_get_blocks_until_put(self, env):
-        c = Container(env, capacity=100)
-        trace = []
-
-        def consumer(env):
-            yield c.get(30)
-            trace.append(env.now)
-
-        def producer(env):
-            yield env.timeout(5)
-            yield c.put(30)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert trace == [5]
-        assert c.level == 0
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=10, init=10)
-        trace = []
-
-        def producer(env):
-            yield c.put(5)
-            trace.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(3)
-            yield c.get(5)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert trace == [3]
-        assert c.level == 10
-
-    def test_impossible_get_rejected(self, env):
-        c = Container(env, capacity=10)
-        with pytest.raises(SimulationError):
-            c.get(11)
-
-    def test_negative_amounts_rejected(self, env):
-        c = Container(env, capacity=10)
-        with pytest.raises(SimulationError):
-            c.put(-1)
-        with pytest.raises(SimulationError):
-            c.get(-1)
 
 
 class TestStore:

@@ -355,8 +355,11 @@ class TestConnectOverlap:
             )
 
     def test_artifacts_identical_across_modes(self, both_runs):
-        a = {s.name: s.to_dict()["artifacts"] for s in both_runs[False].steps}
-        b = {s.name: s.to_dict()["artifacts"] for s in both_runs[True].steps}
+        # Arrays compared by bytes: the to_dict() summary keeps only shape,
+        # dtype and nonzero count, which two segmentations can share.
+        a = {s.name: _plain(s.artifacts) for s in both_runs[False].steps}
+        b = {s.name: _plain(s.artifacts) for s in both_runs[True].steps}
+        assert "label_volume" in a["inference"]
         assert a == b
 
     def test_data_cells_match_their_sources_in_both_modes(self, traced_runs):
