@@ -89,6 +89,10 @@ class Node:
             GPUDevice(index=i, model=spec.gpu_model or "generic", node_name=spec.name)
             for i in range(spec.gpus)
         ]
+        #: Scraped gauges of the allocated CPU, memory and GPUs (the GPU
+        #: one ``None`` on a CPU node), recorded on every allocate and
+        #: release; ``None`` when no registry watches the node.
+        self.gauges: tuple | None = None
 
     # -- capacity ------------------------------------------------------------
 
@@ -146,6 +150,7 @@ class Node:
             if len(assigned) != request.gpu:  # pragma: no cover - guarded above
                 raise ClusterError("GPU accounting out of sync")
             pod.assigned_gpus = tuple(d.device_id for d in assigned)
+        self._record()
 
     def release(self, pod: "Pod") -> None:
         """Free a pod's reservation (idempotent)."""
@@ -162,16 +167,18 @@ class Node:
         for device in self.devices:
             if device.allocated_to == pod.meta.uid:
                 device.allocated_to = None
+        self._record()
+
+    def _record(self) -> None:
+        if self.gauges is not None:
+            cpu, memory, gpus = self.gauges
+            allocated = self.allocated
+            cpu.set(allocated.cpu)
+            memory.set(allocated.memory)
+            if gpus is not None:
+                gpus.set(allocated.gpu)
 
     # -- conditions -----------------------------------------------------------
-
-    def gpu_in_use(self) -> int:
-        """Number of GPUs currently allocated to pods.
-
-        :meth:`allocate` assigns exactly ``request.gpu`` devices and
-        :meth:`release` frees them, so this is ``allocated.gpu``.
-        """
-        return self.allocated.gpu
 
     def extended_resources(self) -> dict[str, int]:
         """Extended resources advertised by device plugins."""

@@ -9,7 +9,11 @@ every workflow step is measured, and "experimental results and
 performance measurements were presented using the CHASE-CI dashboard
 visualizations in Grafana" (§VIII).
 
+Prometheus scrapes every 15 s.  Here each scraped gauge's owner (a node,
+the Ceph cluster, the flow engine) records the value where it changes,
+and the registry resamples those records onto the scrape grid when a
+series is read, so no polling process runs.
+
 The implementations live in the submodules (``repro.monitoring.metrics``,
-``.sampler``, ``.promql``, ``.grafana``); import each name from its
-submodule.
+``.promql``, ``.grafana``); import each name from its submodule.
 """

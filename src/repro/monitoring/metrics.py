@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.sim import Environment
 
-__all__ = ["TimeSeries", "MetricRegistry"]
+__all__ = ["TimeSeries", "Gauge", "MetricRegistry"]
 
 Labels = _t.Mapping[str, str]
 
@@ -59,18 +59,73 @@ class TimeSeries:
         return f"<TimeSeries {self.name}{dict(self.labels)} n={len(self)}>"
 
 
+class Gauge:
+    """A scraped gauge: its owner calls :meth:`set` whenever the value
+    changes, and the registry fills ``series`` on the scrape grid.
+
+    Of several writes at one instant the last wins; a fill drops the
+    entries that no later grid point can see.
+    """
+
+    __slots__ = ("env", "series", "held", "times", "values")
+
+    def __init__(self, env: Environment, series: TimeSeries, value: float):
+        self.env = env
+        self.series = series
+        #: the value in force before the first logged change
+        self.held = value
+        self.times: list[float] = []
+        self.values: list[float] = []
+
+    def set(self, value: float) -> None:
+        """Record the value the gauge holds from now on."""
+        self.times.append(self.env.now)
+        self.values.append(value)
+
+    def fill(self, grid: list[float]) -> None:
+        """Extend the series to every point of ``grid``: each point takes
+        the last value changed strictly before it."""
+        series = self.series
+        done = len(series.times)
+        if done == len(grid):
+            return
+        points = grid[done:]
+        # Per point, the number of changes strictly before it: 0 selects
+        # the held value, k the k-th change.
+        seen = np.searchsorted(self.times, points, side="left")
+        held = np.array([self.held, *self.values], dtype=np.float64)
+        series.times.extend(points)
+        series.values.extend(held[seen].tolist())
+        spent = int(seen[-1])
+        if spent:
+            self.held = self.values[spent - 1]
+            del self.times[:spent], self.values[:spent]
+
+
 class MetricRegistry:
     """All metrics of a testbed run.
 
-    Gauges are ``set`` (sampled values: CPU in use, memory, GPU count);
-    counters are ``inc``-only (bytes downloaded, files processed); both
-    are recorded against the virtual clock.
+    Counters are ``inc``-only (bytes downloaded, files processed) and
+    ``set_gauge`` writes a point per call; both are recorded against the
+    virtual clock.  Scraped gauges (:meth:`gauge`) are read on the grid
+    0, ``interval``, 2 ``interval``, ... up to now, the times built by
+    repeated addition like a chain of ``interval`` timeouts: a read of
+    ``names``, ``get`` or ``all_series`` first fills them to now.  A grid
+    point at or before now is final, so reading mid-run and again later
+    gives the same series as one read at the end.
     """
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, interval: float = 15.0):
+        if interval <= 0:
+            raise ValueError("interval must be positive")
         self.env = env
+        self.interval = interval
         self._series: dict[tuple[str, tuple], TimeSeries] = {}
         self._counter_totals: dict[tuple[str, tuple], float] = {}
+        self._gauges: list[Gauge] = []
+        #: scrape times up to now, and the first one after now
+        self._grid: list[float] = []
+        self._next_scrape = 0.0
 
     # -- writing -----------------------------------------------------------------
 
@@ -82,6 +137,21 @@ class MetricRegistry:
             ts = TimeSeries(key[0], key[1])
             self._series[key] = ts
         return ts
+
+    def gauge(
+        self, name: str, value: float, labels: Labels | None = None
+    ) -> Gauge:
+        """A scraped gauge holding ``value`` until its owner sets another."""
+        gauge = Gauge(self.env, self.series(name, labels), value)
+        self._gauges.append(gauge)
+        return gauge
+
+    def next_scrape(self) -> float:
+        """The first scrape time after now (the grid is extended to now)."""
+        while self._next_scrape <= self.env.now:
+            self._grid.append(self._next_scrape)
+            self._next_scrape += self.interval
+        return self._next_scrape
 
     def set_gauge(self, name: str, value: float, labels: Labels | None = None) -> None:
         """Record an instantaneous value."""
@@ -117,14 +187,23 @@ class MetricRegistry:
 
     # -- reading -----------------------------------------------------------------
 
+    def _scrape(self) -> None:
+        """Fill every scraped gauge's series up to now."""
+        self.next_scrape()
+        for gauge in self._gauges:
+            gauge.fill(self._grid)
+
     def names(self) -> list[str]:
+        self._scrape()
         return sorted({name for name, _ in self._series})
 
     def all_series(self, name: str) -> list[TimeSeries]:
         """Every labelled series under a metric name."""
+        self._scrape()
         return [ts for (n, _), ts in sorted(self._series.items()) if n == name]
 
     def get(self, name: str, labels: Labels | None = None) -> TimeSeries | None:
+        self._scrape()
         return self._series.get((name, _label_key(labels)))
 
     def counter_total(self, name: str, labels: Labels | None = None) -> float:

@@ -1,13 +1,10 @@
 """A PromQL-subset evaluator over recorded time series.
 
-The dashboards only need a handful of functions; each takes a
-:class:`~repro.monitoring.metrics.TimeSeries` (or a list of them) plus a
-time window and returns scalars/arrays:
+The dashboards only need two functions; each takes a
+:class:`~repro.monitoring.metrics.TimeSeries` (or a list of them):
 
-- :func:`rate` — per-second increase of a counter over a window.
-- :func:`avg_over_time`, :func:`max_over_time`, :func:`min_over_time`
+- :func:`max_over_time` — the peak of a gauge over a time window.
 - :func:`sum_series` — pointwise sum of several gauges on a common grid.
-- :func:`aggregate_by` — group series by one label, summing the rest.
 """
 
 from __future__ import annotations
@@ -18,80 +15,35 @@ import numpy as np
 
 from repro.monitoring.metrics import TimeSeries
 
-__all__ = [
-    "rate",
-    "avg_over_time",
-    "max_over_time",
-    "min_over_time",
-    "sum_series",
-    "aggregate_by",
-]
-
-
-def _window(ts: TimeSeries, start: float | None, end: float | None):
-    lo = start if start is not None else (ts.times[0] if ts.times else 0.0)
-    hi = end if end is not None else (ts.times[-1] if ts.times else 0.0)
-    return ts.window(lo, hi)
-
-
-def rate(
-    ts: TimeSeries, start: float | None = None, end: float | None = None
-) -> float:
-    """Per-second increase of a counter across the window.
-
-    Mirrors PromQL's ``rate()``: (last - first) / elapsed.  Counters in
-    this library never reset mid-run, so no reset correction is needed.
-    """
-    times, values = _window(ts, start, end)
-    if len(times) < 2:
-        return 0.0
-    elapsed = times[-1] - times[0]
-    if elapsed <= 0:
-        return 0.0
-    return float((values[-1] - values[0]) / elapsed)
-
-
-def avg_over_time(
-    ts: TimeSeries, start: float | None = None, end: float | None = None
-) -> float:
-    """Time-weighted mean of a gauge over the window (trapezoidal)."""
-    times, values = _window(ts, start, end)
-    if len(times) == 0:
-        return 0.0
-    if len(times) == 1 or times[-1] == times[0]:
-        return float(values[-1])
-    area = np.trapezoid(values, x=times)
-    return float(area / (times[-1] - times[0]))
+__all__ = ["max_over_time", "sum_series"]
 
 
 def max_over_time(
     ts: TimeSeries, start: float | None = None, end: float | None = None
 ) -> float:
-    times, values = _window(ts, start, end)
+    """The largest sample with ``start <= t <= end`` (each bound defaults
+    to the series' own), ``0.0`` when there is none."""
+    if not ts.times:
+        return 0.0
+    _, values = ts.window(
+        ts.times[0] if start is None else start,
+        ts.times[-1] if end is None else end,
+    )
     return float(values.max()) if len(values) else 0.0
-
-
-def min_over_time(
-    ts: TimeSeries, start: float | None = None, end: float | None = None
-) -> float:
-    times, values = _window(ts, start, end)
-    return float(values.min()) if len(values) else 0.0
 
 
 def sum_series(
     series: _t.Sequence[TimeSeries],
-    grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise sum of gauges, step-interpolated onto a common grid.
+    """Pointwise sum of gauges, step-interpolated onto the union of all
+    sample times.
 
-    Returns ``(grid_times, summed_values)``.  When ``grid`` is ``None``
-    the union of all sample times is used.
+    Returns ``(grid_times, summed_values)``.
     """
     nonempty = [ts for ts in series if len(ts)]
     if not nonempty:
         return np.array([]), np.array([])
-    if grid is None:
-        grid = np.unique(np.concatenate([np.asarray(ts.times) for ts in nonempty]))
+    grid = np.unique(np.concatenate([np.asarray(ts.times) for ts in nonempty]))
     total = np.zeros_like(grid, dtype=np.float64)
     for ts in nonempty:
         times, values = ts.as_arrays()
@@ -101,15 +53,3 @@ def sum_series(
         sampled = np.where(idx >= 0, values[np.clip(idx, 0, None)], 0.0)
         total += sampled
     return grid, total
-
-
-def aggregate_by(
-    series: _t.Sequence[TimeSeries], label: str
-) -> dict[str, list[TimeSeries]]:
-    """Group series by the value of one label (PromQL ``sum by(label)``
-    shape; the caller applies :func:`sum_series` per group)."""
-    groups: dict[str, list[TimeSeries]] = {}
-    for ts in series:
-        value = dict(ts.labels).get(label, "")
-        groups.setdefault(value, []).append(ts)
-    return groups

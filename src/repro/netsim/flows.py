@@ -26,6 +26,7 @@ from repro.errors import NetworkError
 from repro.sim import Environment, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.monitoring.metrics import Gauge, MetricRegistry
     from repro.tracing.span import Span, Tracer
 
 __all__ = ["CapacityResource", "Flow", "FlowSimulator", "max_min_rates"]
@@ -40,7 +41,7 @@ class CapacityResource:
     """A shared capacity (bytes/s): a link, a NIC, or a disk.
 
     The rate through it is not stored: :meth:`FlowSimulator.sample_rates`
-    sums the live flows crossing it when monitoring reads it.
+    sums the live flows crossing it when it is read.
 
     A ``blocked`` resource (a failed link) pins every flow crossing it to
     rate zero without tearing the flow down — the fluid analog of TCP
@@ -278,6 +279,9 @@ class FlowSimulator:
         #: becomes a ``transfer`` span carrying bytes and achieved rate.
         self.tracer: "Tracer | None" = None
         self._flow_spans: dict[int, "Span"] = {}
+        #: Scraped rate gauges (see :meth:`watch_rates`) and their registry.
+        self._rate_gauges: list[tuple["Gauge", tuple[CapacityResource, ...]]] = []
+        self._registry: "MetricRegistry | None" = None
 
     # -- public API --------------------------------------------------------------
 
@@ -359,6 +363,21 @@ class FlowSimulator:
         self._poke()
         return True
 
+    def watch_rates(
+        self,
+        registry: "MetricRegistry",
+        name: str,
+        resources: _t.Sequence[CapacityResource],
+        labels: dict[str, str],
+    ) -> None:
+        """Scrape the summed rate through ``resources`` as gauge ``name``:
+        the :meth:`sample_rates` sum, recorded when the flow table empties
+        and after each solve whose next completion is not before the next
+        scrape (every start, cancel, completion and :meth:`recompute`
+        re-solves at its own instant, so an earlier one is superseded)."""
+        self._registry = registry
+        self._rate_gauges.append((registry.gauge(name, 0.0, labels), tuple(resources)))
+
     @property
     def active_flows(self) -> int:
         return len(self._flows)
@@ -404,7 +423,7 @@ class FlowSimulator:
         """Accurate instantaneous rates for ``resources`` (monitoring API).
 
         Each rate is summed when it is read: the rates of the live flows
-        crossing the resource, from ``0.0`` in start order (sampled series
+        crossing the resource, from ``0.0`` in start order (scraped series
         see this rounding); ``0.0`` when no flow crosses it.
         """
         members = self._flows.members
@@ -413,13 +432,24 @@ class FlowSimulator:
             for res in resources
         }
 
+    def _record_rates(self, horizon: float) -> None:
+        """Record the watched rates unless a re-solve is due within
+        ``horizon``, before the next scrape can read them."""
+        if self._rate_gauges and (
+            self.env.now + horizon >= self._registry.next_scrape()
+        ):
+            for gauge, resources in self._rate_gauges:
+                gauge.set(sum(self.sample_rates(resources).values()))
+
     def _coordinator(self):
         while True:
             if not self._flows:
+                self._record_rates(float("inf"))
                 self._wake = self.env.event()
                 yield self._wake
                 continue
             horizon = self._recompute()
+            self._record_rates(horizon)
             self._wake = self.env.event()
             started = self.env.now
             if horizon == float("inf"):

@@ -25,6 +25,7 @@ import typing as _t
 from repro.errors import (
     ConflictError,
     InsufficientReplicasError,
+    NetworkError,
     ObjectNotFoundError,
     StorageError,
 )
@@ -33,6 +34,9 @@ from repro.netsim.topology import Topology
 from repro.sim import Environment, Event, Store
 from repro.storage.crush import CrushMap
 from repro.storage.osd import OSD
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.monitoring.metrics import Gauge
 
 __all__ = ["ObjectRef", "Pool", "CephCluster"]
 
@@ -95,6 +99,9 @@ class CephCluster:
         self.lost_objects: list[tuple[str, str]] = []
         self.recovered_objects = 0
         self._recovery_queue: Store = Store(env)
+        #: Scraped gauge of :meth:`total_used`, recorded wherever a
+        #: replica is stored or dropped (``None``: not monitored).
+        self.used_gauge: "Gauge | None" = None
         for i in range(RECOVERY_WORKERS):
             env.process(self._recovery_worker(), name=f"ceph-recovery-{i}")
 
@@ -163,6 +170,7 @@ class CephCluster:
             raise ObjectNotFoundError(f"{pool}/{key}")
         for osd in self.osds.values():
             osd.evict(pool, key)
+        self._record_used()
 
     def exists(self, pool: str, key: str) -> bool:
         return (pool, key) in self._objects
@@ -190,11 +198,14 @@ class CephCluster:
         targets: _t.Sequence[OSD],
     ) -> ObjectRef:
         previous = self._objects.get((pool, key))
-        if previous is not None:
-            for osd in self.osds.values():
-                osd.evict(pool, key)
-        for osd in targets:
-            osd.store(pool, key, size)
+        try:
+            if previous is not None:
+                for osd in self.osds.values():
+                    osd.evict(pool, key)
+            for osd in targets:
+                osd.store(pool, key, size)
+        finally:  # a full or down target leaves the replicas stored so far
+            self._record_used()
         ref = ObjectRef(
             pool=pool,
             key=key,
@@ -226,15 +237,19 @@ class CephCluster:
 
         def _writer():
             if self.flowsim is not None:
-                flows = [
-                    self.flowsim.transfer(
-                        self._path_to(client_host, osd),
-                        size,
-                        name=f"ceph-put:{pool}/{key}->osd.{osd.id}",
-                    )
-                    for osd in targets
-                ]
-                yield self.env.all_of(flows)
+                try:  # every route first, so a missing one starts no flow
+                    paths = [self._path_to(client_host, osd) for osd in targets]
+                    yield self.env.all_of([
+                        self.flowsim.transfer(
+                            path, size, name=f"ceph-put:{pool}/{key}->osd.{osd.id}"
+                        )
+                        for path, osd in zip(paths, targets)
+                    ])
+                except NetworkError as exc:
+                    # Fail the put as a cancelled flow fails its handle.
+                    done.defuse()
+                    done.fail(exc)
+                    return
             ref = self._commit(pool, key, size, payload, targets)
             done.succeed(ref)
             return ref
@@ -255,11 +270,16 @@ class CephCluster:
 
         def _reader():
             if self.flowsim is not None:
-                yield self.flowsim.transfer(
-                    self._path_to(client_host, primary),
-                    ref.size,
-                    name=f"ceph-get:{pool}/{key}<-osd.{primary.id}",
-                )
+                try:
+                    yield self.flowsim.transfer(
+                        self._path_to(client_host, primary),
+                        ref.size,
+                        name=f"ceph-get:{pool}/{key}<-osd.{primary.id}",
+                    )
+                except NetworkError as exc:
+                    done.defuse()
+                    done.fail(exc)
+                    return
             else:  # pragma: no cover - flowsim always set in practice
                 yield self.env.timeout(0)
             done.succeed(ref)
@@ -296,6 +316,7 @@ class CephCluster:
         osd.up = True
         osd.replicas.clear()
         osd.used = 0.0
+        self._record_used()
 
     def _recovery_worker(self):
         while True:
@@ -335,6 +356,7 @@ class CephCluster:
                         resources, ref.size, name=f"ceph-recover:{pool}/{key}"
                     )
                 target.store(pool, key, ref.size)
+                self._record_used()
                 self.recovered_objects += 1
 
     # ----------------------------------------------------------------- health
@@ -373,6 +395,10 @@ class CephCluster:
 
     def total_used(self) -> float:
         return sum(osd.used for osd in self.osds.values())
+
+    def _record_used(self) -> None:
+        if self.used_gauge is not None:
+            self.used_gauge.set(self.total_used())
 
     def __repr__(self) -> str:  # pragma: no cover
         h = self.health()

@@ -5,7 +5,8 @@ of the paper's Figure 1: the PRP topology with FIONA8 GPU nodes and
 storage hosts at partner sites, the Kubernetes-like cluster over those
 machines, the Rook/Ceph object store (>1 PB at full scale), the THREDDS
 archive server, the flow-level network, and the Prometheus/Grafana
-monitoring loop.
+monitoring: the scraped gauges of node allocations, Ceph usage and the
+storage and archive rates.
 
 Scale model
 -----------
@@ -33,7 +34,6 @@ from repro.data.catalog import PAPER_FILE_COUNT, MerraArchive
 from repro.data.merra import ML_GRID, GridSpec, MerraGenerator
 from repro.ml.perfmodel import GTX1080TI, GPUPerfModel
 from repro.monitoring.metrics import MetricRegistry
-from repro.monitoring.sampler import Sampler
 from repro.netsim import FlowSimulator, Topology, build_prp_topology
 from repro.sim import Environment, SeededRNG
 from repro.storage import CephCluster, CephFS
@@ -68,7 +68,6 @@ class NautilusTestbed:
     ceph: CephCluster
     cephfs: CephFS
     registry: MetricRegistry
-    sampler: Sampler
     tracer: Tracer
     archive: MerraArchive
     thredds: ThreddsServer
@@ -168,7 +167,7 @@ def build_nautilus_testbed(
         CPU nodes.  The Ceph layout is fixed (:data:`N_STORAGE_HOSTS` x
         :data:`OSDS_PER_HOST` OSDs of :data:`OSD_CAPACITY` bytes).
     sampler_interval:
-        Seconds between monitoring scrapes.
+        Seconds between monitoring scrapes (the registry's ``interval``).
     transfer_faults:
         Optional :class:`~repro.transfer.TransientFaultInjector` wired
         into the THREDDS server: catalog and stream requests then fail
@@ -182,8 +181,7 @@ def build_nautilus_testbed(
     topology = build_prp_topology()
     flowsim = FlowSimulator(env)
     cluster = Cluster(env, name="nautilus")
-    registry = MetricRegistry(env)
-    sampler = Sampler(env, registry, interval=sampler_interval)
+    registry = MetricRegistry(env, interval=sampler_interval)
     tracer = Tracer.for_env(env)
     cluster.tracer = tracer
     flowsim.tracer = tracer
@@ -232,47 +230,35 @@ def build_nautilus_testbed(
     # expirations) land in the shared registry.
     cluster.metrics = registry
 
-    # -- standing monitoring probes ----------------------------------------------------
+    # -- scraped gauges: each owner records its value where it changes ------------
     for node in cluster.nodes.values():
-        sampler.add_probe(
-            "node_cpu_allocated_cores",
-            (lambda n=node: n.allocated.cpu),
-            {"node": node.spec.name},
+        labels = {"node": node.spec.name}
+        allocated = node.allocated
+        node.gauges = (
+            registry.gauge("node_cpu_allocated_cores", allocated.cpu, labels),
+            registry.gauge("node_memory_allocated_bytes", allocated.memory, labels),
+            registry.gauge("node_gpus_in_use", allocated.gpu, labels)
+            if node.spec.gpus
+            else None,
         )
-        sampler.add_probe(
-            "node_memory_allocated_bytes",
-            (lambda n=node: float(n.allocated.memory)),
-            {"node": node.spec.name},
-        )
-        if node.spec.gpus:
-            sampler.add_probe(
-                "node_gpus_in_use",
-                (lambda n=node: float(n.gpu_in_use())),
-                {"node": node.spec.name},
-            )
-    sampler.add_probe(
-        "ceph_used_bytes", lambda: ceph.total_used(), {"cluster": "nautilus"}
+    ceph.used_gauge = registry.gauge(
+        "ceph_used_bytes", ceph.total_used(), {"cluster": "nautilus"}
     )
     thredds_link = topology.links[frozenset(("its-dtn-02", "UCSD"))]
-    sampler.add_probe(
+    flowsim.watch_rates(
+        registry,
         "thredds_egress_bytes_per_second",
-        lambda: flowsim.sample_rates([thredds_link.resource])[
-            thredds_link.resource.name
-        ],
+        [thredds_link.resource],
         {"host": "its-dtn-02"},
     )
     # Per-storage-host disk rates — the Grafana storage-IOPS panels are
     # per node, so Figure 4's "IOPS: Max" is a per-host peak.
     by_host: dict[str, list] = {}
     for osd in ceph.osds.values():
-        by_host.setdefault(osd.host, []).append(osd)
-    for host, osds in by_host.items():
-        sampler.add_probe(
-            "ceph_disk_write_bytes_per_second",
-            (lambda disks=[o.disk for o in osds]: sum(
-                flowsim.sample_rates(disks).values()
-            )),
-            {"host": host},
+        by_host.setdefault(osd.host, []).append(osd.disk)
+    for host, disks in by_host.items():
+        flowsim.watch_rates(
+            registry, "ceph_disk_write_bytes_per_second", disks, {"host": host}
         )
 
     return NautilusTestbed(
@@ -284,7 +270,6 @@ def build_nautilus_testbed(
         ceph=ceph,
         cephfs=cephfs,
         registry=registry,
-        sampler=sampler,
         tracer=tracer,
         archive=archive,
         thredds=thredds,

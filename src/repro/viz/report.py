@@ -167,7 +167,7 @@ def figure4_stats(
     """Network usage during the download (paper: IOPS max 593 MB/s,
     throughput max 2.64 GB per sample)."""
     start, end = _step_window(report, "download")
-    interval = testbed.sampler.interval
+    interval = testbed.registry.interval
     egress = testbed.registry.all_series("thredds_egress_bytes_per_second")
     disk = testbed.registry.all_series("ceph_disk_write_bytes_per_second")
     peak_egress = max(
@@ -194,7 +194,7 @@ def render_figure4(testbed: "NautilusTestbed", report: "WorkflowReport") -> str:
         "Figure 4 — Network usage during download job run",
         f"  IOPS (storage writes): max {stats['storage_write_peak_MBps']:.0f} MB/s",
         f"  Throughput: max {stats['throughput_peak_GB_per_sample']:.2f} GB "
-        f"per {testbed.sampler.interval:.0f}s sample",
+        f"per {testbed.registry.interval:.0f}s sample",
     ]
     for name, label in (
         ("thredds_egress_bytes_per_second", "THREDDS egress (B/s)"),

@@ -127,14 +127,14 @@ class TestDevicePlugin:
         node.allocate(pod)
         assert len(pod.assigned_gpus) == 3
         assert all(g.startswith("n/gpu") for g in pod.assigned_gpus)
-        assert node.gpu_in_use() == 3
+        assert sum(d.allocated_to is not None for d in node.devices) == 3
 
     def test_devices_freed_on_release(self):
         node = Node(fiona8_node_spec("n"))
         pod = make_pod(gpu=8)
         node.allocate(pod)
         node.release(pod)
-        assert node.gpu_in_use() == 0
+        assert all(d.allocated_to is None for d in node.devices)
 
     def test_distinct_devices_per_pod(self):
         node = Node(fiona8_node_spec("n"))

@@ -1,4 +1,4 @@
-"""Tests for metrics, sampler, promql, and the ASCII dashboard."""
+"""Tests for metrics, the scrape grid, promql, and the ASCII dashboard."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.monitoring import promql
 from repro.monitoring.grafana import Dashboard, Panel, sparkline
 from repro.monitoring.metrics import MetricRegistry
-from repro.monitoring.sampler import Sampler
 from repro.sim import Environment
 
 
@@ -66,15 +65,16 @@ class TestRegistry:
         assert registry.names() == ["alpha", "zeta"]
 
 
-class TestSampler:
-    def test_scrapes_at_interval(self, env, registry):
-        state = {"v": 0.0}
-        sampler = Sampler(env, registry, interval=10)
-        sampler.add_probe("val", lambda: state["v"])
+class TestScrapeGrid:
+    """Scraped gauges: a change log resampled onto the registry's grid."""
+
+    def test_scrapes_at_interval(self, env):
+        registry = MetricRegistry(env, interval=10)
+        gauge = registry.gauge("val", 0.0)
 
         def mutator(env):
             yield env.timeout(15)
-            state["v"] = 7.0
+            gauge.set(7.0)
             yield env.timeout(20)
 
         env.process(mutator(env))
@@ -83,76 +83,44 @@ class TestSampler:
         assert ts.times == [0, 10, 20, 30, 40]
         assert ts.values == [0, 0, 7.0, 7.0, 7.0]
 
-    def test_failing_probe_skipped(self, env, registry):
-        sampler = Sampler(env, registry, interval=5)
-        sampler.add_probe("bad", lambda: 1 / 0)
-        sampler.add_probe("good", lambda: 1.0)
-        env.run(until=20)
-        assert registry.get("bad") is None or len(registry.get("bad")) == 0
-        assert len(registry.get("good")) == 5
-
-    def test_bad_interval(self, env, registry):
+    def test_bad_interval(self, env):
         with pytest.raises(ValueError):
-            Sampler(env, registry, interval=0)
+            MetricRegistry(env, interval=0)
 
-    @staticmethod
-    def _probes(env):
-        """(name, labels, fn): steady, flaky and late-starting probes."""
+    def test_change_at_grid_time_lands_after_that_point(self, env):
+        registry = MetricRegistry(env, interval=5)
+        gauge = registry.gauge("g", 1.0)
+        env.run(until=5)
+        gauge.set(2.0)
+        env.run(until=12)
+        ts = registry.get("g")
+        assert (ts.times, ts.values) == ([0, 5, 10], [1.0, 1.0, 2.0])
 
-        def flaky():
-            if int(env.now) % 15 == 0:
-                raise RuntimeError("target down")
-            return env.now / 7
+    def test_last_change_at_an_instant_wins(self, env):
+        registry = MetricRegistry(env, interval=5)
+        gauge = registry.gauge("g", 0.0)
+        env.run(until=3)
+        for value in (4.0, 9.0, 6.0):
+            gauge.set(value)
+        env.run(until=5)
+        assert registry.get("g").values == [0.0, 6.0]
+        assert gauge.times == [] and gauge.held == 6.0
 
-        def late():
-            if env.now < 20:
-                raise RuntimeError("not up yet")
-            return 3
+    def test_initial_value_until_first_change(self, env):
+        registry = MetricRegistry(env, interval=5)
+        gauge = registry.gauge("g", 2**40, {"node": "n1"})
+        env.run(until=11)
+        gauge.set(3)
+        ts = registry.get("g", {"node": "n1"})
+        assert ts.values == [float(2**40)] * 3
+        assert all(type(v) is float for v in ts.values)
 
-        return [
-            ("late", {"pod": "c"}, late),
-            ("cpu", {"pod": "a", "node": "n1"}, lambda: env.now * 0.1),
-            ("cpu", {"node": "n2", "pod": "b"}, flaky),
-            ("mem", None, lambda: 2**40 + env.now),
-        ]
-
-    def test_series_equal_set_gauge_reference(self):
-        env = Environment()
-        registry = MetricRegistry(env)
-        sampler = Sampler(env, registry, interval=5)
-        for name, labels, fn in self._probes(env):
-            sampler.add_probe(name, fn, labels)
-        env.run(until=60)
-
-        ref_env = Environment()
-        reference = MetricRegistry(ref_env)
-        probes = self._probes(ref_env)
-
-        def reference_loop():
-            while True:
-                for name, labels, fn in probes:
-                    try:
-                        value = float(fn())
-                    except Exception:
-                        continue
-                    reference.set_gauge(name, value, labels)
-                yield ref_env.timeout(5)
-
-        ref_env.process(reference_loop())
-        ref_env.run(until=60)
-
-        def dump(reg):  # insertion order, times and values
-            return [(key, ts.times, ts.values) for key, ts in reg._series.items()]
-
-        assert dump(registry) == dump(reference)
-        assert [key[0] for key in registry._series] == ["cpu", "mem", "cpu", "late"]
-
-    def test_always_failing_probe_creates_no_series(self, env, registry):
-        sampler = Sampler(env, registry, interval=5)
-        sampler.add_probe("bad", lambda: 1 / 0, {"pod": "x"})
-        env.run(until=30)
-        assert sampler.scrapes == 7
-        assert registry.names() == []
+    def test_next_scrape_is_strictly_after_now(self, env):
+        registry = MetricRegistry(env, interval=15)
+        assert registry.next_scrape() == 15
+        env.run(until=15)
+        assert registry.next_scrape() == 30
+        assert registry.get("missing") is None
 
 
 class TestPromql:
@@ -162,22 +130,9 @@ class TestPromql:
             ts.append(t, v)
         return ts
 
-    def test_rate(self, registry):
-        ts = self._series(registry, [(0, 0), (10, 500)])
-        assert promql.rate(ts) == 50.0
-
-    def test_rate_empty_and_single(self, registry):
-        assert promql.rate(self._series(registry, [])) == 0.0
-        assert promql.rate(self._series(registry, [(5, 10)], name="n")) == 0.0
-
-    def test_avg_over_time_trapezoidal(self, registry):
-        ts = self._series(registry, [(0, 0.0), (10, 10.0)])
-        assert promql.avg_over_time(ts) == pytest.approx(5.0)
-
-    def test_max_min_over_time(self, registry):
+    def test_max_over_time(self, registry):
         ts = self._series(registry, [(0, 3.0), (5, 9.0), (10, 1.0)])
         assert promql.max_over_time(ts) == 9.0
-        assert promql.min_over_time(ts) == 1.0
 
     def test_window_restriction(self, registry):
         ts = self._series(registry, [(0, 1.0), (5, 100.0), (10, 2.0)])
@@ -193,14 +148,6 @@ class TestPromql:
     def test_sum_series_empty(self):
         grid, total = promql.sum_series([])
         assert len(grid) == 0
-
-    def test_aggregate_by(self, registry):
-        a = self._series(registry, [(0, 1)], labels={"node": "n1", "pod": "a"})
-        b = self._series(registry, [(0, 1)], labels={"node": "n1", "pod": "b"})
-        c = self._series(registry, [(0, 1)], labels={"node": "n2", "pod": "c"})
-        groups = promql.aggregate_by([a, b, c], "node")
-        assert sorted(groups) == ["n1", "n2"]
-        assert len(groups["n1"]) == 2
 
 
 class TestDashboard:

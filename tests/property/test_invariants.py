@@ -147,9 +147,9 @@ def _assert_accounting(cluster: Cluster) -> None:
             not p.is_terminal and p.node_name == node.spec.name
             for p in node.pods.values()
         )
-        # The sampler's GPU probe reads the count, not the devices.
+        # The GPU gauge records the count, not the devices.
         assigned = sum(d.allocated_to is not None for d in node.devices)
-        assert assigned == node.gpu_in_use() == node.allocated.gpu
+        assert assigned == node.allocated.gpu
     for name, ns in cluster.namespaces.items():
         live = [
             p
@@ -172,8 +172,8 @@ class TestAccountingInvariants:
         """Random creates, deletes and waits (pods finish, high-priority
         pods preempt): after every kernel step each node's allocation and
         each namespace's quota charge equal the summed ``request`` of the
-        pods they hold, its assigned GPU devices number ``gpu_in_use()``
-        and ``allocated.gpu``, and ``can_fit`` agrees with ``free``."""
+        pods they hold, its assigned GPU devices number ``allocated.gpu``,
+        and ``can_fit`` agrees with ``free``."""
         env = Environment()
         cluster = Cluster(env)
         cluster.add_node(fiona_node_spec("cpu-0"))

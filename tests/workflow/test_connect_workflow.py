@@ -167,8 +167,10 @@ class TestMonitoringDuringWorkflow:
 
     def test_node_gauges_sampled(self, executed):
         testbed, _ = executed
-        assert testbed.registry.all_series("node_cpu_allocated_cores")
-        assert testbed.sampler.scrapes > 10
+        series = testbed.registry.all_series("node_cpu_allocated_cores")
+        assert series
+        assert all(len(ts) > 10 for ts in series)
+        assert series[0].times[:3] == [0.0, 15.0, 30.0]
 
 
 class TestWorkflowVariants:
