@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import (
     ConflictError,
+    NoRouteError,
     ObjectNotFoundError,
     StorageError,
 )
@@ -118,6 +119,22 @@ class TestTimedPath:
         env.run(until=env.all_of([d1, d2]))
         # 6 GB total through one 1.25 GB/s client NIC: ~4.8s.
         assert env.now == pytest.approx(4.8, rel=0.1)
+
+    def test_unroutable_get_and_put_fail_their_events(self, env, timed):
+        """A route error met inside the transfer fails the returned
+        event, as a cancelled flow fails its handle, instead of
+        escaping the run from an unwatched process."""
+        env.run(until=timed.put("data", "k", 1 * GB, client_host="client"))
+        timed.topology.fail_link("client", "S")
+        get = timed.get("data", "k", client_host="client")
+        put = timed.put("data", "k2", 1 * GB, client_host="client")
+        env.run(until=env.now + 1.0)
+        for done in (get, put):
+            assert done.processed and not done.ok
+            assert isinstance(done.value, NoRouteError)
+        assert not timed.exists("data", "k2")
+        with pytest.raises(NoRouteError):
+            env.run(until=get)
 
 
 class TestFailureRecovery:
