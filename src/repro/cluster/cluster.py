@@ -387,24 +387,13 @@ class Cluster:
         self._kick_scheduler()
         return pod
 
-    def get_pod(self, name: str, namespace: str = "default") -> Pod:
-        try:
-            return self.pods[(namespace, name)]
-        except KeyError:
-            raise NotFoundError(f"no pod {namespace}/{name}") from None
-
     def list_pods(
-        self,
-        namespace: str | None = None,
-        selector: dict[str, str] | None = None,
-        phase: PodPhase | None = None,
+        self, namespace: str | None = None, phase: PodPhase | None = None
     ) -> list[Pod]:
-        """Pods filtered by namespace / label selector / phase."""
+        """Pods filtered by namespace / phase."""
         out = []
         for (ns, _name), pod in sorted(self.pods.items()):
             if namespace is not None and ns != namespace:
-                continue
-            if selector is not None and not pod.meta.matches(selector):
                 continue
             if phase is not None and pod.phase is not phase:
                 continue
@@ -437,22 +426,13 @@ class Cluster:
     # --------------------------------------------------------------- controllers
 
     def create_job(
-        self,
-        name: str,
-        spec: JobSpec,
-        namespace: str = "default",
-        labels: dict[str, str] | None = None,
+        self, name: str, spec: JobSpec, namespace: str = "default"
     ) -> Job:
         """Create a batch Job and start reconciling it."""
         key = (namespace, name)
         if key in self.jobs:
             raise ConflictError(f"job {namespace}/{name} already exists")
-        meta = ObjectMeta(
-            name=name,
-            namespace=namespace,
-            labels=dict(labels or {}),
-            creation_time=self.env.now,
-        )
+        meta = ObjectMeta(name=name, namespace=namespace, creation_time=self.env.now)
         job = Job(meta, spec, self)
         self.jobs[key] = job
         self.record_event("Job", name, "Created", namespace=namespace)

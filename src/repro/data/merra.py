@@ -222,14 +222,14 @@ class MerraGenerator:
             f.add_variable(var, dims, data=data)
         return f
 
-    def ground_truth_mask(self, t: int, threshold: float = 0.8) -> np.ndarray:
+    def ground_truth_mask(self, t: int) -> np.ndarray:
         """Binary atmospheric-river mask at step ``t``.
 
         This is the analog of the CONNECT training dataset: "segmented IVT
         objects in binary label representation" (§III-B) — here derived
         from the generator's own filament geometry, so labels are exact.
         """
-        return (self._river_mask_2d(t) >= threshold).astype(np.uint8)
+        return (self._river_mask_2d(t) >= 0.8).astype(np.uint8)
 
     def ivt_field(self, t: int) -> np.ndarray:
         """IVT magnitude (kg m^-1 s^-1) at step ``t`` (2-D)."""
@@ -245,8 +245,6 @@ class MerraGenerator:
         shape ``(nt, nlat, nlon)`` — the FFN's input volume."""
         return np.stack([self.ivt_field(t0 + k) for k in range(nt)])
 
-    def label_volume(self, t0: int, nt: int, threshold: float = 0.8) -> np.ndarray:
+    def label_volume(self, t0: int, nt: int) -> np.ndarray:
         """Stacked ground-truth masks over ``nt`` steps."""
-        return np.stack(
-            [self.ground_truth_mask(t0 + k, threshold) for k in range(nt)]
-        )
+        return np.stack([self.ground_truth_mask(t0 + k) for k in range(nt)])

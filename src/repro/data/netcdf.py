@@ -88,7 +88,6 @@ class NetCDFFile:
         data: np.ndarray | None = None,
         shape: tuple[int, ...] | None = None,
         dtype: str = "float32",
-        attrs: dict[str, object] | None = None,
     ) -> NetCDFVariable:
         """Create and attach a variable."""
         if name in self.variables:
@@ -99,7 +98,6 @@ class NetCDFFile:
             data=data,
             shape=shape,
             dtype=dtype,
-            attrs=dict(attrs or {}),
         )
         self.variables[name] = var
         return var

@@ -97,10 +97,10 @@ def _unpack_meta(buf: memoryview, offset: int) -> tuple[dict[str, object], int]:
 
 
 class TFRecordWriter:
-    """Write :class:`VolumeExample` records to a byte stream."""
+    """Write :class:`VolumeExample` records to an in-memory byte stream."""
 
-    def __init__(self, stream: io.BytesIO | None = None):
-        self.stream = stream if stream is not None else io.BytesIO()
+    def __init__(self):
+        self.stream = io.BytesIO()
         self.records_written = 0
         self.bytes_written = 0
 
@@ -119,7 +119,7 @@ class TFRecordWriter:
         return len(record)
 
     def getvalue(self) -> bytes:
-        """All bytes written so far (only for BytesIO-backed writers)."""
+        """All bytes written so far."""
         return self.stream.getvalue()
 
 

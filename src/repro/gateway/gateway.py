@@ -169,7 +169,7 @@ class _Tenant:
         self.bucket = bucket
         self.breaker = breaker
         self.queue: collections.deque[
-            tuple[AdmissionDecision, str, PodSpec, dict | None]
+            tuple[AdmissionDecision, str, PodSpec]
         ] = collections.deque()
         self.draining = False
 
@@ -235,23 +235,21 @@ class AdmissionGateway:
     def breaker_state(self, tenant: str) -> BreakerState:
         return self._tenant(tenant).breaker.state
 
-    def queue_depth(self, tenant: str | None = None) -> int:
-        """Queued submissions for one tenant (or all tenants)."""
-        if tenant is not None:
-            return len(self._tenant(tenant).queue)
+    def queue_depth(self) -> int:
+        """Queued submissions across all tenants."""
         return sum(len(t.queue) for t in self.tenants.values())
 
-    def saturated(self, threshold: float = 0.5) -> bool:
+    def saturated(self) -> bool:
         """Is the gateway under sustained overload?
 
-        True when aggregate queued submissions exceed ``threshold`` times
-        the aggregate queue capacity — the signal graceful-degradation
-        policies key off to drop optional work.
+        True when aggregate queued submissions reach half the aggregate
+        queue capacity — the signal graceful-degradation policies key off
+        to drop optional work.
         """
         if not self.tenants:
             return False
         capacity = self.config.max_queue_depth * len(self.tenants)
-        return self.queue_depth() >= threshold * capacity
+        return self.queue_depth() >= 0.5 * capacity
 
     # ------------------------------------------------------------ admission
 
@@ -260,7 +258,6 @@ class AdmissionGateway:
         name: str,
         spec: PodSpec,
         tenant: str,
-        labels: dict[str, str] | None = None,
     ) -> AdmissionDecision:
         """Submit a pod through the gateway.  Never raises for admission
         failures — every outcome is a structured :class:`AdmissionDecision`."""
@@ -302,7 +299,7 @@ class AdmissionGateway:
                 outcome=ADMITTED,
                 submitted_at=self.env.now,
             )
-            self._try_create(decision, t, name, spec, labels)
+            self._try_create(decision, t, name, spec)
             return self._finish(decision)
 
         # 4. Bounded queue with explicit backpressure.
@@ -324,7 +321,7 @@ class AdmissionGateway:
             submitted_at=self.env.now,
             resolved=self.env.event(),
         )
-        t.queue.append((decision, name, spec, labels))
+        t.queue.append((decision, name, spec))
         self._count("gateway_queued_total", {"tenant": tenant})
         self._gauge_queue_depth()
         if not t.draining:
@@ -334,19 +331,13 @@ class AdmissionGateway:
             )
         return decision
 
-    def admit(
-        self,
-        name: str,
-        spec: PodSpec,
-        tenant: str,
-        labels: dict[str, str] | None = None,
-    ):
+    def admit(self, name: str, spec: PodSpec, tenant: str):
         """Process-style helper: submit and wait out the queue.
 
         ``decision = yield from gateway.admit(...)`` inside a sim process
         returns a *final* decision (admitted/rejected/shed).
         """
-        decision = self.submit(name, spec, tenant, labels)
+        decision = self.submit(name, spec, tenant)
         if not decision.final:
             assert decision.resolved is not None
             yield decision.resolved
@@ -385,13 +376,10 @@ class AdmissionGateway:
         t: _Tenant,
         name: str,
         spec: PodSpec,
-        labels: dict[str, str] | None,
     ) -> None:
         """Attempt the actual ``create_pod``; mutates ``decision``."""
         try:
-            pod = self.cluster.create_pod(
-                name, spec, namespace=t.name, labels=labels
-            )
+            pod = self.cluster.create_pod(name, spec, namespace=t.name)
         except QuotaExceededError:
             decision.outcome = REJECTED
             decision.reason = "QuotaExceeded"
@@ -424,9 +412,9 @@ class AdmissionGateway:
                     break
                 if not t.bucket.try_take():
                     continue  # raced with a direct submit; re-wait
-                decision, name, spec, labels = t.queue.popleft()
+                decision, name, spec = t.queue.popleft()
                 self._gauge_queue_depth()
-                self._try_create(decision, t, name, spec, labels)
+                self._try_create(decision, t, name, spec)
                 decision.resolved_at = self.env.now
                 self._record(decision)
                 if decision.resolved is not None:

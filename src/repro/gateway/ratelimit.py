@@ -53,11 +53,11 @@ class TokenBucket:
         self._refill()
         return self._tokens
 
-    def try_take(self, n: float = 1.0) -> bool:
-        """Spend ``n`` tokens if available; ``False`` means rate-limited."""
+    def try_take(self) -> bool:
+        """Spend one token if available; ``False`` means rate-limited."""
         self._refill()
-        if self._tokens + 1e-12 >= n:
-            self._tokens -= n
+        if self._tokens + 1e-12 >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 

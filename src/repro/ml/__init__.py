@@ -27,7 +27,7 @@ applied to NASA data using 50 NVIDIA 1080ti GPUs based on Tensorflow"
 - :mod:`repro.ml.connect` — the CONNECT baseline: threshold + union-find
   connected-component labelling in time and space, with object life-cycle
   statistics [21][22].
-- :mod:`repro.ml.segmetrics` — voxel and object-level segmentation metrics.
+- :mod:`repro.ml.segmetrics` — voxel-level segmentation metrics.
 - :mod:`repro.ml.perfmodel` — the 1080ti throughput model calibrated to
   the paper's reported step times (306 min training, 1133 min inference
   on 2.3e10 voxels / 50 GPUs), used when running at paper scale.
@@ -55,21 +55,7 @@ from repro.ml.distributed_inference import (
 )
 from repro.ml.shm_pool import SharedMemoryPool, ShardSpec, ShardReceipt
 from repro.ml.connect import connect_segmentation, ConnectedObject, ConnectReport
-from repro.ml.segmetrics import (
-    voxel_metrics,
-    object_level_metrics,
-    adapted_rand_error,
-    SegmentationScores,
-)
-from repro.ml.validation import (
-    TemporalSplit,
-    temporal_holdout,
-    rolling_folds,
-    Region,
-    NAMED_REGIONS,
-    regional_scores,
-    evaluate_events,
-)
+from repro.ml.segmetrics import voxel_metrics, SegmentationScores
 from repro.ml.perfmodel import GPUPerfModel, GTX1080TI
 
 __all__ = [
@@ -96,16 +82,7 @@ __all__ = [
     "ConnectedObject",
     "ConnectReport",
     "voxel_metrics",
-    "object_level_metrics",
-    "adapted_rand_error",
     "SegmentationScores",
-    "TemporalSplit",
-    "temporal_holdout",
-    "rolling_folds",
-    "Region",
-    "NAMED_REGIONS",
-    "regional_scores",
-    "evaluate_events",
     "GPUPerfModel",
     "GTX1080TI",
 ]

@@ -287,14 +287,13 @@ class Conv3D:
         out_channels: int,
         kernel: int = 3,
         rng: np.random.Generator | None = None,
-        dtype: str = "float32",
     ):
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel**3
         scale = np.sqrt(2.0 / fan_in)  # He init for ReLU stacks
-        self.w = rng.normal(0.0, scale, size=(out_channels, in_channels,
-                                              kernel, kernel, kernel)).astype(dtype)
-        self.b = np.zeros(out_channels, dtype=dtype)
+        shape = (out_channels, in_channels, kernel, kernel, kernel)
+        self.w = rng.normal(0.0, scale, size=shape).astype(np.float32)
+        self.b = np.zeros(out_channels, dtype=np.float32)
         self._x: np.ndarray | None = None
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)

@@ -126,20 +126,18 @@ def flood_fill(
     volume: np.ndarray,
     seed: tuple[int, int, int],
     max_steps: int = 256,
-    normalized: bool = False,
     engine: str = "batched",
     window_cache: dict | None = None,
-    tracer: "Tracer | None" = None,
-    span_parent: "Span | None" = None,
 ) -> np.ndarray:
     """Flood one object from ``seed``; returns the probability volume.
 
-    A one-seed :func:`flood_fill_multi`: every parameter means the same
-    there.  ``seed`` must lie inside ``volume`` (shape ``(D, H, W)``);
-    ``max_steps`` is the FOV evaluation budget; ``normalized`` skips the
-    z-scoring when ``volume`` already is; ``engine`` is ``"batched"`` or
-    the bit-identical ``"serial"`` reference; ``window_cache`` shares
-    z-scored image windows across calls on the same image.
+    A one-seed, untraced :func:`flood_fill_multi` on a raw (not yet
+    z-scored) ``volume``: every parameter means the same there.
+    ``seed`` must lie inside ``volume`` (shape ``(D, H, W)``);
+    ``max_steps`` is the FOV evaluation budget; ``engine`` is
+    ``"batched"`` or the bit-identical ``"serial"`` reference;
+    ``window_cache`` shares z-scored image windows across calls on the
+    same image.
 
     Returns a float32 array of object probabilities, same shape as
     ``volume`` (``init_prob`` everywhere the flood never looked).
@@ -149,11 +147,8 @@ def flood_fill(
         volume,
         [seed],
         max_steps=max_steps,
-        normalized=normalized,
         engine=engine,
         window_cache=window_cache,
-        tracer=tracer,
-        span_parent=span_parent,
     )[0]
 
 

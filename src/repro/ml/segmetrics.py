@@ -1,10 +1,8 @@
-"""Segmentation quality metrics (voxel- and object-level).
+"""Segmentation quality metrics.
 
 "Note that the training volume is removed from the test data volume for
 all validation metrics" (§III-C) — the callers enforce the split; this
-module scores predictions: voxelwise precision/recall/F1/IoU, plus
-object-level detection metrics that match predicted components against
-ground-truth components by IoU.
+module scores predictions voxelwise: precision, recall, F1 and IoU.
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = [
-    "SegmentationScores",
-    "voxel_metrics",
-    "object_level_metrics",
-    "adapted_rand_error",
-]
+__all__ = ["SegmentationScores", "voxel_metrics"]
 
 
 @dataclasses.dataclass
@@ -50,11 +43,6 @@ class SegmentationScores:
         union = self.tp + self.fp + self.fn
         return self.tp / union if union else 0.0
 
-    @property
-    def accuracy(self) -> float:
-        total = self.tp + self.fp + self.fn + self.tn
-        return (self.tp + self.tn) / total if total else 0.0
-
 
 def voxel_metrics(predicted: np.ndarray, truth: np.ndarray) -> SegmentationScores:
     """Binary voxelwise scores (any nonzero voxel counts as foreground)."""
@@ -70,90 +58,3 @@ def voxel_metrics(predicted: np.ndarray, truth: np.ndarray) -> SegmentationScore
         fn=int(np.count_nonzero(~p & t)),
         tn=int(np.count_nonzero(~p & ~t)),
     )
-
-
-def object_level_metrics(
-    predicted_labels: np.ndarray,
-    truth_labels: np.ndarray,
-    iou_threshold: float = 0.3,
-) -> dict[str, float]:
-    """Detection-style scores over labelled components.
-
-    A ground-truth object counts as detected when some predicted object
-    overlaps it with IoU ≥ ``iou_threshold``; each predicted object may
-    detect at most one truth object (greedy best-overlap matching).
-
-    Returns a dict with ``detected``, ``truth_objects``,
-    ``predicted_objects``, ``object_recall``, ``object_precision``.
-    """
-    if predicted_labels.shape != truth_labels.shape:
-        raise ShapeError("label volumes differ in shape")
-    truth_ids = [i for i in np.unique(truth_labels) if i != 0]
-    pred_ids = [i for i in np.unique(predicted_labels) if i != 0]
-    pairs: list[tuple[float, int, int]] = []
-    for t_id in truth_ids:
-        t_mask = truth_labels == t_id
-        overlapping = np.unique(predicted_labels[t_mask])
-        for p_id in overlapping:
-            if p_id == 0:
-                continue
-            p_mask = predicted_labels == p_id
-            inter = np.count_nonzero(t_mask & p_mask)
-            union = np.count_nonzero(t_mask | p_mask)
-            iou = inter / union if union else 0.0
-            if iou >= iou_threshold:
-                pairs.append((iou, int(t_id), int(p_id)))
-    pairs.sort(reverse=True)
-    matched_truth: set[int] = set()
-    matched_pred: set[int] = set()
-    for _iou, t_id, p_id in pairs:
-        if t_id in matched_truth or p_id in matched_pred:
-            continue
-        matched_truth.add(t_id)
-        matched_pred.add(p_id)
-    detected = len(matched_truth)
-    return {
-        "detected": float(detected),
-        "truth_objects": float(len(truth_ids)),
-        "predicted_objects": float(len(pred_ids)),
-        "object_recall": detected / len(truth_ids) if truth_ids else 0.0,
-        "object_precision": (
-            len(matched_pred) / len(pred_ids) if pred_ids else 0.0
-        ),
-    }
-
-
-def adapted_rand_error(
-    predicted_labels: np.ndarray, truth_labels: np.ndarray
-) -> dict[str, float]:
-    """Adapted Rand error — the FFN literature's segmentation metric [20].
-
-    Computes the Rand-index F-score over voxel pairs via the label
-    contingency table, ignoring truth background (label 0), and returns
-    ``{"are": 1 - F, "precision": P, "recall": R}``.  0 is a perfect
-    segmentation; splits hurt recall, mergers hurt precision.
-    """
-    if predicted_labels.shape != truth_labels.shape:
-        raise ShapeError("label volumes differ in shape")
-    pred = np.asarray(predicted_labels).ravel()
-    truth = np.asarray(truth_labels).ravel()
-    keep = truth != 0  # standard convention: truth background pairs ignored
-    pred = pred[keep]
-    truth = truth[keep]
-    if pred.size == 0:
-        return {"are": 0.0, "precision": 1.0, "recall": 1.0}
-    # Contingency table via joint codes (vectorized).
-    pred_ids, pred_inv = np.unique(pred, return_inverse=True)
-    truth_ids, truth_inv = np.unique(truth, return_inverse=True)
-    joint = pred_inv.astype(np.int64) * len(truth_ids) + truth_inv
-    counts = np.bincount(joint, minlength=len(pred_ids) * len(truth_ids))
-    table = counts.reshape(len(pred_ids), len(truth_ids)).astype(np.float64)
-    sum_p2 = float((table.sum(axis=1) ** 2).sum())
-    sum_t2 = float((table.sum(axis=0) ** 2).sum())
-    sum_pt2 = float((table**2).sum())
-    precision = sum_pt2 / sum_p2 if sum_p2 else 0.0
-    recall = sum_pt2 / sum_t2 if sum_t2 else 0.0
-    if precision + recall == 0:
-        return {"are": 1.0, "precision": 0.0, "recall": 0.0}
-    f_score = 2.0 * precision * recall / (precision + recall)
-    return {"are": 1.0 - f_score, "precision": precision, "recall": recall}

@@ -206,9 +206,6 @@ class MetricRegistry:
         self._scrape()
         return self._series.get((name, _label_key(labels)))
 
-    def counter_total(self, name: str, labels: Labels | None = None) -> float:
-        return self._counter_totals.get((name, _label_key(labels)), 0.0)
-
     def counter_sum(self, name: str) -> float:
         """A counter's total summed across every label set."""
         return sum(

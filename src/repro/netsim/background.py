@@ -13,6 +13,7 @@ import typing as _t
 
 import numpy as np
 
+from repro.errors import NoRouteError
 from repro.netsim.flows import FlowSimulator
 from repro.netsim.topology import Topology
 from repro.sim import Environment
@@ -85,7 +86,7 @@ class BackgroundTraffic:
             src, dst = pair
             try:
                 resources = self.topology.path_resources(src, dst)
-            except Exception:
+            except NoRouteError:
                 continue  # transiently partitioned; skip this flow
             nbytes = float(np.exp(self.rng.uniform(np.log(lo), np.log(hi))))
             self.flowsim.transfer(

@@ -17,14 +17,15 @@ This package reproduces those semantics from scratch:
   OSD failure + autonomous recovery (re-replication), health reporting.
 - :class:`CephFS` — the POSIX-ish shared-filesystem facade every workflow
   step mounts ("CephFS accessible by all nodes", §III-B).
+
+Of the three interfaces only object and POSIX storage are modelled: no
+workflow step uses Ceph's block (RBD) or S3 interface.
 """
 
 from repro.storage.crush import CrushMap, place
 from repro.storage.osd import OSD
 from repro.storage.objects import CephCluster, ObjectRef, Pool
 from repro.storage.cephfs import CephFS
-from repro.storage.s3 import S3Gateway, MultipartUpload
-from repro.storage.rbd import RBDPool, BlockImage
 
 __all__ = [
     "CrushMap",
@@ -34,8 +35,4 @@ __all__ = [
     "ObjectRef",
     "Pool",
     "CephFS",
-    "S3Gateway",
-    "MultipartUpload",
-    "RBDPool",
-    "BlockImage",
 ]

@@ -19,13 +19,14 @@ __all__ = ["CephFS"]
 
 
 class CephFS:
-    """A path-addressed view over a :class:`CephCluster` pool."""
+    """A path-addressed view over the cluster's 3-way ``cephfs`` pool."""
 
-    def __init__(self, cluster: CephCluster, pool: str = "cephfs", replication: int = 3):
+    pool = "cephfs"
+
+    def __init__(self, cluster: CephCluster):
         self.cluster = cluster
-        self.pool = pool
-        if pool not in cluster.pools:
-            cluster.create_pool(pool, replication=replication)
+        if self.pool not in cluster.pools:
+            cluster.create_pool(self.pool, replication=3)
 
     @staticmethod
     def _norm(path: str) -> str:
@@ -81,10 +82,6 @@ class CephFS:
         return self.cluster.put(
             self.pool, self._norm(path), size, payload, client_host=client_host
         )
-
-    def read_timed(self, path: str, client_host: str | None = None) -> Event:
-        """Read through the network/disk flow model; yields the ref."""
-        return self.cluster.get(self.pool, self._norm(path), client_host=client_host)
 
     def read_payload(self, path: str) -> object:
         """Payload of a file, raising if it was stored metadata-only."""

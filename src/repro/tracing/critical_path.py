@@ -243,30 +243,26 @@ def layer_overlap(
     return total
 
 
-def analyze_run(
-    trace: "Tracer | _t.Sequence[Span]",
-    root: Span | None = None,
-) -> CriticalPathReport:
+def analyze_run(trace: "Tracer | _t.Sequence[Span]") -> CriticalPathReport:
     """Build the :class:`CriticalPathReport` for one workflow run.
 
-    ``trace`` is a tracer or a span list; ``root`` defaults to the last
-    finished ``workflow``-category span (the most recent run), falling
-    back to the last *unfinished* one — a run whose pods were preempted
-    or evicted can leave the root open, and its partial trace is still
+    ``trace`` is a tracer or a span list.  The run is the last finished
+    ``workflow``-category span (the most recent run), falling back to
+    the last *unfinished* one — a run whose pods were preempted or
+    evicted can leave the root open, and its partial trace is still
     analyzable over the observed window.
     """
     spans = list(trace.spans) if isinstance(trace, Tracer) else list(trace)
-    if root is None:
-        finished = [
-            s for s in spans if s.category == "workflow" and s.end is not None
-        ]
-        if finished:
-            root = finished[-1]
-        else:
-            candidates = [s for s in spans if s.category == "workflow"]
-            if not candidates:
-                raise ValueError("no workflow root span in trace")
-            root = candidates[-1]
+    finished = [
+        s for s in spans if s.category == "workflow" and s.end is not None
+    ]
+    if finished:
+        root = finished[-1]
+    else:
+        candidates = [s for s in spans if s.category == "workflow"]
+        if not candidates:
+            raise ValueError("no workflow root span in trace")
+        root = candidates[-1]
     step_spans = [
         s
         for s in spans

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MLError, ShapeError
-from repro.ml import GTX1080TI, connect_segmentation, object_level_metrics, voxel_metrics
+from repro.ml import GTX1080TI, connect_segmentation, voxel_metrics
 from repro.ml.connect import label_volume
 from repro.ml.perfmodel import (
     PAPER_INFER_VOXELS,
@@ -168,27 +168,6 @@ class TestMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             voxel_metrics(np.zeros((2, 2)), np.zeros((3, 3)))
-
-    def test_object_level_detection(self):
-        truth = np.zeros((1, 10, 10), dtype=np.int32)
-        truth[0, 1:4, 1:4] = 1
-        truth[0, 6:9, 6:9] = 2
-        pred = np.zeros_like(truth)
-        pred[0, 1:4, 1:4] = 7  # detects object 1 (different id is fine)
-        out = object_level_metrics(pred, truth)
-        assert out["detected"] == 1
-        assert out["object_recall"] == 0.5
-        assert out["object_precision"] == 1.0
-
-    def test_object_level_greedy_matching(self):
-        """One predicted object cannot claim two truth objects."""
-        truth = np.zeros((1, 4, 9), dtype=np.int32)
-        truth[0, 1:3, 0:4] = 1
-        truth[0, 1:3, 5:9] = 2
-        pred = np.zeros_like(truth)
-        pred[0, 1:3, 0:4] = 1  # covers only object 1 well
-        out = object_level_metrics(pred, truth, iou_threshold=0.3)
-        assert out["detected"] == 1
 
 
 class TestPerfModel:

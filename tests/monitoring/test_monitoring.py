@@ -35,8 +35,11 @@ class TestRegistry:
     def test_counter_accumulates(self, registry):
         registry.inc_counter("bytes", 100)
         registry.inc_counter("bytes", 50)
-        assert registry.counter_total("bytes") == 150
+        assert registry.counter_sum("bytes") == 150
         assert registry.get("bytes").values == [100, 150]
+        registry.inc_counter("bytes", 7, {"tenant": "a"})
+        assert registry.counter_sum("bytes") == 157
+        assert registry.get("bytes", {"tenant": "a"}).values == [7]
 
     def test_counter_rejects_negative(self, registry):
         with pytest.raises(ValueError):

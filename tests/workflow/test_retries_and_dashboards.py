@@ -112,6 +112,46 @@ class TestBackgroundTraffic:
         )
         assert report.succeeded
 
+    def test_unroutable_pair_is_skipped(self, testbed):
+        """A site cut off from the WAN gets no flows; the rest still do."""
+        testbed.topology.fail_link("UHM", "UCSD")  # UHM's only WAN link
+        bg = BackgroundTraffic(
+            testbed.env, testbed.flowsim, testbed.topology,
+            mean_interarrival=10.0, seed=3,
+        )
+        picked, started = [], []
+        pick, transfer = bg._pick_pair, testbed.flowsim.transfer
+
+        def recording_pick():
+            picked.append(pick())
+            return picked[-1]
+
+        def recording_transfer(*args, name, **kwargs):
+            started.append(name)
+            return transfer(*args, name=name, **kwargs)
+
+        bg._pick_pair = recording_pick
+        testbed.flowsim.transfer = recording_transfer
+        testbed.env.run(until=1000)
+        bg.stop()
+        cut = [p for p in picked if "UHM" in p]
+        assert cut, "no pair touched the isolated site"
+        assert bg.flows_started == len(picked) - len(cut) == len(started) > 10
+        assert not any("UHM" in name for name in started)
+
+    def test_other_routing_errors_propagate(self, testbed, monkeypatch):
+        """Only a missing route is skipped; any other error ends the run."""
+        def broken(src, dst):
+            raise RuntimeError("routing bug")
+
+        monkeypatch.setattr(testbed.topology, "path_resources", broken)
+        BackgroundTraffic(
+            testbed.env, testbed.flowsim, testbed.topology,
+            mean_interarrival=10.0, seed=3,
+        )
+        with pytest.raises(RuntimeError, match="routing bug"):
+            testbed.env.run(until=500)
+
     def test_validation(self, testbed):
         with pytest.raises(ValueError):
             BackgroundTraffic(
