@@ -223,7 +223,8 @@ class MerraGenerator:
         return f
 
     def ground_truth_mask(self, t: int) -> np.ndarray:
-        """Binary atmospheric-river mask at step ``t``.
+        """Binary atmospheric-river mask at step ``t``: where the river
+        filament field reaches 0.8.
 
         This is the analog of the CONNECT training dataset: "segmented IVT
         objects in binary label representation" (§III-B) — here derived
