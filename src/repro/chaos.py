@@ -2,15 +2,18 @@
 
 Paper §V: "The CHASE-CI infrastructure is very dynamic in the fact that
 nodes can join and leave the cluster at any time."  The chaos monkey
-makes that dynamism reproducible: a seeded process that fails and
-recovers random nodes (and optionally OSDs, WAN links, and whole sites)
-on a schedule, so tests and ablations can assert workflow-level
-invariants (completion, exactly-once work) under sustained churn.
+makes that dynamism reproducible: a seeded process that fails random
+nodes (and optionally OSDs, WAN links, and whole sites) on a schedule
+and brings nodes, links and sites back after ``recovery_after``, so
+tests and ablations can assert workflow-level invariants (completion,
+exactly-once work) under sustained churn.  A failed OSD never comes
+back: Ceph re-replicates its objects onto the OSDs still up instead.
 
 Fault domains (enabled independently):
 
 - **nodes** (always on) — kubelet death; pods reschedule elsewhere.
-- **OSDs** (``include_osds``) — Ceph must re-replicate.
+- **OSDs** (``include_osds``) — a disk fails for good; Ceph
+  re-replicates its objects.
 - **links** (``include_links``) — a WAN link degrades to a fraction of
   its rating; in-flight transfers slow down but survive.
 - **partitions** (``include_partitions``) — a whole site drops off the
@@ -48,9 +51,10 @@ class ChaosEvent:
 
     ``kind`` is one of ``node-fail``, ``node-recover``, ``osd-fail``,
     ``link-degrade``, ``link-restore``, ``partition``,
-    ``partition-heal``; ``reason`` records *why* this target was chosen
-    (busy-node targeting, random draw, ...) so post-mortems of a chaos
-    run don't have to reverse-engineer the monkey's decisions.
+    ``partition-heal`` (no ``osd-recover``: a failed OSD stays down);
+    ``reason`` records *why* this target was chosen (busy-node
+    targeting, random draw, ...) so post-mortems of a chaos run don't
+    have to reverse-engineer the monkey's decisions.
     """
 
     time: float

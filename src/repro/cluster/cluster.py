@@ -93,7 +93,7 @@ class Cluster:
         # Incremental scheduling queue: pods land in the *active* list
         # and are tried once; failures park in the *unschedulable* list,
         # which is only re-activated when cluster state changes (node
-        # joined/recovered/uncordoned, capacity freed) — so creating pod
+        # joined/recovered, capacity freed) — so creating pod
         # N+1 doesn't rescan N parked pods.  Within one pass, a pod whose
         # shape (request, priority, selector, tolerations) already failed
         # parks without being tried (see _scheduling_pass).
@@ -216,37 +216,6 @@ class Cluster:
         self._reconcile_all()
         self._kick_scheduler(state_changed=True)
 
-    def cordon(self, name: str) -> None:
-        """Mark a node unschedulable; running pods are untouched."""
-        node = self.get_node(name)
-        if node.unschedulable:
-            return
-        node.unschedulable = True
-        self.record_event("Node", name, "Cordoned", "marked unschedulable")
-
-    def uncordon(self, name: str) -> None:
-        """Allow scheduling on a cordoned node again."""
-        node = self.get_node(name)
-        if not node.unschedulable:
-            return
-        node.unschedulable = False
-        self.record_event("Node", name, "Uncordoned", "")
-        self._kick_scheduler(state_changed=True)
-
-    def drain(self, name: str) -> None:
-        """Cordon a node and evict its pods for maintenance.
-
-        Controllers immediately recreate the evicted pods on other nodes —
-        the graceful variant of the §V node-departure story.
-        """
-        self.cordon(name)
-        node = self.get_node(name)
-        self.record_event("Node", name, "Draining", f"{len(node.pods)} pods")
-        for pod in list(node.pods.values()):
-            self._terminate_pod(pod, PodPhase.FAILED, reason="Drained")
-        self._reconcile_all()
-        self._kick_scheduler(state_changed=True)
-
     def recover_node(self, name: str) -> None:
         """Bring a failed node back."""
         node = self.get_node(name)
@@ -320,18 +289,6 @@ class Cluster:
     def total_capacity(self) -> dict[str, float]:
         """Aggregate CPU/memory/GPU across ready nodes."""
         return _capacity_of(self.ready_nodes())
-
-    def utilization(self) -> dict[str, float]:
-        """Fraction of each resource dimension currently allocated."""
-        cap = self.total_capacity()
-        used = {"cpu": 0.0, "memory": 0.0, "gpu": 0.0}
-        for node in self.ready_nodes():
-            used["cpu"] += node.allocated.cpu
-            used["memory"] += node.allocated.memory
-            used["gpu"] += node.allocated.gpu
-        return {
-            k: (used[k] / cap[k] if cap[k] else 0.0) for k in used
-        }
 
     # -------------------------------------------------------------- namespaces
 
@@ -483,27 +440,13 @@ class Cluster:
         self.services[key] = svc
         return svc
 
-    def get_service(self, name: str, namespace: str = "default") -> Service:
-        try:
-            return self.services[(namespace, name)]
-        except KeyError:
-            raise NotFoundError(f"no service {namespace}/{name}") from None
-
-    def resolve_hostname(self, hostname: str) -> Service:
-        """Resolve a ``<svc>.<ns>.svc.cluster.local`` name (§IV: cross-
-        namespace networking requires fully-qualified domain names)."""
-        parts = hostname.split(".")
-        if len(parts) >= 2:
-            return self.get_service(parts[0], namespace=parts[1])
-        raise NotFoundError(f"unresolvable hostname {hostname!r}")
-
     # ---------------------------------------------------------------- scheduling
 
     def _kick_scheduler(self, state_changed: bool = False) -> None:
         """Arrange for a scheduling pass at the current sim time (coalesced).
 
         ``state_changed`` marks kicks caused by capacity/topology changes
-        (node joined/recovered/uncordoned, pod finished): those re-activate
+        (node joined/recovered, pod finished): those re-activate
         the parked unschedulable set.  Pod-creation kicks leave the parked
         set alone — only the new arrivals are tried.
         """

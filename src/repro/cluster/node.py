@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.cluster.objects import GPU_RESOURCE, ObjectMeta, ResourceRequirements
+from repro.cluster.objects import ObjectMeta, ResourceRequirements
 from repro.cluster.quantity import GiB, TiB, parse_cpu, parse_memory
 from repro.errors import ClusterError
 
@@ -81,9 +81,6 @@ class Node:
         self.allocated = ResourceRequirements()
         self.pods: dict[str, "Pod"] = {}  # pod uid -> pod
         self.ready: bool = True
-        #: Cordoned nodes stay Ready (their pods keep running) but accept
-        #: no new pods — the `kubectl cordon` semantics.
-        self.unschedulable: bool = False
         self.image_cache: set[str] = set()
         self.devices: list[GPUDevice] = [
             GPUDevice(index=i, model=spec.gpu_model or "generic", node_name=spec.name)
@@ -177,12 +174,6 @@ class Node:
             memory.set(allocated.memory)
             if gpus is not None:
                 gpus.set(allocated.gpu)
-
-    # -- conditions -----------------------------------------------------------
-
-    def extended_resources(self) -> dict[str, int]:
-        """Extended resources advertised by device plugins."""
-        return {GPU_RESOURCE: self.spec.gpus} if self.spec.gpus else {}
 
     def __repr__(self) -> str:
         state = "Ready" if self.ready else "NotReady"

@@ -12,12 +12,8 @@ __all__ = [
     "ObjectMeta",
     "ResourceRequirements",
     "ClusterEvent",
-    "GPU_RESOURCE",
     "fits_empty_node",
 ]
-
-#: Extended-resource name for GPUs, as exposed by the device plugin (§II-A).
-GPU_RESOURCE = "nvidia.com/gpu"
 
 _uid_counter = itertools.count(1)
 

@@ -224,11 +224,9 @@ class Scheduler:
 
 def _veto(pod: Pod, node: Node) -> str:
     """Why ``node`` can never take ``pod`` whatever its load (not ready,
-    cordoned, selector, taints), or ``""`` when only capacity decides."""
+    selector, taints), or ``""`` when only capacity decides."""
     if not node.ready:
         return "node not ready"
-    if node.unschedulable:
-        return "node cordoned"
     for key, value in pod.spec.node_selector.items():
         if node.meta.labels.get(key) != value:
             return f"selector {key}={value} not satisfied"

@@ -47,12 +47,6 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
             self._last_refill = now
 
-    @property
-    def tokens(self) -> float:
-        """Tokens available right now (after lazy refill)."""
-        self._refill()
-        return self._tokens
-
     def try_take(self) -> bool:
         """Spend one token if available; ``False`` means rate-limited."""
         self._refill()

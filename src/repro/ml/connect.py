@@ -121,12 +121,6 @@ class ConnectReport:
     def n_objects(self) -> int:
         return len(self.objects)
 
-    def object_by_id(self, object_id: int) -> ConnectedObject:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise KeyError(f"no object {object_id}")
-
 
 def connect_segmentation(
     ivt_volume: np.ndarray,

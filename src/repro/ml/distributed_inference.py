@@ -23,7 +23,7 @@ the caller's model on views of the caller's volume) or on the zero-copy
 caller-owned ``pool``) — long-lived workers over shared numpy buffers,
 so per-task traffic is a handful of integers.  Results are stitched in
 shard order regardless of completion order, so the output is identical
-for every worker count and engine.
+for every worker count.
 """
 
 from __future__ import annotations
@@ -141,16 +141,15 @@ def distributed_segment(
     volume: np.ndarray,
     n_workers: int,
     halo: int = 2,
-    max_objects_per_shard: int = 16,
     max_workers: int | None = None,
-    engine: str = "batched",
-    seed_batch: int = 1,
     pool: SharedMemoryPool | None = None,
     tracer: "Tracer | None" = None,
     span_parent: "Span | None" = None,
 ) -> tuple[np.ndarray, list[ShardSegmentation]]:
     """Segment ``volume`` as the paper's GPU fan-out would: shard the
-    time axis, segment each shard (with halo), stitch.
+    time axis, segment each shard (with halo), stitch.  Each shard is
+    segmented by :func:`~repro.ml.shm_pool.segment_shard` (the batched
+    engine, one seed per wave, at most 16 objects).
 
     Parameters
     ----------
@@ -162,11 +161,6 @@ def distributed_segment(
         a :class:`~repro.ml.shm_pool.SharedMemoryPool`.
         Results are gathered in shard order, so the stitched output is
         identical for every ``max_workers`` value.
-    engine:
-        Flood-fill engine forwarded to :func:`segment_volume`.
-    seed_batch:
-        Multi-seed wavefront width forwarded to :func:`segment_volume`
-        (output is bit-identical for every value).
     pool:
         An already-running :class:`~repro.ml.shm_pool.SharedMemoryPool`
         to reuse across calls (the caller keeps ownership; repeated
@@ -193,18 +187,14 @@ def distributed_segment(
         ShardSpec(i, *_halo_bounds(volume.shape[0], t0, t1, halo, fov_t), t0, t1)
         for i, (t0, t1) in enumerate(split_shards(volume.shape[0], n_workers))
     ]
-    options = {
-        "max_objects": max_objects_per_shard,
-        "engine": engine,
-        "seed_batch": seed_batch,
-    }
     fanout_span = None
     if tracer is not None:
         fanout_span = tracer.start(
             "distributed_segment",
             "compute",
             parent=span_parent,
-            attributes={"shards": len(specs), "engine": engine},
+            # The engine segment_shard runs; traces have always named it.
+            attributes={"shards": len(specs), "engine": "batched"},
         )
     pooled = None
     if pool is not None or (
@@ -214,7 +204,7 @@ def distributed_segment(
             model, n_workers=min(max_workers, len(specs))
         )
         try:
-            slabs, receipts = owned_pool.segment_shards(volume, specs, **options)
+            slabs, receipts = owned_pool.segment_shards(volume, specs)
         finally:
             if pool is None:
                 owned_pool.close()
@@ -233,7 +223,7 @@ def distributed_segment(
             )
         labels, n_objects = (
             next(pooled) if pooled is not None
-            else segment_shard(model, volume, spec, **options)
+            else segment_shard(model, volume, spec)
         )
         if span is not None:
             tracer.finish(span, attributes={"objects": n_objects})

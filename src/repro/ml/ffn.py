@@ -301,19 +301,6 @@ class FFNModel:
     # -- loss -----------------------------------------------------------------------
 
     @staticmethod
-    def logistic_loss(
-        logits: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Mean sigmoid cross-entropy and its gradient w.r.t. logits."""
-        labels = labels.astype(np.float64)
-        probs = sigmoid(logits)
-        # Stable CE: max(z,0) - z*y + log(1+exp(-|z|))
-        z = logits.astype(np.float64)
-        loss = np.maximum(z, 0) - z * labels + np.log1p(np.exp(-np.abs(z)))
-        grad = (probs - labels) / logits.size
-        return float(loss.mean()), grad.astype(np.float32)
-
-    @staticmethod
     def logistic_loss_batch(
         logits: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -321,8 +308,8 @@ class FFNModel:
 
         Returns ``(losses, grad)`` where ``losses`` is ``(N,)`` of
         per-item mean losses and ``grad`` is the ``(N, *fov)`` gradient,
-        each item normalized by its own voxel count — so item ``i``
-        matches an independent :meth:`logistic_loss` call on it.
+        each item normalized by its own voxel count — so item ``i`` does
+        not depend on the other items of the batch.
         """
         if logits.ndim < 2 or logits.shape != labels.shape:
             raise ShapeError(
@@ -331,6 +318,7 @@ class FFNModel:
             )
         labels = labels.astype(np.float64)
         probs = sigmoid(logits)
+        # Stable CE: max(z,0) - z*y + log(1+exp(-|z|))
         z = logits.astype(np.float64)
         loss = np.maximum(z, 0) - z * labels + np.log1p(np.exp(-np.abs(z)))
         axes = tuple(range(1, logits.ndim))

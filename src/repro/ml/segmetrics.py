@@ -2,7 +2,7 @@
 
 "Note that the training volume is removed from the test data volume for
 all validation metrics" (§III-C) — the callers enforce the split; this
-module scores predictions voxelwise: precision, recall, F1 and IoU.
+module scores predictions voxelwise: precision, recall and F1.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ class SegmentationScores:
     def f1(self) -> float:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if (p + r) else 0.0
-
-    @property
-    def iou(self) -> float:
-        union = self.tp + self.fp + self.fn
-        return self.tp / union if union else 0.0
 
 
 def voxel_metrics(predicted: np.ndarray, truth: np.ndarray) -> SegmentationScores:

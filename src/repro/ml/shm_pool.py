@@ -168,23 +168,18 @@ def segment_shard(
     model: FFNModel,
     volume: np.ndarray,
     spec: ShardSpec,
-    *,
-    max_objects: int,
-    engine: str,
-    seed_batch: int,
 ) -> tuple[np.ndarray, int]:
     """Segment one shard: ``volume[lo:hi]``, keep ``[t0, t1)``, compact.
 
     The one shard routine of the fan-out, run in-process and by every
-    pool worker alike.  Returns the owned labels renumbered so their
+    pool worker alike: :func:`segment_volume` with its defaults and at
+    most 16 objects.  Returns the owned labels renumbered so their
     nonzero ids run 1..n, and n.
     """
     local = segment_volume(
         model,
         volume[spec.lo : spec.hi],  # zero-copy view
-        max_objects=max_objects,
-        engine=engine,
-        seed_batch=seed_batch,
+        max_objects=16,
     )
     owned = local[spec.t0 - spec.lo : spec.t1 - spec.lo]
     ids = np.unique(owned)
@@ -226,7 +221,7 @@ def _worker_main(
                 continue
             if crash_armed:  # die hard with this shard in flight
                 os._exit(17)
-            (_, generation, volume_ref, labels_ref, spec, options) = message
+            (_, generation, volume_ref, labels_ref, spec) = message
             # Drop the views of the previous task's segments, so that
             # closing them finds no exported buffer.
             volume = labels_out = None
@@ -234,7 +229,7 @@ def _worker_main(
             try:
                 volume = _attach(attached, volume_ref, own_tracker)
                 labels_out = _attach(attached, labels_ref, own_tracker)
-                compact, n_objects = segment_shard(model, volume, spec, **options)
+                compact, n_objects = segment_shard(model, volume, spec)
                 labels_out[spec.t0 : spec.t1] = compact  # in-place result
                 result_queue.put(
                     ("ok", generation, spec.shard_index, n_objects, worker_index)
@@ -360,10 +355,6 @@ class SharedMemoryPool:
         self,
         volume: np.ndarray,
         specs: _t.Sequence[ShardSpec],
-        *,
-        max_objects: int = 16,
-        engine: str = "batched",
-        seed_batch: int = 1,
     ) -> tuple[list[np.ndarray], list[ShardReceipt]]:
         """Segment every shard on the pool; returns owned label slabs.
 
@@ -387,13 +378,8 @@ class SharedMemoryPool:
             labels_shm.name, tuple(volume.shape), "int32"
         )
         labels_ref.view(labels_shm)[...] = 0
-        options = {
-            "max_objects": max_objects,
-            "engine": engine,
-            "seed_batch": seed_batch,
-        }
         try:
-            receipts = self._run_tasks(volume_ref, labels_ref, specs, options)
+            receipts = self._run_tasks(volume_ref, labels_ref, specs)
             labels = labels_ref.view(labels_shm)
             slabs = [
                 np.array(labels[spec.t0 : spec.t1], dtype=np.int32)
@@ -409,7 +395,6 @@ class SharedMemoryPool:
         volume_ref: _SegmentRef,
         labels_ref: _SegmentRef,
         specs: _t.Sequence[ShardSpec],
-        options: dict,
     ) -> list[ShardReceipt]:
         """Feed tasks to live workers; retry shards off dead ones.
 
@@ -438,8 +423,7 @@ class SharedMemoryPool:
                 spec, retried = backlog.pop()
                 inflight[worker] = (spec, retried)
                 self._task_queues[worker].put(
-                    ("segment", generation, volume_ref, labels_ref, spec,
-                     options)
+                    ("segment", generation, volume_ref, labels_ref, spec)
                 )
 
         feed()

@@ -104,8 +104,3 @@ class Dashboard:
         if not series:
             return 0.0
         return max(promql.max_over_time(ts) for ts in series)
-
-    def aggregate_peak(self, metric: str) -> float:
-        """Max of the pointwise SUM across series (cluster-wide peak)."""
-        _, total = promql.sum_series(self.registry.all_series(metric))
-        return float(total.max()) if len(total) else 0.0

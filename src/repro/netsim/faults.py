@@ -1,26 +1,22 @@
-"""Network fault injection: partitions, link degradation, stragglers.
+"""Network fault injection: partitions, link cuts and degradation.
 
-Real Nautilus outages are rarely clean node deaths: PRP links flap or
-degrade, whole sites drop off the backbone, and individual hosts limp
-along at a fraction of their I/O rate.  :class:`NetworkFaultInjector`
-produces exactly those partial failures on a live :class:`Topology` /
-:class:`FlowSimulator` pair, deterministically and reversibly:
+Real Nautilus outages are rarely clean node deaths: PRP links fail or
+degrade, and whole sites drop off the backbone.
+:class:`NetworkFaultInjector` produces those partial failures on a live
+:class:`Topology` / :class:`FlowSimulator` pair, deterministically and
+reversibly:
 
 - ``fail_link`` / ``heal_link`` — hard cuts; in-flight flows stall at
   rate zero (``CapacityResource.blocked``) and resume on heal.
 - ``degrade_link`` / ``restore_link`` — scale a link's capacity by a
   factor; stacking degrades compose against the *original* rating, so
   restore is exact.
-- ``flap_link`` — scheduled down/up cycles (the classic dirty-optics
-  failure mode).
 - ``partition`` / ``heal_partition`` — cut every link crossing a site
   group's boundary, isolating those sites (and their attached hosts)
   from the rest of the PRP.
-- ``make_straggler`` / ``restore_straggler`` — throttle a host's access
-  link, modelling a node whose effective I/O rate has collapsed.
 
 Every mutation pokes the flow engine so rates re-converge at the current
-simulation instant.  All scheduling helpers run on the simulation clock
+simulation instant.  ``schedule`` runs a fault on the simulation clock,
 and all randomness (none internally — callers pass an ``rng``) stays
 seeded, so fault schedules are byte-for-byte reproducible.
 """
@@ -51,8 +47,8 @@ class NetworkFaultInjector:
         Optional flow engine; poked after every mutation so in-flight
         transfers feel capacity changes immediately.
     env:
-        Optional simulation environment, required only for the
-        scheduling helpers (``flap_link``, ``schedule``).
+        Optional simulation environment, required only for
+        ``schedule``.
     registry:
         Optional metric registry; fault counters
         (``link_degradations_total``, ``link_failures_total``,
@@ -74,8 +70,6 @@ class NetworkFaultInjector:
         self._degraded: dict[frozenset, float] = {}
         #: stack of cut-link lists, one per active partition.
         self._partitions: list[list[tuple[str, str]]] = []
-        #: host -> original access-link gbps.
-        self._stragglers: dict[str, float] = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -134,27 +128,6 @@ class NetworkFaultInjector:
         self.topology.restore_link(a, b)
         self._poke()
 
-    def flap_link(
-        self,
-        a: str,
-        b: str,
-        down_s: float,
-        up_s: float = 0.0,
-        cycles: int = 1,
-    ) -> "Process":
-        """Schedule ``cycles`` down/up cycles on the simulation clock."""
-        env = self._require_env()
-
-        def _flapper():
-            for cycle in range(cycles):
-                self.fail_link(a, b)
-                yield env.timeout(down_s)
-                self.heal_link(a, b)
-                if up_s > 0 and cycle + 1 < cycles:
-                    yield env.timeout(up_s)
-
-        return env.process(_flapper(), name=f"fault:flap:{a}-{b}")
-
     # -- partitions -----------------------------------------------------------
 
     def _side_of(self, endpoint: str, group: frozenset) -> bool:
@@ -205,32 +178,6 @@ class NetworkFaultInjector:
             self.topology.restore_link(a, b)
         self._poke()
 
-    @property
-    def active_partitions(self) -> int:
-        return len(self._partitions)
-
-    # -- stragglers -----------------------------------------------------------
-
-    def make_straggler(self, host: str, factor: float) -> None:
-        """Throttle a host's access link to ``factor`` of its NIC rating.
-
-        This is an I/O-rate straggler: the host stays Ready and its pods
-        keep running, but every byte it moves crawls — the failure mode
-        liveness probes and step timeouts exist to catch.
-        """
-        site = self.topology.site_of(host)
-        link = self.topology.get_link(host, site)
-        if host not in self._stragglers:
-            self._stragglers[host] = link.gbps
-        self.degrade_link(host, site, factor)
-
-    def restore_straggler(self, host: str) -> None:
-        """Return a straggler's access link to full speed."""
-        original = self._stragglers.pop(host, None)
-        if original is None:
-            return
-        self.restore_link(host, self.topology.site_of(host))
-
     # -- scheduling -----------------------------------------------------------
 
     def schedule(
@@ -250,19 +197,8 @@ class NetworkFaultInjector:
         name = getattr(action, "__name__", "action")
         return env.process(_delayed(), name=f"fault:scheduled:{name}")
 
-    def active_summary(self) -> dict[str, object]:
-        """Current fault state, for logs and dashboards."""
-        return {
-            "degraded_links": sorted(
-                "-".join(sorted(key)) for key in self._degraded
-            ),
-            "partitions": [list(cut) for cut in self._partitions],
-            "stragglers": sorted(self._stragglers),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<NetworkFaultInjector degraded={len(self._degraded)} "
-            f"partitions={len(self._partitions)} "
-            f"stragglers={len(self._stragglers)}>"
+            f"partitions={len(self._partitions)}>"
         )

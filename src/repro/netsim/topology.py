@@ -116,12 +116,6 @@ class Topology:
 
     # -- queries -----------------------------------------------------------------
 
-    def site_of(self, host: str) -> str:
-        try:
-            return self.hosts[host]
-        except KeyError:
-            raise NetworkError(f"unknown host {host!r}") from None
-
     def get_link(self, a: str, b: str) -> Link:
         """The link between two endpoints (sites or host/site)."""
         link = self.links.get(frozenset((a, b)))
@@ -200,13 +194,6 @@ class Topology:
 
     def path_latency(self, src: str, dst: str) -> float:
         return sum(link.latency_s for link in self.route(src, dst))
-
-    def bottleneck_gbps(self, src: str, dst: str) -> float:
-        """Idle-network capacity of the narrowest hop."""
-        route = self.route(src, dst)
-        if not route:
-            return float("inf")
-        return min(link.gbps for link in route)
 
     def summary(self) -> dict[str, object]:
         """Inventory for the Figure-1 report."""

@@ -60,15 +60,6 @@ class CephFS:
             children.add(rest.split("/", 1)[0])
         return sorted(children)
 
-    def du(self, path: str = "/") -> float:
-        """Total bytes stored under a path."""
-        prefix = self._norm(path)
-        total = 0.0
-        for key in self.cluster.list_keys(self.pool):
-            if key == prefix or key.startswith(prefix.rstrip("/") + "/"):
-                total += self.cluster.stat(self.pool, key).size
-        return total
-
     # -- timed API (bulk data from inside pods) ----------------------------------
 
     def write_timed(

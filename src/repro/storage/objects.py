@@ -310,14 +310,6 @@ class CephCluster:
         for (pool, key) in list(osd.replicas):
             self._recovery_queue.put((pool, key))
 
-    def recover_osd(self, osd_id: int) -> None:
-        """Bring a disk back empty (its old replicas were re-created)."""
-        osd = self.osds[osd_id]
-        osd.up = True
-        osd.replicas.clear()
-        osd.used = 0.0
-        self._record_used()
-
     def _recovery_worker(self):
         while True:
             pool, key = yield self._recovery_queue.get()

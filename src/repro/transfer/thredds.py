@@ -155,15 +155,6 @@ class ThreddsServer:
             self.errors_served += 1
             raise TransientServerError(f"THREDDS {self.host}: 503 on {what}")
 
-    # -- catalog ------------------------------------------------------------------
-
-    def catalog_page(self, start: int, count: int) -> list[GranuleInfo]:
-        """A page of the catalog (what the manifest builder walks)."""
-        end = min(start + count, len(self.archive))
-        if start < 0 or start > len(self.archive):
-            raise TransferError(f"bad catalog page start {start}")
-        return self.archive.granules_at(range(start, end))
-
     # -- subset service --------------------------------------------------------------
 
     def resolve(

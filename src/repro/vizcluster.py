@@ -129,10 +129,6 @@ class VisualizationCluster:
             placement[pod.node_name] = placement.get(pod.node_name, 0) + 1
         return placement
 
-    def teardown(self) -> None:
-        if self._rs is not None:
-            self._rs.delete()
-
     # -- interaction ---------------------------------------------------------------
 
     def send_wand_event(self, display_host: str) -> Event:

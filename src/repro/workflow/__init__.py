@@ -22,7 +22,7 @@ execution bottlenecks" (§VIII).  This package is that layer:
 """
 
 from repro.workflow.step import StepContext, StepReport, WorkflowStep
-from repro.workflow.stream import StreamChannel, END
+from repro.workflow.stream import StreamChannel
 from repro.workflow.degradation import DegradationPolicy
 from repro.workflow.workflow import Workflow
 from repro.workflow.driver import WorkflowDriver, WorkflowReport
@@ -52,7 +52,6 @@ __all__ = [
     "StepContext",
     "StepReport",
     "StreamChannel",
-    "END",
     "DegradationPolicy",
     "Workflow",
     "WorkflowDriver",

@@ -218,8 +218,8 @@ class WorkflowDriver:
             still **running**, provided that dependency is listed in the
             step's ``stream_inputs`` and declares ``streams_output``.
             The consumer blocks on the producer's
-            :class:`~repro.workflow.stream.StreamChannel` (items /
-            milestones) instead of its completion barrier, overlapping
+            :class:`~repro.workflow.stream.StreamChannel` (milestones)
+            instead of its completion barrier, overlapping
             the producer's transfer tail with downstream compute.
             ``False`` (the default) keeps the strict per-step barrier —
             byte-identical behavior to previous releases.

@@ -186,7 +186,7 @@ class StepContext:
     def stream_in(self, producer: str):
         """The named producer's live channel (consumer side), or None in
         barrier mode / when the producer does not stream.  Wait on it with
-        ``yield from chan.wait_milestone(...)`` or ``chan.next_item``."""
+        ``yield from chan.wait_milestone(...)``."""
         if self._streams is None:
             return None
         return self._streams.get(producer)
@@ -244,7 +244,7 @@ class WorkflowStep:
     base_gpus: int = 0
 
     #: Subclass hook: the step produces a
-    #: :class:`~repro.workflow.stream.StreamChannel` of items/milestones
+    #: :class:`~repro.workflow.stream.StreamChannel` of milestones
     #: while running, so downstream ``stream_inputs`` consumers may
     #: start before it finishes (driver ``overlap=True``).
     streams_output: bool = False

@@ -8,24 +8,24 @@ partition makes that headroom visible as a long pure-``transfer`` band;
 a :class:`StreamChannel` is how the driver converts it into overlap.
 
 A producer step (``streams_output = True``) gets a channel; it can
-``put`` items and ``mark`` named milestones while still running.  A
-consumer step that declared the producer in ``stream_inputs`` may start
-as soon as the producer is *launched* (driver ``overlap=True``) and
-block on :meth:`StreamChannel.next_item` / :meth:`StreamChannel.
-wait_milestone` instead of on the producer's completion barrier.
+``mark`` named milestones while still running.  A consumer step that
+declared the producer in ``stream_inputs`` may start as soon as the
+producer is *launched* (driver ``overlap=True``) and block on
+:meth:`StreamChannel.wait_milestone` instead of on the producer's
+completion barrier.
 
 Failure semantics mirror the step retry model:
 
 - producer attempt **retries** -> the old channel is *superseded* by the
   fresh attempt's channel; blocked consumers transparently re-wait on
-  the successor (items restart from scratch — the new attempt re-produces
-  them).
+  the successor (milestones restart from scratch — the new attempt
+  re-marks them).
 - producer fails **permanently** (or is cancelled) -> the channel closes
   with an error and blocked consumers get
   :class:`~repro.errors.StreamBrokenError`, failing their own attempt.
-- producer finishes cleanly -> the channel closes; ``next_item`` returns
-  :data:`END` and ``wait_milestone`` returns its ``default`` (the
-  consumer falls back to the completed step's artifacts).
+- producer finishes cleanly -> the channel closes; ``wait_milestone``
+  returns its ``default`` (the consumer falls back to the completed
+  step's artifacts).
 
 Checkpoint/resume is unaffected: a step is only recorded once complete,
 and a consumer that finished before its producer is a legal checkpoint
@@ -42,23 +42,11 @@ from repro.sim.events import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
-__all__ = ["StreamChannel", "END"]
-
-
-class _EndOfStream:
-    """Sentinel returned by :meth:`StreamChannel.next_item` on a clean
-    close (distinguishable from any real item, including None)."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<END>"
-
-
-#: The end-of-stream sentinel.
-END = _EndOfStream()
+__all__ = ["StreamChannel"]
 
 
 class StreamChannel:
-    """An in-order item/milestone stream from one producer step.
+    """A milestone stream from one producer step.
 
     All consumer-facing waits are **generators** — call them with
     ``yield from`` inside a step body so the simulation kernel can park
@@ -69,8 +57,6 @@ class StreamChannel:
         self.env = env
         #: name of the producing step (for error messages)
         self.producer = producer
-        #: items put so far, in order (append-only)
-        self.items: list[object] = []
         #: reached milestones -> payload
         self.milestones: dict[str, object] = {}
         self.closed = False
@@ -81,13 +67,6 @@ class StreamChannel:
         self._waiters: list[Event] = []
 
     # -- producer side ------------------------------------------------------
-
-    def put(self, item: object) -> None:
-        """Append one item to the stream (producer side)."""
-        if self.closed:
-            raise StreamBrokenError(self.producer, "put() on a closed stream")
-        self.items.append(item)
-        self._wake()
 
     def mark(self, milestone: str, value: object = None) -> None:
         """Declare a named milestone reached, with an optional payload."""
@@ -130,32 +109,6 @@ class StreamChannel:
             chan = chan.superseded
         return chan
 
-    def next_item(self, index: int):
-        """Generator: the ``index``-th item, :data:`END` on clean close.
-
-        Raises :class:`~repro.errors.StreamBrokenError` when the
-        producer failed permanently.  If the producer retried, the wait
-        transparently moves to the successor channel — note the
-        successor restarts item production from index 0, so a consumer
-        holding ``index > 0`` sees the retry attempt's items only from
-        that offset on (CONNECT's consumers are milestone-based; item
-        consumers that need exactly-once delivery should re-read from 0
-        after a :class:`~repro.errors.StreamBrokenError`).
-        """
-        chan = self._resolve()
-        while True:
-            if index < len(chan.items):
-                return chan.items[index]
-            if chan.superseded is not None:
-                chan = chan._resolve()
-                continue
-            if chan.closed:
-                if chan.error is not None:
-                    raise StreamBrokenError(chan.producer, chan.error)
-                return END
-            yield chan._wait_event()
-            chan = chan._resolve()
-
     def wait_milestone(self, milestone: str, default: object = None):
         """Generator: block until ``milestone`` is marked; returns its
         payload.  A clean close without the milestone returns
@@ -184,5 +137,5 @@ class StreamChannel:
         )
         return (
             f"<StreamChannel from {self.producer!r} {state}: "
-            f"{len(self.items)} items, {len(self.milestones)} milestones>"
+            f"{len(self.milestones)} milestones>"
         )

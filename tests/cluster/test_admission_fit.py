@@ -38,7 +38,7 @@ NODE_GPUS = [0, 2, 8]
 
 @st.composite
 def node_sets(draw) -> list[tuple[NodeSpec, str]]:
-    """Nodes with a state each: ready, not ready or cordoned."""
+    """Nodes with a state each: ready or not ready."""
     count = draw(st.integers(min_value=0, max_value=4))
     return [
         (
@@ -48,7 +48,7 @@ def node_sets(draw) -> list[tuple[NodeSpec, str]]:
                 memory=draw(st.sampled_from(NODE_MEMORY)),
                 gpus=draw(st.sampled_from(NODE_GPUS)),
             ),
-            draw(st.sampled_from(["ready", "ready", "not-ready", "cordoned"])),
+            draw(st.sampled_from(["ready", "ready", "not-ready"])),
         )
         for i in range(count)
     ]
@@ -93,8 +93,6 @@ def test_gateway_verdict_equals_spec001(nodes, resources):
         cluster.add_node(spec)
         if state == "not-ready":
             cluster.fail_node(spec.name)
-        elif state == "cordoned":
-            cluster.cordon(spec.name)
     gateway = AdmissionGateway(cluster, GatewayConfig())
     gateway.register_tenant("acme", TenantPolicy(rate=100.0, burst=100.0))
     spec = _spec(resources)

@@ -143,12 +143,6 @@ class TestDevicePlugin:
         node.allocate(b)
         assert set(a.assigned_gpus).isdisjoint(b.assigned_gpus)
 
-    def test_extended_resources_advertised(self):
-        gpu_node = Node(fiona8_node_spec("g"))
-        cpu_node = Node(fiona_node_spec("c"))
-        assert gpu_node.extended_resources() == {"nvidia.com/gpu": 8}
-        assert cpu_node.extended_resources() == {}
-
 
 class TestResourceRequirements:
     def test_add(self):

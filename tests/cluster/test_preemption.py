@@ -1,8 +1,8 @@
-"""Tests for cordon/drain and priority preemption."""
+"""Tests for priority preemption."""
 
 import pytest
 
-from repro.cluster import Cluster, JobSpec, PodPhase, fiona8_node_spec, fiona_node_spec
+from repro.cluster import Cluster, PodPhase, fiona8_node_spec
 from repro.sim import Environment
 from tests.cluster.conftest import sleeper_spec
 
@@ -10,67 +10,6 @@ from tests.cluster.conftest import sleeper_spec
 @pytest.fixture
 def env():
     return Environment()
-
-
-@pytest.fixture
-def cluster(env):
-    c = Cluster(env)
-    c.add_node(fiona_node_spec("cpu-a"))
-    c.add_node(fiona_node_spec("cpu-b"))
-    return c
-
-
-class TestCordonDrain:
-    def test_cordoned_node_accepts_no_new_pods(self, cluster, env):
-        cluster.cordon("cpu-a")
-        cluster.cordon("cpu-b")
-        pod = cluster.create_pod("p", sleeper_spec(duration=5))
-        env.run(until=40)
-        assert pod.phase is PodPhase.PENDING
-        cluster.uncordon("cpu-a")
-        env.run()
-        assert pod.phase is PodPhase.SUCCEEDED
-        assert pod.node_name == "cpu-a"
-
-    def test_cordon_keeps_running_pods(self, cluster, env):
-        pod = cluster.create_pod("p", sleeper_spec(duration=100))
-        env.run(until=50)
-        assert pod.phase is PodPhase.RUNNING
-        cluster.cordon(pod.node_name)
-        env.run(until=60)
-        assert pod.phase is PodPhase.RUNNING  # untouched
-        env.run()
-        assert pod.phase is PodPhase.SUCCEEDED
-
-    def test_drain_evicts_and_controller_reschedules(self, cluster, env):
-        job = cluster.create_job(
-            "j", JobSpec(template=lambda i: sleeper_spec(duration=100))
-        )
-        env.run(until=50)
-        (pod,) = job.active.values()
-        drained_node = pod.node_name
-        cluster.drain(drained_node)
-        env.run()
-        assert job.is_complete
-        # The replacement ran on the other node.
-        reasons = [e.reason for e in cluster.events_for("Node", drained_node)]
-        assert "Cordoned" in reasons and "Draining" in reasons
-
-    def test_drained_node_reusable_after_uncordon(self, cluster, env):
-        cluster.drain("cpu-a")
-        cluster.cordon("cpu-b")
-        pod = cluster.create_pod("p", sleeper_spec(duration=5))
-        env.run(until=30)
-        assert pod.phase is PodPhase.PENDING
-        cluster.uncordon("cpu-a")
-        env.run()
-        assert pod.phase is PodPhase.SUCCEEDED
-
-    def test_cordon_idempotent(self, cluster):
-        cluster.cordon("cpu-a")
-        cluster.cordon("cpu-a")
-        cluster.uncordon("cpu-a")
-        cluster.uncordon("cpu-a")
 
 
 class TestPreemption:

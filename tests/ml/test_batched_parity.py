@@ -263,9 +263,7 @@ class TestDistributedWorkerParity:
 
     def test_single_shard_equals_monolithic(self, world):
         model, vol = world
-        dist, shards = distributed_segment(
-            model, vol, n_workers=1, max_objects_per_shard=16
-        )
+        dist, shards = distributed_segment(model, vol, n_workers=1)
         mono = segment_volume(model, vol, max_objects=16)
         assert len(shards) == 1
         # One shard = the whole volume: identical up to label compaction,

@@ -126,13 +126,6 @@ class TestConnectSegmentation:
         assert obj.mean_intensity == 25.0
         assert obj.centroid_txy == (0.0, 1.5, 1.5)
 
-    def test_object_by_id(self):
-        vol = self._volume_with_moving_river()
-        report = connect_segmentation(vol, threshold=100.0)
-        assert report.object_by_id(1).id == 1
-        with pytest.raises(KeyError):
-            report.object_by_id(99)
-
     def test_bad_shape_rejected(self):
         with pytest.raises(ShapeError):
             connect_segmentation(np.zeros((4, 4)))
@@ -146,7 +139,6 @@ class TestMetrics:
         assert scores.precision == 1.0
         assert scores.recall == 1.0
         assert scores.f1 == 1.0
-        assert scores.iou == 1.0
 
     def test_empty_prediction(self):
         truth = np.ones((2, 2, 2))
@@ -163,7 +155,6 @@ class TestMetrics:
         assert scores.tp == 2
         assert scores.fp == 2
         assert scores.fn == 2
-        assert scores.iou == pytest.approx(2 / 6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

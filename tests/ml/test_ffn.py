@@ -79,9 +79,9 @@ class TestModelMechanics:
             logit(0.0)
 
     def test_logistic_loss_gradient_sign(self):
-        logits = np.array([2.0, -2.0])
-        labels = np.array([0.0, 1.0])
-        loss, grad = FFNModel.logistic_loss(logits, labels)
+        logits = np.array([[2.0, -2.0]])
+        labels = np.array([[0.0, 1.0]])
+        (loss,), (grad,) = FFNModel.logistic_loss_batch(logits, labels)
         assert loss > 0
         assert grad[0] > 0  # predicted 1, truth 0 -> push logit down
         assert grad[1] < 0

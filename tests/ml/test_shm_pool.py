@@ -3,7 +3,7 @@
 The pool's contract has three legs:
 
 1. **Bit-identity** — ``distributed_segment`` through the pool matches
-   the in-process path exactly, for any worker count and engine.
+   the in-process path exactly, for any worker count.
 2. **Resilience** — a worker crashing mid-shard retires the worker,
    retries the shard on a live one, and still returns identical output.
 3. **Hygiene** — shutdown leaves no orphaned shared-memory segments and
@@ -42,15 +42,13 @@ def _pool_shm_leftovers() -> list[str]:
 
 class TestParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("engine", ["batched", "serial"])
-    def test_bit_identical_to_in_process(self, trained_world, workers, engine):
+    def test_bit_identical_to_in_process(self, trained_world, workers):
         model, volume = trained_world
         ref, _ = distributed_segment(
-            model, volume, n_workers=4, halo=2, max_workers=1, engine=engine
+            model, volume, n_workers=4, halo=2, max_workers=1
         )
         out, shards = distributed_segment(
-            model, volume, n_workers=4, halo=2, max_workers=workers,
-            engine=engine,
+            model, volume, n_workers=4, halo=2, max_workers=workers
         )
         assert np.array_equal(out, ref)
         assert out.dtype == ref.dtype
@@ -69,16 +67,6 @@ class TestParity:
                 )
                 assert np.array_equal(out, ref)
             assert pool.live_workers() == [0, 1]
-
-    def test_seed_batch_through_pool(self, trained_world):
-        model, volume = trained_world
-        ref, _ = distributed_segment(
-            model, volume, n_workers=4, halo=2, max_workers=1, seed_batch=3
-        )
-        out, _ = distributed_segment(
-            model, volume, n_workers=4, halo=2, max_workers=2, seed_batch=3
-        )
-        assert np.array_equal(out, ref)
 
     def test_spawn_start_method(self, trained_world):
         model, volume = trained_world

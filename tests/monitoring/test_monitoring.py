@@ -185,7 +185,6 @@ class TestDashboard:
         registry.set_gauge("mem", 7.0, {"pod": "b"})
         dash = Dashboard("test", registry)
         assert dash.peak("mem") == 7.0
-        assert dash.aggregate_peak("mem") == 12.0
 
     def test_dashboard_render_stacks_panels(self, env, registry):
         registry.set_gauge("a", 1.0)

@@ -1,4 +1,4 @@
-"""Tests for the network fault injector: degrades, partitions, stragglers."""
+"""Tests for the network fault injector: degrades, cuts and partitions."""
 
 import pytest
 
@@ -80,15 +80,6 @@ class TestHardCuts:
         # 4 s transferred + 5 s stalled + 6 s remaining = 15 s.
         assert env.now == pytest.approx(15.0)
 
-    def test_flap_link_cycles(self, env, line):
-        inj = NetworkFaultInjector(line, env=env)
-        link = line.get_link("A", "B")
-        inj.flap_link("A", "B", down_s=2.0, up_s=1.0, cycles=3)
-        env.run(until=1.0)
-        assert not link.up
-        env.run()
-        assert link.up  # ends healed
-
 
 class TestPartitions:
     def test_partition_isolates_site_group(self, env):
@@ -97,10 +88,8 @@ class TestPartitions:
         cut = inj.partition(["UCI"])
         assert cut  # something was actually severed
         assert not topo.reachable("UCI", "UCSD")
-        assert inj.active_partitions == 1
         inj.heal_partition()
         assert topo.reachable("UCI", "UCSD")
-        assert inj.active_partitions == 0
 
     def test_partition_unknown_site_rejected(self, env, line):
         inj = NetworkFaultInjector(line, env=env)
@@ -126,18 +115,6 @@ class TestPartitions:
         assert line.get_link("hc", "C").up
         inj.heal_partition()
         assert line.reachable("ha", "hc")
-
-
-class TestStragglers:
-    def test_straggler_throttles_and_restores(self, env, line):
-        inj = NetworkFaultInjector(line, env=env)
-        access = line.get_link("hc", "C")
-        rating = access.gbps
-        inj.make_straggler("hc", 0.1)
-        assert access.gbps == pytest.approx(rating * 0.1)
-        inj.restore_straggler("hc")
-        assert access.gbps == pytest.approx(rating)
-        assert inj.active_summary()["stragglers"] == []
 
 
 class TestMetrics:

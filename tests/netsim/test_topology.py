@@ -62,18 +62,9 @@ class TestRouting:
         with pytest.raises(NoRouteError):
             small_topo.route("host-a", "island")
 
-    def test_bottleneck_detection(self, small_topo):
-        # host-a NIC=10, A-B=100, B-C=10, host-c NIC=40 -> bottleneck 10.
-        assert small_topo.bottleneck_gbps("host-a", "host-c") == 10.0
-
     def test_path_latency_accumulates(self, small_topo):
         lat = small_topo.path_latency("host-a", "host-c")
         assert lat == pytest.approx(0.01 + 0.01 + 0.0001 + 0.0001)
-
-    def test_site_of(self, small_topo):
-        assert small_topo.site_of("host-a") == "A"
-        with pytest.raises(NetworkError):
-            small_topo.site_of("ghost")
 
 
 def _hops(route):

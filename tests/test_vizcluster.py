@@ -44,13 +44,6 @@ class TestDeployment:
         with pytest.raises(ClusterError):
             calvr.deploy(cpu_nodes[:1])
 
-    def test_teardown_releases_gpus(self, testbed, calvr):
-        calvr.deploy(testbed.gpu_nodes[:4])
-        testbed.env.run(until=60)
-        calvr.teardown()
-        testbed.env.run(until=90)
-        assert calvr.renderer_placement() == {}
-
     def test_cohabitation_with_compute(self, testbed, calvr):
         """§VII: 'graphics and machine learning processes can cohabitate'
         — ML pods run on the very nodes rendering VR content."""

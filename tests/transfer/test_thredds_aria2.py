@@ -49,11 +49,6 @@ class TestThredds:
         with pytest.raises(TransferError):
             server.resolve(0, variables=("GHOST",))
 
-    def test_catalog_paging(self, server):
-        page = server.catalog_page(90, 20)
-        assert len(page) == 10  # truncated at the archive end
-        assert page[0].index == 90
-
     def test_stats_accumulate(self, server):
         server.resolve(0)
         server.resolve(1, variables=("U",))

@@ -21,7 +21,6 @@ from repro.sim.environment import Environment
 from repro.testbed import build_nautilus_testbed
 from repro.tracing import analyze_run, layer_overlap
 from repro.workflow import (
-    END,
     StreamChannel,
     Workflow,
     WorkflowCheckpoint,
@@ -57,30 +56,6 @@ def _drive(env, gen):
 
 
 class TestStreamChannel:
-    def test_items_in_order_then_end(self, env):
-        chan = StreamChannel(env, "producer")
-
-        def producer():
-            yield env.timeout(1.0)
-            chan.put("a")
-            yield env.timeout(1.0)
-            chan.put("b")
-            chan.close()
-
-        env.process(producer())
-
-        def consumer():
-            got = []
-            index = 0
-            while True:
-                item = yield from chan.next_item(index)
-                if item is END:
-                    return got
-                got.append(item)
-                index += 1
-
-        assert _drive(env, consumer()) == ["a", "b"]
-
     def test_milestone_payload_and_default(self, env):
         chan = StreamChannel(env, "producer")
 
@@ -128,11 +103,11 @@ class TestStreamChannel:
         # Consumer waits on the ORIGINAL channel, follows the link.
         assert _drive(env, first.wait_milestone("ready")) == 42
 
-    def test_put_on_closed_stream_rejected(self, env):
+    def test_mark_on_closed_stream_rejected(self, env):
         chan = StreamChannel(env, "producer")
         chan.close()
         with pytest.raises(StreamBrokenError):
-            chan.put("late")
+            chan.mark("late")
 
 
 # ---------------------------------------------------------------------------
