@@ -16,8 +16,8 @@ The package implements, from scratch, the full stack the paper describes:
 - :mod:`repro.data` — synthetic MERRA-2-like atmospheric data and IVT.
 - :mod:`repro.ml` — a NumPy flood-filling network (FFN), the CONNECT
   baseline, segmentation metrics, and a GPU performance model.
-- :mod:`repro.monitoring` — Prometheus-like metrics and Grafana-like
-  dashboards.
+- :mod:`repro.monitoring` — Prometheus-like metrics, a PromQL subset and
+  Grafana-style sparklines.
 - :mod:`repro.workflow` — the paper's core contribution: the workflow-driven
   development/measurement layer and the 4-step CONNECT case study.
 - :mod:`repro.viz` — ASCII renderers for every paper figure and table.

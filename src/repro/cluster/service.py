@@ -45,13 +45,5 @@ class Service:
         ]
         return sorted(pods, key=lambda p: p.meta.name)
 
-    def resolve(self) -> Pod | None:
-        """Pick one ready endpoint (round-robin by call count)."""
-        eps = self.endpoints()
-        if not eps:
-            return None
-        self._rr = getattr(self, "_rr", -1) + 1
-        return eps[self._rr % len(eps)]
-
     def __repr__(self) -> str:
         return f"<Service {self.hostname} -> {len(self.endpoints())} endpoints>"

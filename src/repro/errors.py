@@ -13,7 +13,6 @@ __all__ = [
     "SimulationError",
     "ProcessKilled",
     "ClusterError",
-    "SchedulingError",
     "QuotaExceededError",
     "InvalidQuantityError",
     "NotFoundError",
@@ -59,10 +58,6 @@ class ProcessKilled(SimulationError):
 
 class ClusterError(ReproError):
     """Base class for orchestration-layer errors."""
-
-
-class SchedulingError(ClusterError):
-    """No node can satisfy a pod's resource requests / node selector."""
 
 
 class QuotaExceededError(ClusterError):

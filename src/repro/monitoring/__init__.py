@@ -1,4 +1,4 @@
-"""Monitoring: Prometheus-like metrics and Grafana-like dashboards.
+"""Monitoring: Prometheus-like metrics and Grafana-style sparklines.
 
 Paper §II-A: "Nautilus needs software to monitor the health, availability,
 and performance of resources.  Grafana is an open source platform for

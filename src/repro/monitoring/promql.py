@@ -1,6 +1,6 @@
 """A PromQL-subset evaluator over recorded time series.
 
-The dashboards only need two functions; each takes a
+The figure renderers need two functions; each takes a
 :class:`~repro.monitoring.metrics.TimeSeries` (or a list of them):
 
 - :func:`max_over_time` — the peak of a gauge over a time window.

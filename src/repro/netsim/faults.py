@@ -1,4 +1,4 @@
-"""Network fault injection: partitions, link cuts and degradation.
+"""Network fault injection: partitions and link degradation.
 
 Real Nautilus outages are rarely clean node deaths: PRP links fail or
 degrade, and whole sites drop off the backbone.
@@ -6,14 +6,13 @@ degrade, and whole sites drop off the backbone.
 :class:`Topology` / :class:`FlowSimulator` pair, deterministically and
 reversibly:
 
-- ``fail_link`` / ``heal_link`` — hard cuts; in-flight flows stall at
-  rate zero (``CapacityResource.blocked``) and resume on heal.
 - ``degrade_link`` / ``restore_link`` — scale a link's capacity by a
   factor; stacking degrades compose against the *original* rating, so
   restore is exact.
 - ``partition`` / ``heal_partition`` — cut every link crossing a site
   group's boundary, isolating those sites (and their attached hosts)
-  from the rest of the PRP.
+  from the rest of the PRP; in-flight flows across a cut link stall at
+  rate zero (``CapacityResource.blocked``) and resume on heal.
 
 Every mutation pokes the flow engine so rates re-converge at the current
 simulation instant.  ``schedule`` runs a fault on the simulation clock,
@@ -51,8 +50,8 @@ class NetworkFaultInjector:
         ``schedule``.
     registry:
         Optional metric registry; fault counters
-        (``link_degradations_total``, ``link_failures_total``,
-        ``network_partitions_total``) are exported when present.
+        (``link_degradations_total``, ``network_partitions_total``) are
+        exported when present.
     """
 
     def __init__(
@@ -113,19 +112,6 @@ class NetworkFaultInjector:
         if original is None:
             return
         link.set_capacity(original)
-        self._poke()
-
-    # -- hard cuts ------------------------------------------------------------
-
-    def fail_link(self, a: str, b: str) -> None:
-        """Cut a link; in-flight flows across it stall at rate zero."""
-        self.topology.fail_link(a, b)
-        self._poke()
-        self._count("link_failures_total", link=f"{a}-{b}")
-
-    def heal_link(self, a: str, b: str) -> None:
-        """Bring a cut link back; stalled flows resume immediately."""
-        self.topology.restore_link(a, b)
         self._poke()
 
     # -- partitions -----------------------------------------------------------

@@ -84,7 +84,6 @@ class Flow:
         "rate",
         "event",
         "start_time",
-        "handle",
     )
 
     def __init__(
@@ -105,9 +104,6 @@ class Flow:
         self.rate = 0.0
         self.event = event
         self.start_time = start_time
-        #: The event ``FlowSimulator.transfer`` returned for this flow
-        #: (differs from ``event`` when one-way latency is modelled).
-        self.handle: Event = event
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Flow {self.name or self.id} {self.remaining:.3g}B left @ {self.rate:.3g}B/s>"
@@ -269,12 +265,10 @@ class FlowSimulator:
     def __init__(self, env: Environment):
         self.env = env
         self._flows = _FlowTable()
-        self._handles: dict[Event, Flow] = {}
         self._wake: Event | None = None
         self._proc = env.process(self._coordinator(), name="flowsim")
         self.completed_count = 0
         self.bytes_moved = 0.0
-        self.cancelled_count = 0
         #: optional span tracer (the testbed wires this up): every flow
         #: becomes a ``transfer`` span carrying bytes and achieved rate.
         self.tracer: "Tracer | None" = None
@@ -323,45 +317,13 @@ class FlowSimulator:
         if latency_s > 0:
 
             def _delayed(env=self.env):
-                try:
-                    yield flow_done
-                except NetworkError as exc:
-                    # Flow was cancelled; forward the failure to the handle.
-                    if not done.triggered:
-                        done.defuse()
-                        done.fail(exc)
-                    return
+                yield flow_done
                 yield env.timeout(latency_s)
                 done.succeed(flow)
 
             self.env.process(_delayed(), name=f"flow:{name}:latency")
-            flow.handle = done
-            self._handles[done] = flow
             return done
-        self._handles[flow_done] = flow
         return flow_done
-
-    def cancel(self, handle: Event) -> bool:
-        """Abort the in-flight flow behind a ``transfer()`` handle.
-
-        The handle event fails with :class:`~repro.errors.NetworkError`
-        (defused if nobody is watching), the flow's partial bytes are
-        discarded, and shared capacity is released immediately.  Returns
-        False when the handle is unknown or the flow already finished.
-        """
-        flow = self._handles.pop(handle, None)
-        if flow is None or flow not in self._flows:
-            return False
-        self._flows.remove(flow)
-        self.cancelled_count += 1
-        self._finish_flow_span(flow, status="error")
-        if not flow.event.triggered:
-            flow.event.defuse()
-            flow.event.fail(
-                NetworkError(f"flow {flow.name or flow.id} cancelled")
-            )
-        self._poke()
-        return True
 
     def watch_rates(
         self,
@@ -373,7 +335,7 @@ class FlowSimulator:
         """Scrape the summed rate through ``resources`` as gauge ``name``:
         the :meth:`sample_rates` sum, recorded when the flow table empties
         and after each solve whose next completion is not before the next
-        scrape (every start, cancel, completion and :meth:`recompute`
+        scrape (every start, completion and :meth:`recompute`
         re-solves at its own instant, so an earlier one is superseded)."""
         self._registry = registry
         self._rate_gauges.append((registry.gauge(name, 0.0, labels), tuple(resources)))
@@ -394,14 +356,14 @@ class FlowSimulator:
 
     # -- engine -------------------------------------------------------------------
 
-    def _finish_flow_span(self, flow: Flow, status: str = "ok") -> None:
+    def _finish_flow_span(self, flow: Flow) -> None:
         if self.tracer is None:
             return
         span = self._flow_spans.pop(flow.id, None)
         if span is None:
             return
-        self.tracer.finish(span, status=status)
-        if status == "ok" and span.duration > 0:
+        self.tracer.finish(span)
+        if span.duration > 0:
             span.attributes["rate_Bps"] = flow.nbytes / span.duration
 
     def _poke(self) -> None:
@@ -472,7 +434,6 @@ class FlowSimulator:
                     finished.append(flow)
             for flow in finished:
                 self._flows.remove(flow)
-                self._handles.pop(flow.handle, None)
                 self.completed_count += 1
                 self.bytes_moved += flow.nbytes
                 self._finish_flow_span(flow)

@@ -246,7 +246,7 @@ class CephCluster:
                         for path, osd in zip(paths, targets)
                     ])
                 except NetworkError as exc:
-                    # Fail the put as a cancelled flow fails its handle.
+                    # Fail the returned event: nobody may watch this process.
                     done.defuse()
                     done.fail(exc)
                     return

@@ -17,17 +17,12 @@ import typing as _t
 
 import numpy as np
 
-from repro.errors import (
-    NetworkError,
-    NoRouteError,
-    TransferError,
-    TransientServerError,
-)
+from repro.errors import NetworkError, TransferError, TransientServerError
 from repro.netsim.flows import FlowSimulator
 from repro.netsim.topology import Topology
 from repro.sim import Environment, Resource
 from repro.sim.rng import derive_seed
-from repro.transfer.retry import RetryPolicy, TransientFaultInjector
+from repro.transfer.retry import RetryPolicy, TransientFaultInjector, retry_call
 from repro.transfer.thredds import (
     REQUEST_OVERHEAD_S,
     ResolvedChunk,
@@ -79,10 +74,10 @@ class Aria2Downloader:
         Maximum concurrent downloads (aria2's ``-j``; the paper uses 20).
     retry_policy:
         Optional :class:`~repro.transfer.retry.RetryPolicy`.  Without
-        one, any transfer fault propagates on first occurrence (aria2's
+        one, any transfer fault gives up on first occurrence (aria2's
         ``--max-tries=1``); with one, transient server errors, stalls,
-        resets, and routing outages back off and retry, and each request
-        honours the policy's per-request ``deadline_s``.
+        resets, and routing outages back off and retry through
+        :func:`~repro.transfer.retry.retry_call`.
     fault_injector:
         Optional transient-fault source; defaults to the server's own
         injector so one seeded schedule covers catalog and stream.
@@ -141,9 +136,6 @@ class Aria2Downloader:
         self.span_parent = span_parent
         self._rng = np.random.default_rng(derive_seed(seed, "aria2", host))
         self._slots = Resource(env, capacity=connections)
-        self.total_stats = DownloadStats()
-        self.retries_total = 0
-        self.failures_total = 0
 
     # -- fault-aware request engine -----------------------------------------
 
@@ -170,38 +162,13 @@ class Aria2Downloader:
         if status == "ok" and span.duration > 0:
             span.attributes["rate_Bps"] = nbytes / span.duration
 
-    def _transfer_or_deadline(
-        self, nbytes: float, name: str, deadline_at: float | None
-    ):
-        """One flow across the server->host path, bounded by the
-        per-request deadline: a flow still in the air at the deadline is
-        cancelled (capacity released) and the attempt fails."""
+    def _flow(self, nbytes: float, name: str):
+        """One flow across the server->host path."""
         path = self.topology.path_resources(self.server.host, self.host)
         latency = self.topology.path_latency(self.server.host, self.host)
-        done = self.flowsim.transfer(
-            path, nbytes, latency_s=latency, name=name
-        )
-        if deadline_at is None:
-            yield done
-            return
-        budget = deadline_at - self.env.now
-        if budget <= 0:
-            self.flowsim.cancel(done)
-            raise TransferError(f"{name}: request deadline exhausted")
-        yield self.env.any_of([done, self.env.timeout(budget)])
-        if not done.triggered:
-            self.flowsim.cancel(done)
-            raise TransferError(
-                f"{name}: deadline of {self.retry_policy.deadline_s}s exceeded"
-            )
+        return self.flowsim.transfer(path, nbytes, latency_s=latency, name=name)
 
-    def _attempt(
-        self,
-        state: dict,
-        name: str,
-        overhead_s: float,
-        deadline_at: float | None,
-    ):
+    def _attempt(self, state: dict, name: str, overhead_s: float):
         """One try at moving ``state['remaining']`` bytes, with an
         injected transient fault when the schedule says so.  Resets keep
         their partial bytes: the next attempt resumes from the offset,
@@ -215,106 +182,61 @@ class Aria2Downloader:
             yield self.env.timeout(overhead_s)
             raise TransientServerError(f"{name}: HTTP 503 from {self.server.host}")
         if fault is not None and fault[0] == "timeout":
-            stall = fault[1]
-            if deadline_at is not None:
-                stall = min(stall, max(0.0, deadline_at - self.env.now))
-            yield self.env.timeout(overhead_s + stall)
+            yield self.env.timeout(overhead_s + fault[1])
             raise TransientServerError(
                 f"{name}: request stalled {fault[1]}s and timed out"
             )
         yield self.env.timeout(overhead_s)
         if fault is not None and fault[0] == "reset":
             part = state["remaining"] * fault[1]
-            yield from self._transfer_or_deadline(
-                part, f"{name}:partial", deadline_at
-            )
+            yield self._flow(part, f"{name}:partial")
             state["remaining"] -= part
             raise TransientServerError(
                 f"{name}: connection reset with {state['remaining']:.0f}B left"
             )
-        yield from self._transfer_or_deadline(
-            state["remaining"], name, deadline_at
-        )
+        yield self._flow(state["remaining"], name)
         state["remaining"] = 0.0
 
-    def _fetch(self, nbytes: float, name: str, overhead_s: float):
-        """One logical request under the retry policy (generator)."""
+    def _download(
+        self, requests: _t.Sequence[SubsetRequest], span_name: str, flow_name: str
+    ):
+        """One connection: the slot wait, then the requests' summed
+        overheads and one flow carrying their combined payload, retried
+        under the policy."""
+        total = sum(_sizes(requests))
+        overhead_s = REQUEST_OVERHEAD_S * len(requests)
         policy = self.retry_policy
         attempts = policy.max_attempts if policy is not None else 1
-        deadline_at = (
-            self.env.now + policy.deadline_s
-            if policy is not None and policy.deadline_s is not None
-            else None
-        )
-        state = {"remaining": float(nbytes)}
-        prev_delay: float | None = None
-        for attempt in range(attempts):
+        state = {"remaining": float(total), "tries": 0}
+
+        def attempt():
+            # A retry is counted when its attempt fails, not when the
+            # next one starts: the registry stamps the increment.
+            state["tries"] += 1
             try:
-                yield from self._attempt(state, name, overhead_s, deadline_at)
-                return
-            except (TransientServerError, NoRouteError, NetworkError) as exc:
-                if attempt + 1 >= attempts:
-                    self.failures_total += 1
+                yield from self._attempt(state, flow_name, overhead_s)
+            except (TransientServerError, NetworkError):
+                if state["tries"] < attempts:
+                    self._count("transfer_retries_total")
+                else:
                     self._count("transfer_failures_total")
-                    raise TransferError(
-                        f"{name}: giving up after {attempt + 1} attempts: {exc}"
-                    ) from exc
-                delay = policy.backoff(attempt, self._rng, prev_delay) if policy else 0.0
-                prev_delay = delay
-                if deadline_at is not None and self.env.now + delay >= deadline_at:
-                    self.failures_total += 1
-                    self._count("transfer_failures_total")
-                    raise TransferError(
-                        f"{name}: retry budget exhausted after "
-                        f"{attempt + 1} attempts: {exc}"
-                    ) from exc
-                self.retries_total += 1
-                self._count("transfer_retries_total")
-                yield self.env.timeout(delay)
+                raise
 
-    def _download_one(self, request: SubsetRequest):
-        """One connection: overhead + flow across the server->host path."""
-        span = self._span_open(
-            f"download:{request.granule.name}", request.nbytes
-        )
+        span = self._span_open(span_name, total)
         try:
             with self._slots.request() as slot:
                 yield slot
-                yield from self._fetch(
-                    request.nbytes,
-                    f"aria2:{self.host}:{request.granule.name}",
-                    REQUEST_OVERHEAD_S,
-                )
-        except BaseException:
-            self._span_close(span, request.nbytes, status="error")
-            raise
-        self._span_close(span, request.nbytes)
-        self.total_stats.files += 1
-        self.total_stats.bytes += request.nbytes
-        if self.on_progress is not None:
-            self.on_progress()
-
-    def _download_stream(self, requests: _t.Sequence[SubsetRequest]):
-        """One connection streaming many files back-to-back: summed
-        request overheads + one flow carrying the combined payload."""
-        total = sum(_sizes(requests))
-        span = self._span_open(
-            f"stream:{self.host}:{len(requests)}f", total
-        )
-        try:
-            with self._slots.request() as slot:
-                yield slot
-                yield from self._fetch(
-                    total,
-                    f"aria2-stream:{self.host}:{len(requests)}f",
-                    REQUEST_OVERHEAD_S * len(requests),
-                )
+                try:
+                    yield from retry_call(self.env, attempt, policy, self._rng)
+                except (TransientServerError, NetworkError) as exc:
+                    raise TransferError(
+                        f"{flow_name}: giving up after {state['tries']} "
+                        f"attempts: {exc}"
+                    ) from exc
         except BaseException:
             self._span_close(span, total, status="error")
             raise
         self._span_close(span, total)
-        self.total_stats.files += len(requests)
-        self.total_stats.bytes += total
         if self.on_progress is not None:
             self.on_progress()
 
@@ -335,7 +257,11 @@ class Aria2Downloader:
             ]
             procs = [
                 self.env.process(
-                    self._download_stream(group),
+                    self._download(
+                        group,
+                        f"stream:{self.host}:{len(group)}f",
+                        f"aria2-stream:{self.host}:{len(group)}f",
+                    ),
                     name=f"aria2-stream:{self.host}:{k}",
                 )
                 for k, group in enumerate(groups)
@@ -344,7 +270,12 @@ class Aria2Downloader:
         else:
             procs = [
                 self.env.process(
-                    self._download_one(req), name=f"aria2-conn:{req.granule.index}"
+                    self._download(
+                        [req],
+                        f"download:{req.granule.name}",
+                        f"aria2:{self.host}:{req.granule.name}",
+                    ),
+                    name=f"aria2-conn:{req.granule.index}",
                 )
                 for req in requests
             ]

@@ -2,10 +2,11 @@
 
 Production transfer stacks treat retries as a first-class policy object:
 exponential backoff capped at a maximum delay, jitter to de-correlate
-thundering herds, a bounded attempt count, and an overall per-request
-deadline.  :class:`RetryPolicy` packages those knobs; the decorrelated
-jitter follows the well-known AWS architecture-blog scheme
-(``sleep = min(cap, uniform(base, prev_sleep * 3))``).
+thundering herds, and a bounded attempt count.  :class:`RetryPolicy`
+packages those knobs; the decorrelated jitter follows the well-known AWS
+architecture-blog scheme (``sleep = min(cap, uniform(base, prev_sleep *
+3))``).  :func:`retry_call` is the one retry loop: the THREDDS catalog
+lookups, the content fetches and every aria2 stream run through it.
 
 :class:`TransientFaultInjector` is the other half: a seeded source of
 the server-side failures the policy exists to absorb — HTTP 5xx on the
@@ -18,6 +19,7 @@ the chaos tests assert byte-for-byte identical fault schedules.
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing as _t
 
 import numpy as np
@@ -42,20 +44,15 @@ class RetryPolicy:
     base_delay_s / multiplier / max_delay_s:
         Exponential-backoff shape: attempt ``k`` (0-based) is capped at
         ``min(max_delay_s, base_delay_s * multiplier**k)``.
-    deadline_s:
-        Optional wall-clock (sim-clock) budget for the whole request,
-        spanning every attempt and backoff sleep.
-    jitter:
-        ``"decorrelated"`` (default), ``"full"`` (uniform in [0, cap]),
-        or ``"none"`` (deterministic caps).
+
+    With a seeded generator each delay is a decorrelated-jitter draw;
+    without one it is the cap itself.
     """
 
     max_attempts: int = 4
     base_delay_s: float = 0.5
     multiplier: float = 2.0
     max_delay_s: float = 30.0
-    deadline_s: float | None = None
-    jitter: str = "decorrelated"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -67,10 +64,6 @@ class RetryPolicy:
             )
         if self.multiplier < 1.0:
             raise TransferError("multiplier must be >= 1")
-        if self.jitter not in ("decorrelated", "full", "none"):
-            raise TransferError(f"unknown jitter mode {self.jitter!r}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise TransferError("deadline_s must be positive")
 
     def backoff_cap(self, attempt: int) -> float:
         """Upper bound of the backoff after 0-based ``attempt`` — monotone
@@ -95,10 +88,8 @@ class RetryPolicy:
         into the next.
         """
         cap = self.backoff_cap(attempt)
-        if self.jitter == "none" or rng is None:
+        if rng is None:
             return cap
-        if self.jitter == "full":
-            return float(rng.uniform(0.0, cap))
         # Decorrelated jitter: min(max, uniform(base, prev * 3)).
         prev = prev_delay_s if prev_delay_s else self.base_delay_s
         hi = max(self.base_delay_s, prev * 3.0)
@@ -218,19 +209,19 @@ def retry_call(
     attempts on the simulation clock.
 
     Use as ``result = yield from retry_call(env, fn, policy, rng)``.
-    Retries :class:`TransferError`/:class:`NetworkError`; anything else
-    propagates immediately.
+    When ``fn()`` returns a generator, the attempt runs it with
+    ``yield from``, so one attempt may take simulated time.  Retries
+    :class:`TransientServerError`/:class:`NetworkError`; anything else
+    propagates immediately, and the last attempt's error is re-raised.
     """
     attempts = policy.max_attempts if policy is not None else 1
-    deadline_at = (
-        env.now + policy.deadline_s
-        if policy is not None and policy.deadline_s is not None
-        else None
-    )
     prev_delay: float | None = None
     for attempt in range(attempts):
         try:
-            return fn()
+            result = fn()
+            if isinstance(result, types.GeneratorType):
+                result = yield from result
+            return result
         except (TransferError, NetworkError) as exc:
             if isinstance(exc, TransferError) and not isinstance(
                 exc, TransientServerError
@@ -240,21 +231,7 @@ def retry_call(
                 raise
             if attempt + 1 >= attempts:
                 raise
-            delay = (
-                policy.backoff(attempt, rng, prev_delay)
-                if policy is not None
-                else 0.0
-            )
-            if deadline_at is not None:
-                remaining = deadline_at - env.now
-                if remaining <= 0:
-                    raise TransferError(
-                        f"retry deadline exhausted after {attempt + 1} attempts"
-                    ) from exc
-                # Cap the drawn sleep by the remaining deadline budget:
-                # a jittered draw that overshoots would otherwise forfeit
-                # the final attempt the deadline still has room for.
-                delay = min(delay, remaining)
+            delay = policy.backoff(attempt, rng, prev_delay)
             prev_delay = delay
             yield env.timeout(delay)
     raise TransferError("unreachable")  # pragma: no cover

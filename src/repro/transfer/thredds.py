@@ -157,23 +157,14 @@ class ThreddsServer:
 
     # -- subset service --------------------------------------------------------------
 
-    def resolve(
-        self, index: int, variables: _t.Sequence[str] | None = None
-    ) -> SubsetRequest:
-        """Resolve a granule (optionally variable-subset) into a request.
-
-        ``variables=None`` fetches the whole file; naming a non-empty
-        subset of :data:`SUBSET_VARIABLES` fetches only those fields'
-        bytes.
-        """
-        self._maybe_fail(f"resolve({index})")
-        return self._resolve_batch([index], variables)[0]
-
     def resolve_many(
         self, indices: _t.Sequence[int], variables: _t.Sequence[str] | None = None
     ) -> ResolvedChunk:
-        """Resolve a manifest chunk's worth of granules.
+        """Resolve a manifest chunk's worth of granules (optionally
+        variable-subset) into requests.
 
+        ``variables=None`` fetches whole files; naming a non-empty subset
+        of :data:`SUBSET_VARIABLES` fetches only those fields' bytes.
         One server round-trip: the transient-fault draw happens once for
         the whole chunk, not per granule, and ``variables`` and every
         index are validated before any request is counted.  Returns the
@@ -228,7 +219,7 @@ class ThreddsServer:
         Requires the server to have been built with a
         :class:`~repro.data.merra.MerraGenerator` (laptop-scale runs);
         the subset service drops every variable not requested, exactly
-        like the catalog-level :meth:`resolve` drops their bytes.
+        like the catalog-level :meth:`resolve_many` drops their bytes.
         """
         if self.generator is None:
             raise TransferError(

@@ -75,6 +75,27 @@ RESULT_BYTES_PER_VOXEL = 0.25
 #: Size of the staged training file: 381 MB for the 576x361x240 volume.
 TRAIN_DATA_BYTES = 381e6
 
+#: Step 1's worker shape: 20 parallel aria2 downloads per worker (§III-A)
+#: on a 4-CPU / 21 GB pod.  The manifest is cut into chunks of about
+#: 1000 granules; a worker streams a chunk of more than 200 files as one
+#: flow per connection, merges every 240 granules into one HDF file and
+#: pushes it to the ``merra`` Ceph pool.
+ARIA2_CONNECTIONS = 20
+MANIFEST_CHUNK_FILES = 1000
+COALESCE_FILES = 200
+FILES_PER_MERGE = 240
+WORKER_CPU = 4
+WORKER_MEMORY = "21G"
+TARGET_POOL = "merra"
+
+#: Where the training step saves the checkpoint in the ``models`` pool.
+MODEL_OBJECT = "ffn/checkpoint-v1"
+
+#: The real sharded inference run's halo, and the ``results`` pool
+#: prefix the paper-scale shards write their label volumes under.
+REAL_HALO = 2
+RESULTS_PREFIX = "segmentation/v1"
+
 
 def _aux_pod(image: str, cpu, memory, done_event) -> PodSpec:
     """A service pod (redis, manifest builder, monitor) that runs until
@@ -109,19 +130,10 @@ class DownloadStep(WorkflowStep):
 
     default_params: dict[str, object] = {
         "n_workers": 10,
-        "connections": 20,
-        "chunk_files": 1000,
         "subset": True,
-        "coalesce_files": 200,
-        "files_per_merge": 240,
-        "worker_cpu": 4,
-        "worker_memory": "21G",
-        "target_pool": "merra",
-        # Resilience knobs: transfer retry policy (None -> defaults) and
-        # an optional per-worker liveness heartbeat timeout — a worker
+        # An optional per-worker liveness heartbeat timeout: a worker
         # stalled behind a partition longer than this is killed and
         # restarted by the kubelet (charged to the Job's backoff_limit).
-        "retry_policy": None,
         "worker_liveness_s": None,
         # Laptop-scale content materialization: fetch this many leading
         # granules' REAL arrays through the THREDDS subset service,
@@ -146,12 +158,11 @@ class DownloadStep(WorkflowStep):
         p = ctx.params
         n_workers = int(p["n_workers"])
         subset_vars = ("U", "V", "QV") if p["subset"] else None
-        pool = str(p["target_pool"])
-        policy = p["retry_policy"] or RetryPolicy()
+        policy = RetryPolicy()
         liveness_s = p["worker_liveness_s"]
 
         queue = RedisQueue(env, name=f"{ctx.namespace}-downloads")
-        n_chunks = max(1, math.ceil(len(tb.archive) / int(p["chunk_files"])))
+        n_chunks = max(1, math.ceil(len(tb.archive) / MANIFEST_CHUNK_FILES))
         chunks = tb.archive.manifest_chunks(n_chunks)
         queue.push_all(chunks)
 
@@ -187,8 +198,8 @@ class DownloadStep(WorkflowStep):
                     tb.topology,
                     tb.thredds,
                     host=host,
-                    connections=int(p["connections"]),
-                    coalesce_threshold=int(p["coalesce_files"]),
+                    connections=ARIA2_CONNECTIONS,
+                    coalesce_threshold=COALESCE_FILES,
                     retry_policy=policy,
                     metrics=tb.registry,
                     on_progress=pod_ctx.heartbeat,
@@ -199,7 +210,7 @@ class DownloadStep(WorkflowStep):
                 resolve_rng = np.random.default_rng(
                     derive_seed(tb.seed, "resolve", worker)
                 )
-                planner = MergePlanner(files_per_merge=int(p["files_per_merge"]))
+                planner = MergePlanner(files_per_merge=FILES_PER_MERGE)
                 try:
                     while True:
                         try:
@@ -222,7 +233,7 @@ class DownloadStep(WorkflowStep):
                         for plan in planner.plan(indices, sizes, worker):
                             yield env.timeout(plan.cpu_seconds)
                             yield tb.ceph.put(
-                                pool,
+                                TARGET_POOL,
                                 plan.output_name,
                                 plan.output_bytes,
                                 client_host=host,
@@ -245,7 +256,7 @@ class DownloadStep(WorkflowStep):
                         image=self.image,
                         main=main,
                         resources=ResourceRequirements(
-                            cpu=p["worker_cpu"], memory=p["worker_memory"]
+                            cpu=WORKER_CPU, memory=WORKER_MEMORY
                         ),
                     )
                 ],
@@ -309,7 +320,7 @@ class DownloadStep(WorkflowStep):
         ctx.report.artifacts.update(
             {
                 "merged_objects": sorted(merged_objects),
-                "pool": pool,
+                "pool": TARGET_POOL,
                 "files_downloaded": len(tb.archive),
                 "bytes_downloaded": bytes_downloaded[0],
                 "queue_acked": queue.acked_total,
@@ -399,8 +410,6 @@ class TrainingStep(WorkflowStep):
         "real_ml": True,
         "real_train_steps": 150,
         "real_train_timesteps": 24,
-        "ffn_config": None,  # FFNConfig override for the real run
-        "model_object": "ffn/checkpoint-v1",
     }
 
     def __init__(self, **kwargs):
@@ -488,9 +497,7 @@ class TrainingStep(WorkflowStep):
                 results["protobuf_path"] = "/protobuf/train-000.pb"
                 results["protobuf_bytes"] = len(blob)
 
-                config = p["ffn_config"] or FFNConfig(
-                    fov=(5, 5, 5), filters=6, modules=1, seed=tb.seed
-                )
+                config = FFNConfig(fov=(5, 5, 5), filters=6, modules=1, seed=tb.seed)
                 model = FFNModel(config)
                 trainer = FFNTrainer(model, seed=tb.seed)
                 training_report = trainer.train(
@@ -519,7 +526,7 @@ class TrainingStep(WorkflowStep):
             ):
                 yield tb.ceph.put(
                     "models",
-                    str(p["model_object"]),
+                    MODEL_OBJECT,
                     checkpoint_bytes,
                     payload=results.get("model_state"),
                     client_host=host,
@@ -544,7 +551,7 @@ class TrainingStep(WorkflowStep):
 
         ctx.report.artifacts.update(
             {
-                "model_object": p["model_object"],
+                "model_object": MODEL_OBJECT,
                 "train_voxels": train_voxels,
                 **results,
             }
@@ -559,8 +566,6 @@ class InferenceStep(WorkflowStep):
         "real_ml": True,
         "real_test_timesteps": 16,
         "real_shards": 4,  # logical workers for the real sharded run
-        "real_halo": 2,
-        "results_prefix": "segmentation/v1",
     }
 
     def __init__(self, **kwargs):
@@ -598,8 +603,7 @@ class InferenceStep(WorkflowStep):
                 with ctx.trace(f"fetch-shard:{index}", "transfer",
                                bytes=shard_bytes, input=True):
                     yield tb.ceph.get(
-                        "models", str(training.get("model_object",
-                                                   "ffn/checkpoint-v1")),
+                        "models", str(training.get("model_object", MODEL_OBJECT)),
                         client_host=host,
                     )
                     yield from _timed_ceph_read(tb, shard_bytes, host, worker)
@@ -611,7 +615,7 @@ class InferenceStep(WorkflowStep):
                             shard_voxels, worker=worker, seed=tb.seed
                         )
                     )
-                result_name = f"{p['results_prefix']}/shard-{index:03d}.labels"
+                result_name = f"{RESULTS_PREFIX}/shard-{index:03d}.labels"
                 result_bytes = shard_voxels * RESULT_BYTES_PER_VOXEL
                 with ctx.trace(
                     f"put-results:{index}", "transfer", bytes=result_bytes
@@ -668,7 +672,7 @@ class InferenceStep(WorkflowStep):
                 model,
                 volume,
                 n_workers=int(p["real_shards"]),
-                halo=int(p["real_halo"]),
+                halo=REAL_HALO,
                 max_workers=usable_cpus(),
                 tracer=tb.tracer,
                 span_parent=ctx.span,

@@ -42,6 +42,16 @@ __all__ = [
     "HyperparameterSweep",
 ]
 
+#: Pre-processing work items: 4 GB of NetCDF per conversion job, each
+#: writing its protobuf under this CephFS prefix.
+PREP_CHUNK_BYTES = 4e9
+PREP_OUTPUT_PREFIX = "protobuf/v1"
+
+#: Distributed training: gradient exchanges at paper scale, and the real
+#: data-parallel SGD steps of the laptop-scale run.
+SYNC_STEPS = 200
+REAL_DP_STEPS = 30
+
 
 class DistributedPreprocessing(WorkflowStep):
     """§III-E.1: parallel protobuf generation via a work queue.
@@ -54,8 +64,6 @@ class DistributedPreprocessing(WorkflowStep):
     default_params: dict[str, object] = {
         "n_workers": 8,
         "bytes_to_convert": None,  # default: archive subset bytes
-        "chunk_bytes": 4e9,
-        "output_prefix": "protobuf/v1",
     }
 
     def __init__(self, **kwargs):
@@ -74,7 +82,7 @@ class DistributedPreprocessing(WorkflowStep):
         total_bytes = float(
             p["bytes_to_convert"] or tb.archive.total_subset_bytes
         )
-        chunk_bytes = float(p["chunk_bytes"])
+        chunk_bytes = PREP_CHUNK_BYTES
         n_chunks = max(1, int(np.ceil(total_bytes / chunk_bytes)))
         queue = RedisQueue(env, name=f"{ctx.namespace}-prep")
         queue.push_all(
@@ -95,7 +103,7 @@ class DistributedPreprocessing(WorkflowStep):
                     with ctx.trace(f"convert:{msg.id}", "compute",
                                    bytes=nbytes, input=True):
                         yield env.timeout(tb.perf.prep_seconds(nbytes))
-                    name = f"{p['output_prefix']}/{worker}-{msg.id:04d}.pb"
+                    name = f"{PREP_OUTPUT_PREFIX}/{worker}-{msg.id:04d}.pb"
                     # Protobufs land "in the attached CephFS directory
                     # that all nodes in the namespace can see" (§III-E.1).
                     yield tb.cephfs.write_timed(
@@ -190,9 +198,7 @@ class DistributedTraining(WorkflowStep):
     default_params: dict[str, object] = {
         "n_replicas": 4,
         "train_timesteps": 240,
-        "sync_steps": 200,  # gradient exchanges at paper scale
         "real_ml": True,
-        "real_steps": 30,
     }
 
     def __init__(self, **kwargs):
@@ -213,7 +219,7 @@ class DistributedTraining(WorkflowStep):
         voxels = PAPER_GRID.nlat * PAPER_GRID.nlon * int(p["train_timesteps"])
         compute_s = tb.perf.training_seconds(voxels) / replicas
         model_bytes = 4e6  # checkpoint-sized gradient exchange
-        comm_s = int(p["sync_steps"]) * allreduce_seconds(model_bytes, replicas)
+        comm_s = SYNC_STEPS * allreduce_seconds(model_bytes, replicas)
 
         # Stable hostnames: "Hostnames will be used instead of IP
         # addresses by creating a service" (§III-E.2).
@@ -265,7 +271,7 @@ class DistributedTraining(WorkflowStep):
             config = FFNConfig(fov=(5, 5, 5), filters=6, modules=1, seed=tb.seed)
             model, loss = data_parallel_train(
                 config, volume, labels, n_workers=replicas,
-                steps=int(p["real_steps"]), seed=tb.seed,
+                steps=REAL_DP_STEPS, seed=tb.seed,
             )
             real = {"model_state": model.state_dict(), "final_loss": loss}
 

@@ -387,14 +387,3 @@ class TestServices:
         cluster.create_namespace("ml")
         svc = cluster.create_service("ps", selector={"role": "ps"}, namespace="ml")
         assert svc.hostname == "ps.ml.svc.cluster.local"
-
-    def test_resolve_round_robin(self, cluster, env):
-        svc = cluster.create_service("w", selector={"app": "w"})
-        cluster.create_replicaset(
-            "w",
-            ReplicaSetSpec(template=lambda i: sleeper_spec(duration=1e6), replicas=3),
-            labels={"app": "w"},
-        )
-        env.run(until=30)
-        picks = {svc.resolve().meta.name for _ in range(3)}
-        assert len(picks) == 3

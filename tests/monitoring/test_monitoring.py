@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.monitoring import promql
-from repro.monitoring.grafana import Dashboard, Panel, sparkline
+from repro.monitoring.grafana import sparkline
 from repro.monitoring.metrics import MetricRegistry
 from repro.sim import Environment
 
@@ -161,35 +161,3 @@ class TestDashboard:
     def test_sparkline_flat_and_empty(self):
         assert set(sparkline([5, 5, 5], width=10)) == {"▁"}
         assert sparkline([], width=10) == " " * 10
-
-    def test_panel_renders_series(self, env, registry):
-        registry.set_gauge("cpu", 1.0, {"pod": "w1"})
-        registry.set_gauge("cpu", 5.0, {"pod": "w1"})
-        panel = Panel(title="CPU", metric="cpu", unit="cores")
-        out = panel.render(registry)
-        assert "CPU" in out
-        assert "pod=w1" in out
-        assert "max 5.00" in out
-
-    def test_stat_panel(self, env, registry):
-        registry.set_gauge("bytes", 2e9)
-        panel = Panel(title="Data", metric="bytes", unit="GB", scale=1e-9,
-                      kind="stat")
-        assert "2.00 GB" in panel.render(registry)
-
-    def test_empty_panel(self, registry):
-        assert "(no data)" in Panel(title="X", metric="none").render(registry)
-
-    def test_dashboard_peaks(self, env, registry):
-        registry.set_gauge("mem", 5.0, {"pod": "a"})
-        registry.set_gauge("mem", 7.0, {"pod": "b"})
-        dash = Dashboard("test", registry)
-        assert dash.peak("mem") == 7.0
-
-    def test_dashboard_render_stacks_panels(self, env, registry):
-        registry.set_gauge("a", 1.0)
-        dash = Dashboard("Nautilus", registry)
-        dash.add_panel(Panel(title="A", metric="a"))
-        dash.add_panel(Panel(title="B", metric="b"))
-        out = dash.render()
-        assert "Nautilus" in out and "A" in out and "(no data)" in out

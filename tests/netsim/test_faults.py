@@ -1,4 +1,4 @@
-"""Tests for the network fault injector: degrades, cuts and partitions."""
+"""Tests for the network fault injector: degrades and partitions."""
 
 import pytest
 
@@ -74,8 +74,9 @@ class TestHardCuts:
         done = sim.transfer(
             line.path_resources("ha", "hc"), nbytes, name="xfer"
         )
-        inj.schedule(4.0, inj.fail_link, "A", "B")
-        inj.schedule(9.0, inj.heal_link, "A", "B")
+        # Isolating C cuts B-C, which the ha -> hc path crosses.
+        inj.schedule(4.0, inj.partition, ["C"])
+        inj.schedule(9.0, inj.heal_partition)
         env.run(until=done)
         # 4 s transferred + 5 s stalled + 6 s remaining = 15 s.
         assert env.now == pytest.approx(15.0)
@@ -123,12 +124,9 @@ class TestMetrics:
         inj = NetworkFaultInjector(line, env=env, registry=registry)
         inj.degrade_link("A", "B", 0.5)
         inj.restore_link("A", "B")
-        inj.fail_link("A", "B")
-        inj.heal_link("A", "B")
         inj.partition(["C"])
         inj.heal_partition()
         assert registry.counter_sum("link_degradations_total") == 1.0
-        assert registry.counter_sum("link_failures_total") == 1.0
         assert registry.counter_sum("network_partitions_total") == 1.0
 
 
@@ -136,4 +134,4 @@ class TestScheduling:
     def test_schedule_requires_env(self, line):
         inj = NetworkFaultInjector(line)
         with pytest.raises(NetworkError):
-            inj.schedule(1.0, inj.fail_link, "A", "B")
+            inj.schedule(1.0, inj.restore_link, "A", "B")

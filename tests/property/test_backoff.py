@@ -104,5 +104,3 @@ class TestValidation:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(TransferError):
             RetryPolicy(max_delay_s=0.0)
-        with pytest.raises(TransferError):
-            RetryPolicy(jitter="bogus")

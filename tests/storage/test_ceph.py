@@ -122,8 +122,7 @@ class TestTimedPath:
 
     def test_unroutable_get_and_put_fail_their_events(self, env, timed):
         """A route error met inside the transfer fails the returned
-        event, as a cancelled flow fails its handle, instead of
-        escaping the run from an unwatched process."""
+        event instead of escaping the run from an unwatched process."""
         env.run(until=timed.put("data", "k", 1 * GB, client_host="client"))
         timed.topology.fail_link("client", "S")
         get = timed.get("data", "k", client_host="client")

@@ -3,9 +3,10 @@ outside the tests, or is allowlisted here with its reason.
 
 The scan is by name over the AST: a definition counts as reached when
 its name appears in ``src/``, ``perf/``, ``benchmarks/`` or
-``examples/`` as a name, an attribute, an imported name or a string
-constant (whole, or one part of a dotted path, as ``getattr`` and
-``Profiler.wrap`` take it). Matching by bare name errs towards
+``examples/`` as a name, an attribute or a string constant (whole, or
+one part of a dotted path, as ``getattr`` and ``Profiler.wrap`` take
+it). Importing or re-exporting a name is no use of it: neither an
+import nor a module's own ``__all__`` counts. Matching by bare name errs towards
 "reached": a method whose name another object's attribute shares
 passes. Three ways in need no reference: dunder methods, ``visit_*``
 methods (``ast.NodeVisitor`` dispatch) and functions registered with
@@ -27,7 +28,9 @@ ALLOWED = {
     "FlowSimulator.active_flows": "tests read the live flow table",
     "Resource.queue_len": "tests read a resource's wait queue",
     "AdmissionGateway.breaker_state": "tests read a tenant's circuit breaker",
+    "TFRecordReader": "tests read back the frames a TFRecordWriter wrote",
     "TFRecordReader.read_all": "tests read back every record a writer framed",
+    "JupyterHub": "the §VII JupyterHub component, which no workflow step runs yet",
     "JupyterHub.active_users": "tests read the hub's live sessions",
     "JupyterHub.gpus_in_use": "tests read the GPUs the hub's sessions hold",
     "JupyterHub.touch": "tests stand in for user activity to drive idle culling",
@@ -42,29 +45,41 @@ ALLOWED = {
     "MerraArchive.subset_ratio": "paper fact for the claims ledger (item 9)",
     # Hooks and APIs that open ROADMAP items own.
     "SharedMemoryPool.inject_crash": "the pool fault of items 6 and 7",
-    "NetworkFaultInjector.heal_link": "ends a hard link cut, item 7's link fault",
     "Scheduler.explain": "per-node scheduling reasons for item 5",
     "PPoDSSession.set_status": "item 3 reworks the PPoDS session",
     "PPoDSSession.improvement": "item 3 reworks the PPoDS session",
+    "run_robustness_suite": "item 8 decides the robustness suite",
     "RobustnessReport.all_succeeded": "item 8 decides the robustness suite",
 }
+
+
+def _exports(tree) -> set[int]:
+    """The ids of the string constants a module lists in ``__all__``."""
+    found: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                found.update(id(c) for c in ast.walk(node.value))
+    return found
 
 
 def _references(dirs) -> set[str]:
     names: set[str] = set()
     for top in dirs:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            exported = _exports(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.rsplit(".", 1)[-1])
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
                     and _DOTTED.match(node.value)
+                    and id(node) not in exported
                 ):
                     names.update(node.value.split("."))
     return names

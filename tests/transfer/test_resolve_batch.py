@@ -91,7 +91,7 @@ def test_resolve_equals_reference(archive):
     for i in _indices(archive)[:20]:
         for variables in (None, ("QV",)):
             expected = _reference_resolve(archive, ref, "its-dtn-02", i, variables)
-            assert _observed(server.resolve(i, variables)) == expected
+            assert _observed(server.resolve_many([i], variables)[0]) == expected
     assert server.requests_served == ref.requests_served
     assert server.bytes_served == ref.bytes_served
 
@@ -104,7 +104,7 @@ def test_leap_day_and_last_granule_names(archive):
 
 
 def test_request_stores_host_not_url(archive):
-    request = ThreddsServer(archive, host="its-dtn-02").resolve(3)
+    request = ThreddsServer(archive, host="its-dtn-02").resolve_many([3])[0]
     assert request.host == "its-dtn-02"
     assert request.url == request.granule.url(server="its-dtn-02")
 
@@ -115,7 +115,7 @@ class TestBounds:
     )
     def test_bad_index_raises_before_counting(self, indices):
         server = ThreddsServer(MerraArchive(n_files=10, seed=1))
-        server.resolve(0)
+        server.resolve_many([0])
         before = (server.requests_served, server.bytes_served)
         with pytest.raises(IndexError):
             server.resolve_many(indices, ("U", "V", "QV"))
@@ -125,7 +125,7 @@ class TestBounds:
     def test_resolve_bad_index(self, index):
         server = ThreddsServer(MerraArchive(n_files=10, seed=1))
         with pytest.raises(IndexError):
-            server.resolve(index)
+            server.resolve_many([index])
         assert server.requests_served == 0
         assert server.bytes_served == 0.0
 
@@ -152,7 +152,7 @@ class TestSubsets:
 
     def test_empty_subset_rejected(self, server):
         with pytest.raises(TransferError):
-            server.resolve(0, variables=[])
+            server.resolve_many([0], variables=[])
         with pytest.raises(TransferError):
             server.resolve_many([0, 1], variables=())
         with pytest.raises(TransferError):
@@ -161,7 +161,7 @@ class TestSubsets:
         assert server.bytes_served == 0.0
 
     def test_duplicates_recorded_once(self, server):
-        request = server.resolve(4, variables=("U", "U"))
+        request = server.resolve_many([4], variables=("U", "U"))[0]
         assert request.variables == ("U",)
         assert request.nbytes == server.archive.granule(4).subset_bytes * (1 / 3)
 

@@ -41,7 +41,8 @@ def test_items_equal_single_resolves_field_by_field(archive, variables):
     assert isinstance(chunk, ResolvedChunk)
     assert len(chunk) == len(indices)
     for k, i in enumerate(indices):
-        expected = ThreddsServer(archive, host="its-dtn-02").resolve(i, variables)
+        server = ThreddsServer(archive, host="its-dtn-02")
+        expected = server.resolve_many([i], variables)[0]
         got = chunk[k]
         assert dataclasses.astuple(got) == dataclasses.astuple(expected)
         assert got.granule == expected.granule
@@ -57,7 +58,7 @@ def test_bytes_served_identical(archive, variables):
     batched.resolve_many(indices, variables)
     single = ThreddsServer(archive)
     for i in indices:
-        single.resolve(i, variables)
+        single.resolve_many([i], variables)
     assert batched.bytes_served == single.bytes_served
     assert batched.requests_served == single.requests_served == len(indices)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data.catalog import MerraArchive
 from repro.errors import TransferError, TransientServerError
+from repro.monitoring.metrics import MetricRegistry
 from repro.netsim import FlowSimulator, Topology
 from repro.sim import Environment
 from repro.transfer import (
@@ -88,7 +89,7 @@ class TestRetryCall:
 
         def body():
             result = yield from retry_call(
-                env, flaky, RetryPolicy(max_attempts=5, jitter="none")
+                env, flaky, RetryPolicy(max_attempts=5)
             )
             return result
 
@@ -117,9 +118,7 @@ class TestRetryCall:
             raise TransientServerError("503")
 
         def body():
-            yield from retry_call(
-                env, always, RetryPolicy(max_attempts=3, jitter="none")
-            )
+            yield from retry_call(env, always, RetryPolicy(max_attempts=3))
 
         proc = env.process(body())
         with pytest.raises(TransientServerError):
@@ -127,23 +126,25 @@ class TestRetryCall:
 
 
 class TestAria2UnderFaults:
-    def _run_batch(self, seed=7, deadline_s=None, n=40):
+    def _run_batch(self, seed=7, n=40, policy=None, inj=None):
         env = Environment()
+        registry = MetricRegistry(env)
         net = Topology()
         net.add_site("UCSD")
         net.add_site("UCI")
         net.add_link("UCSD", "UCI", 10.0, latency_s=0.0)
         net.attach_host("server", "UCSD", nic_gbps=1.0)
         net.attach_host("worker", "UCI", nic_gbps=10.0)
-        inj = TransientFaultInjector(
-            seed=seed, error_rate=0.05, timeout_rate=0.02, reset_rate=0.05,
-            stall_s=2.0,
+        if inj is None:
+            inj = TransientFaultInjector(
+                seed=seed, error_rate=0.05, timeout_rate=0.02,
+                reset_rate=0.05, stall_s=2.0,
+            )
+        if policy is None:
+            policy = RetryPolicy(max_attempts=6, base_delay_s=0.1, max_delay_s=2.0)
+        server, dl = _downloader(
+            env, net, injector=inj, policy=policy, metrics=registry
         )
-        policy = RetryPolicy(
-            max_attempts=6, base_delay_s=0.1, max_delay_s=2.0,
-            deadline_s=deadline_s,
-        )
-        server, dl = _downloader(env, net, injector=inj, policy=policy)
         requests = server.resolve_many(range(n), ("U", "V", "QV"))
 
         def body():
@@ -152,75 +153,76 @@ class TestAria2UnderFaults:
 
         proc = env.process(body())
         stats = env.run(until=proc)
-        return env, inj, dl, stats
+        return env, inj, registry, stats
 
     def test_batch_completes_despite_faults(self):
-        env, inj, dl, stats = self._run_batch()
+        env, inj, registry, stats = self._run_batch()
+        retries = registry.counter_sum("transfer_retries_total")
         assert stats.files == 40
         assert inj.total_injected > 0  # faults actually fired
-        assert dl.retries_total >= inj.total_injected - dl.failures_total
-        assert dl.failures_total == 0
+        assert retries == inj.total_injected  # each fault cost one retry
+        assert registry.counter_sum("transfer_failures_total") == 0
 
     def test_fault_schedule_deterministic(self):
-        runs = [self._run_batch(seed=7) for _ in range(2)]
-        (e1, i1, d1, s1), (e2, i2, d2, s2) = runs
+        (e1, i1, r1, s1), (e2, i2, r2, s2) = (
+            self._run_batch(seed=7) for _ in range(2)
+        )
         assert i1.injected == i2.injected
-        assert d1.retries_total == d2.retries_total
+        series = [
+            [(ts.labels, ts.times, ts.values)
+             for ts in r.all_series("transfer_retries_total")]
+            for r in (r1, r2)
+        ]
+        assert series[0] == series[1] and series[0]
         assert e1.now == e2.now
         assert s1.bytes == s2.bytes
 
     def test_metrics_exported(self):
-        env = Environment()
-        from repro.monitoring.metrics import MetricRegistry
-
-        registry = MetricRegistry(env)
-        net = Topology()
-        net.add_site("UCSD")
-        net.add_site("UCI")
-        net.add_link("UCSD", "UCI", 10.0, latency_s=0.0)
-        net.attach_host("server", "UCSD", nic_gbps=1.0)
-        net.attach_host("worker", "UCI", nic_gbps=10.0)
         inj = TransientFaultInjector(seed=3, error_rate=0.3, max_faults=10)
         policy = RetryPolicy(max_attempts=6, base_delay_s=0.1, max_delay_s=1.0)
-        server, dl = _downloader(
-            env, net, injector=inj, policy=policy, metrics=registry
+        env, inj, registry, _ = self._run_batch(n=30, policy=policy, inj=inj)
+        (series,) = registry.all_series("transfer_retries_total")
+        assert series.labels == (("host", "worker"),)
+        assert series.values[-1] == inj.total_injected > 0
+
+
+class TestGivingUp:
+    @pytest.mark.parametrize(
+        "n, coalesce, name",
+        [(1, 0, "aria2:worker:"), (3, 1, "aria2-stream:worker:3f")],
+        ids=["per-file", "coalesced"],
+    )
+    def test_every_attempt_failing_gives_up(self, env, net, n, coalesce, name):
+        """A request whose every attempt fails raises TransferError naming
+        the attempt count; each failed attempt but the last is a retry,
+        counted when it fails, and the last is one failure."""
+        registry = MetricRegistry(env)
+        server = ThreddsServer(MerraArchive(n_files=60, seed=0), host="server")
+        inj = TransientFaultInjector(seed=1, error_rate=1.0)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.1, max_delay_s=1.0)
+        dl = Aria2Downloader(
+            env, FlowSimulator(env), net, server, host="worker",
+            connections=1, coalesce_threshold=coalesce, retry_policy=policy,
+            fault_injector=inj, metrics=registry,
         )
-        requests = server.resolve_many(range(30), ("U", "V", "QV"))
-
-        def body():
-            yield from dl.download_batch(requests)
-
-        proc = env.process(body())
-        env.run(until=proc)
-        assert registry.counter_sum("transfer_retries_total") == dl.retries_total
-        assert dl.retries_total > 0
-
-
-class TestPerRequestDeadline:
-    def test_deadline_aborts_slow_transfer(self, env, net):
-        # 0.001 Gbps access: the 60-file batch can't finish in 1 s.
-        slow = Topology()
-        slow.add_site("UCSD")
-        slow.add_site("UCI")
-        slow.add_link("UCSD", "UCI", 10.0, latency_s=0.0)
-        slow.attach_host("server", "UCSD", nic_gbps=0.001)
-        slow.attach_host("worker", "UCI", nic_gbps=10.0)
-        policy = RetryPolicy(
-            max_attempts=1, deadline_s=1.0, jitter="none"
-        )
-        server, dl = _downloader(env, slow, policy=policy)
-        request = server.resolve(0, ("U", "V", "QV"))
-
-        def body():
-            yield from dl.download_batch([request])
-
-        proc = env.process(body())
-        with pytest.raises(TransferError):
+        requests = server.resolve_many(range(n), ("U", "V", "QV"))
+        proc = env.process(dl.download_batch(requests))
+        with pytest.raises(TransferError) as err:
             env.run(until=proc)
-        assert env.now == pytest.approx(1.0)
-        # The aborted flow was cancelled, not leaked.
-        env.run()
-        assert dl.flowsim.active_flows == 0
+        message = str(err.value)
+        assert message.startswith(name)
+        assert ": giving up after 3 attempts: " in message
+        assert message.endswith("HTTP 503 from server")
+        (retries,) = registry.all_series("transfer_retries_total")
+        (failures,) = registry.all_series("transfer_failures_total")
+        assert retries.values == [1.0, 2.0]
+        assert failures.values == [1.0]
+        # Attempt k fails one request overhead after it starts, and the
+        # last failure ends the run.
+        overhead = 0.05 * n
+        assert retries.times[0] == pytest.approx(overhead)
+        assert failures.times == [env.now]
+        assert inj.injected["error"] == 3
 
 
 class TestOnProgress:

@@ -28,30 +28,30 @@ def server(archive):
 
 class TestThredds:
     def test_full_file_request(self, server, archive):
-        req = server.resolve(5)
+        req = server.resolve_many([5])[0]
         assert req.nbytes == archive.granule(5).full_bytes
         assert req.variables is None
         assert "its-dtn-02" in req.url
 
     def test_subset_request_is_smaller(self, server, archive):
         """§III-A: subsetting cuts the transfer roughly in half."""
-        full = server.resolve(5)
-        sub = server.resolve(5, variables=("U", "V", "QV"))
+        full = server.resolve_many([5])[0]
+        sub = server.resolve_many([5], variables=("U", "V", "QV"))[0]
         assert sub.nbytes == pytest.approx(archive.granule(5).subset_bytes)
         assert sub.nbytes / full.nbytes == pytest.approx(246 / 455, rel=1e-6)
 
     def test_single_variable_scales_down(self, server):
-        one = server.resolve(0, variables=("QV",))
-        three = server.resolve(0, variables=("U", "V", "QV"))
+        one = server.resolve_many([0], variables=("QV",))[0]
+        three = server.resolve_many([0], variables=("U", "V", "QV"))[0]
         assert one.nbytes == pytest.approx(three.nbytes / 3)
 
     def test_unknown_variable_rejected(self, server):
         with pytest.raises(TransferError):
-            server.resolve(0, variables=("GHOST",))
+            server.resolve_many([0], variables=("GHOST",))
 
     def test_stats_accumulate(self, server):
-        server.resolve(0)
-        server.resolve(1, variables=("U",))
+        server.resolve_many([0])
+        server.resolve_many([1], variables=("U",))
         assert server.requests_served == 2
         assert server.bytes_served > 0
 

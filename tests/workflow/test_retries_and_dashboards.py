@@ -1,10 +1,9 @@
-"""Tests for step-level retries, dashboards, and background traffic."""
+"""Tests for step-level retries and background traffic."""
 
 import pytest
 
 from repro.netsim.background import BackgroundTraffic
 from repro.testbed import build_nautilus_testbed
-from repro.viz.dashboards import build_cluster_dashboard
 from repro.workflow import Workflow, WorkflowDriver
 from repro.workflow.step import StepContext, WorkflowStep
 
@@ -66,16 +65,6 @@ class TestStepRetries:
     def test_negative_retry_settings_rejected(self):
         with pytest.raises(Exception):
             FlakyStep(name="x", max_retries=-1)
-
-
-class TestDashboards:
-    def test_cluster_dashboard_renders_live_metrics(self, testbed):
-        testbed.env.run(until=60)  # a few scrapes
-        dash = build_cluster_dashboard(testbed)
-        out = dash.render()
-        assert "CPU allocated" in out
-        assert "Ceph bytes stored" in out
-        assert "(no data)" not in out.split("THREDDS")[0]  # node panels live
 
 
 class TestBackgroundTraffic:
