@@ -17,7 +17,14 @@ as possible:
   ``(C, k, spatial)`` and is memoised per shape.  The forward gathers the
   ``(N, C·k³, D·H·W)`` operand of ``np.matmul(w_mat, cols)``; the weight
   gradient gathers the ``(N·D·H·W, C·k³)`` operand of
-  ``np.dot(grad_y_mat, cols_t)`` with the transposed table.
+  ``np.dot(grad_y_mat, cols_t)`` with the transposed table.  Both
+  gathers pass ``mode="wrap"``: the default ``"raise"`` bounds-checks
+  every index, which cost close to half of the gathers' time.  For
+  indices in range every mode returns the same elements, and the tables
+  are in range by construction (``tests/ml/test_conv_oracle.py`` checks
+  it), so the mode changes no bit.
+- **The bias** is added in place to the fresh ``matmul`` output, in the
+  output's dtype.
 - **A 1×1×1 kernel** (the FFN head) neither pads nor gathers: its im2col
   matrix is ``x`` itself, reshaped.
 
@@ -100,10 +107,15 @@ def _im2col_index(c: int, k: int, spatial: tuple[int, int, int]) -> np.ndarray:
 
     Row ``(c, a, b, g)`` (the weight layout), column ``(z, y, x)``: entry
     ``[c·k³ + a·k² + b·k + g, z·H·W + y·W + x]`` is the offset of padded
-    voxel ``(c, z+a, y+b, x+g)``; shape ``(C·k³, D·H·W)``.  The cached
-    table is shared by every call and must not be written to; it is left
-    writeable because ``np.take`` copies a read-only index array on
-    every call.
+    voxel ``(c, z+a, y+b, x+g)``; shape ``(C·k³, D·H·W)``.  Every entry
+    lies in ``[0, C·(D+2p)(H+2p)(W+2p))``, the padded item's size; the
+    largest is that size minus one.  That range is what lets the gathers
+    use ``np.take(..., mode="wrap")``, which skips the per-index bounds
+    check and returns the same elements as ``"raise"`` for any in-range
+    index; ``tests/ml/test_conv_oracle.py`` checks it over a grid of
+    shapes.  The cached table is shared by every call and must not be
+    written to; it is left writeable because ``np.take`` copies a
+    read-only index array on every call, in every mode.
     """
     d, h, w = spatial
     pad = k // 2
@@ -143,11 +155,14 @@ def _forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         cols = xp.reshape(n, c, -1)
     else:
-        cols = np.take(xp.reshape(n, -1), _im2col_index(c, k, spatial), axis=1)
+        cols = np.take(
+            xp.reshape(n, -1), _im2col_index(c, k, spatial), axis=1, mode="wrap"
+        )
     w_mat = w.reshape(w.shape[0], c * k**3)
-    y = np.matmul(w_mat, cols)  # (N, O, D*H*W)
+    y = np.matmul(w_mat, cols)  # (N, O, D*H*W), a fresh array
     y = y.reshape(n, w.shape[0], *spatial)
-    return y + b[None, :, None, None, None]
+    y += b[None, :, None, None, None]
+    return y
 
 
 def _grad_w(x: np.ndarray, grad_y: np.ndarray, k: int) -> np.ndarray:
@@ -165,7 +180,8 @@ def _grad_w(x: np.ndarray, grad_y: np.ndarray, k: int) -> np.ndarray:
         cols_t = xp.transpose(0, 2, 3, 4, 1).reshape(-1, c)
     else:
         cols_t = np.take(
-            xp.reshape(n, -1), _im2col_index_t(c, k, x.shape[2:]), axis=1
+            xp.reshape(n, -1), _im2col_index_t(c, k, x.shape[2:]), axis=1,
+            mode="wrap",
         ).reshape(-1, c * k**3)
     return np.dot(gy_mat, cols_t)
 

@@ -191,6 +191,10 @@ def flood_fill_multi(
     ``floods`` = live flood count).
 
     Returns a list of float32 probability volumes in seed order.
+    Implementation note: only the bounding box of a flood's visited
+    FOVs is run through :func:`~repro.ml.ffn.sigmoid`; the untouched
+    region around it is filled with ``sigmoid(init_logit)``, the value
+    every voxel there holds, not computed voxel by voxel.
     """
     if engine not in _ENGINES:
         raise MLError(f"unknown flood-fill engine {engine!r}; use {_ENGINES}")
@@ -297,20 +301,25 @@ def flood_fill_multi(
             )
         wave_index += 1
         outs, face_max = _eval_frontier(model, img_patches, mask_patches, engine)
+        # confident[i][axis][side]: move patch i's FOV across that face.
+        confident = (face_max >= cfg.move_threshold).tolist()
         # Write back + expand per flood, each in its own frontier order,
         # so a flood's result never depends on what shared its wave.
         offset = 0
         for fi, frontier, slices_list in waves:
             for j, slc in enumerate(slices_list):
                 masks[fi][slc] = outs[offset + j]
-            for j, center in enumerate(frontier):
-                for axis in range(3):
-                    for direction in (-1, 1):
-                        side = 0 if direction == -1 else 1
-                        if face_max[offset + j, axis, side] >= cfg.move_threshold:
+            for center, faces in zip(
+                frontier, confident[offset:offset + len(frontier)]
+            ):
+                # Centers are clamped already, so a move along one axis
+                # only needs that coordinate clamped.
+                for axis, (lo, hi) in enumerate(bounds):
+                    for side, step in ((0, -half[axis]), (1, half[axis])):
+                        if faces[axis][side]:
                             nxt = list(center)
-                            nxt[axis] += direction * half[axis]
-                            nxt_t = clamp_center(nxt)
+                            nxt[axis] = min(max(center[axis] + step, lo), hi)
+                            nxt_t = tuple(nxt)
                             if nxt_t not in visited[fi]:
                                 pending[fi].append(nxt_t)
             offset += len(frontier)
@@ -318,7 +327,24 @@ def flood_fill_multi(
             tracer.finish(wave_span)
     if tracer is not None and flood_span is not None:
         tracer.finish(flood_span, attributes={"steps": steps})
-    return [sigmoid(mask) for mask in masks]
+    # A flood writes only inside its visited centers' FOVs, and the seed
+    # voxel lies in the first one, centred on the clamped seed; outside
+    # their bounding box every probability is sigmoid(init_logit).
+    untouched = sigmoid(np.array([cfg.init_logit], dtype=np.float32))[0]
+    results = []
+    for mask, centers in zip(masks, visited):
+        if not centers:  # no FOV evaluated: only the seed voxel moved
+            results.append(sigmoid(mask))
+            continue
+        box = tuple(
+            slice(min(c[axis] for c in centers) - h,
+                  max(c[axis] for c in centers) + h + 1)
+            for axis, h in enumerate(half)
+        )
+        probs = np.full(volume.shape, untouched, dtype=np.float32)
+        probs[box] = sigmoid(mask[box])
+        results.append(probs)
+    return results
 
 
 #: Voxels at or above this percentile of the raw volume seed objects.

@@ -42,11 +42,14 @@ class RetryPolicy:
     max_attempts:
         Total tries, including the first (so 1 disables retries).
     base_delay_s / multiplier / max_delay_s:
-        Exponential-backoff shape: attempt ``k`` (0-based) is capped at
+        Exponential-backoff shape: without a generator, the sleep after
+        attempt ``k`` (0-based) is
         ``min(max_delay_s, base_delay_s * multiplier**k)``.
 
-    With a seeded generator each delay is a decorrelated-jitter draw;
-    without one it is the cap itself.
+    With a seeded generator each delay is a decorrelated-jitter draw in
+    ``[base_delay_s, max_delay_s]``, whatever the attempt: it can exceed
+    the attempt's exponential value, and the delays need not grow with
+    ``k``.
     """
 
     max_attempts: int = 4
@@ -66,9 +69,11 @@ class RetryPolicy:
             raise TransferError("multiplier must be >= 1")
 
     def backoff_cap(self, attempt: int) -> float:
-        """Upper bound of the backoff after 0-based ``attempt`` — monotone
+        """The exponential backoff after 0-based ``attempt``: the delay
+        :meth:`backoff` returns without a generator.  Monotone
         non-decreasing in the attempt number and never above
-        ``max_delay_s``."""
+        ``max_delay_s``.  It does not bound a jittered delay, which can
+        lie anywhere in ``[base_delay_s, max_delay_s]``."""
         if attempt < 0:
             raise TransferError(f"attempt must be >= 0, got {attempt}")
         return min(
@@ -83,9 +88,10 @@ class RetryPolicy:
     ) -> float:
         """The sleep before retrying after 0-based ``attempt`` failed.
 
-        Always within ``[0, max_delay_s]``.  ``prev_delay_s`` feeds the
-        decorrelated-jitter recurrence; pass each call's return value
-        into the next.
+        Without ``rng`` it is :meth:`backoff_cap`; with one it is a
+        decorrelated-jitter draw in ``[base_delay_s, max_delay_s]``.
+        ``prev_delay_s`` feeds that recurrence; pass each call's return
+        value into the next.
         """
         cap = self.backoff_cap(attempt)
         if rng is None:

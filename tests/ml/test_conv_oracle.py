@@ -4,12 +4,15 @@
 :mod:`repro.ml.conv3d` builds its GEMM operands with one index gather
 into a zero-padded buffer.  Its contract is that every GEMM sees the
 operands the window-view lowering below would build, so each output is
-bit-for-bit that lowering's: ``np.array_equal``, not ``allclose``.
+bit-for-bit that lowering's: ``np.array_equal``, not ``allclose``.  The
+gathers skip the per-index bounds check (``mode="wrap"``), so this file
+also checks that every index table stays inside the padded item.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.errors import ShapeError
 from repro.ml.conv3d import (
     Conv3D,
+    _im2col_index,
+    _im2col_index_t,
     conv3d_backward,
     conv3d_backward_batch,
     conv3d_forward,
@@ -202,6 +207,26 @@ def test_oracle_runs_without_blas_only_for_one_layout():
         x = np.zeros((2, c, d, h, w), np.float32)
         strided = c == 1 and h == w == 1 < d and k > 1
         assert oracle_operand_is_contiguous(x, k) is not strided
+
+
+# -- the gather tables stay in range ------------------------------------------
+
+
+@pytest.mark.parametrize("spatial", [(5, 5, 5), (9, 9, 9), (3, 5, 7), (4, 1, 1)])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("c", [1, 2, 6, 8])
+def test_gather_tables_stay_in_the_padded_item(c, k, spatial):
+    """The gathers run ``np.take(..., mode="wrap")``, which returns what
+    the bounds-checked ``"raise"`` does only for in-range indices."""
+    pad = k // 2
+    size = c * math.prod(n + 2 * pad for n in spatial)
+    table = _im2col_index(c, k, spatial)
+    table_t = _im2col_index_t(c, k, spatial)
+    assert table.shape == (c * k**3, math.prod(spatial))
+    assert table_t.shape == table.shape[::-1]
+    for t in (table, table_t):
+        assert t.min() >= 0
+        assert t.max() == size - 1
 
 
 # -- the backward validates its inputs ----------------------------------------

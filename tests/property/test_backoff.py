@@ -4,7 +4,8 @@ The whole resilience layer leans on three guarantees: backoff delays
 never exceed the configured ceiling, the deterministic cap grows
 monotonically with the attempt number, and a seeded generator replays
 the exact same delay sequence — so fault schedules (and hence whole
-chaos runs) are reproducible.
+chaos runs) are reproducible.  A jittered delay lies in
+``[base_delay_s, max_delay_s]``; the per-attempt cap does not bound it.
 """
 
 import numpy as np
@@ -47,6 +48,24 @@ class TestBackoffBounded:
     def test_no_rng_means_deterministic_cap(self, policy, attempt):
         # Without an rng the policy degrades to pure exponential backoff.
         assert policy.backoff(attempt, None) == policy.backoff_cap(attempt)
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(policy=policies, seed=st.integers(min_value=0, max_value=2**31))
+    def test_jittered_delay_lies_between_base_and_ceiling(self, policy, seed):
+        # Whatever the attempt: the exponential cap does not bound it.
+        rng = np.random.default_rng(seed)
+        prev = None
+        for attempt in range(policy.max_attempts):
+            delay = policy.backoff(attempt, rng, prev)
+            assert policy.base_delay_s <= delay <= policy.max_delay_s
+            prev = delay
+
+    def test_jitter_can_exceed_the_cap(self):
+        policy = RetryPolicy()
+        first = policy.backoff(0, np.random.default_rng(0))
+        assert first == pytest.approx(1.137, abs=5e-4)
+        assert first > policy.backoff_cap(0) == 0.5
 
 
 class TestBackoffDeterministic:
